@@ -5,26 +5,38 @@
 //! process will not be discussed in this paper"); we implement it as a
 //! substrate so the star-tracker example can run end-to-end.
 
+use std::f64::consts::{FRAC_PI_2, PI, TAU};
+use std::ops::RangeInclusive;
+use std::sync::OnceLock;
+
 use crate::attitude::Attitude;
 use crate::catalog::StarCatalog;
 use crate::projection::Camera;
 use crate::star::{SkyStar, Star};
 
 /// A catalogue of stars on the celestial sphere.
+///
+/// Immutable once constructed, so the spatial index that [`SkyCatalog::view`]
+/// builds on its first call can never go stale.
 #[derive(Debug, Clone, Default)]
 pub struct SkyCatalog {
     stars: Vec<SkyStar>,
+    /// The FOV retrieval index, built lazily by the first `view`.
+    zones: OnceLock<ZoneIndex>,
 }
 
 impl SkyCatalog {
     /// Empty sky catalogue.
     pub fn new() -> Self {
-        SkyCatalog { stars: Vec::new() }
+        SkyCatalog::default()
     }
 
     /// Catalogue from an existing list.
     pub fn from_stars(stars: Vec<SkyStar>) -> Self {
-        SkyCatalog { stars }
+        SkyCatalog {
+            stars,
+            zones: OnceLock::new(),
+        }
     }
 
     /// Number of stars.
@@ -42,17 +54,20 @@ impl SkyCatalog {
         &self.stars
     }
 
-    /// Appends a star.
-    pub fn push(&mut self, star: SkyStar) {
-        self.stars.push(star);
-    }
-
     /// Retrieves the stars visible to `camera` under `attitude`, projected
-    /// onto the image plane.
+    /// onto the image plane, in catalogue order.
     ///
     /// `margin_px` extends the acceptance window beyond the image bounds so
     /// stars whose centre falls just outside but whose ROI still clips the
     /// image are retained (set it to the ROI margin).
+    ///
+    /// The first call builds the catalogue's zone index (DESIGN.md §17);
+    /// every call then tests only the stars in the cells around the
+    /// boresight.
+    ///
+    /// # Panics
+    ///
+    /// If the catalogue holds more than `u32::MAX` stars.
     pub fn view(&self, attitude: Attitude, camera: &Camera, margin_px: f32) -> StarCatalog {
         // Coarse cull: angular cone test against the image diagonal plus the
         // pixel margin, then exact projection.
@@ -60,8 +75,12 @@ impl SkyCatalog {
         let cos_limit = (camera.diagonal_half_angle() + margin_angle).cos();
         let boresight = attitude.boresight();
 
+        let zones = self.zones.get_or_init(|| ZoneIndex::build(&self.stars));
+        let mut candidates = vec![0u64; self.stars.len().div_ceil(64)];
+        zones.mark_cone(boresight, cos_limit, &mut candidates);
+
         let mut out = StarCatalog::new();
-        for s in &self.stars {
+        for s in set_bits(&candidates).map(|i| &self.stars[i]) {
             let dir = s.direction();
             let cos = dir[0] * boresight[0] + dir[1] * boresight[1] + dir[2] * boresight[2];
             if cos < cos_limit {
@@ -84,10 +103,148 @@ impl SkyCatalog {
 
 impl FromIterator<SkyStar> for SkyCatalog {
     fn from_iter<T: IntoIterator<Item = SkyStar>>(iter: T) -> Self {
-        SkyCatalog {
-            stars: iter.into_iter().collect(),
+        SkyCatalog::from_stars(iter.into_iter().collect())
+    }
+}
+
+/// The indices of the set bits of `words`, ascending.
+fn set_bits(words: &[u64]) -> impl Iterator<Item = usize> + '_ {
+    words.iter().enumerate().flat_map(|(w, &word)| {
+        std::iter::successors(Some(word), |bits| Some(bits & bits.wrapping_sub(1)))
+            .take_while(|&bits| bits != 0)
+            .map(move |bits| w * 64 + bits.trailing_zeros() as usize)
+    })
+}
+
+/// Declination bands of the zone index, each `π / BANDS` (1°) high.
+const BANDS: usize = 180;
+/// Right-ascension cells per band, each `2π / BAND_CELLS` (1°) wide.
+const BAND_CELLS: usize = 360;
+const BAND_HEIGHT: f64 = PI / BANDS as f64;
+const CELL_WIDTH: f64 = TAU / BAND_CELLS as f64;
+/// Largest |RA| the grid places. Reducing it by the f64 value of 2π is
+/// then off by under 2e-7 rad, far inside the one-cell padding.
+const MAX_GRID_RA: f64 = 4_294_967_296.0;
+
+/// Where the zone index files a star.
+enum Slot {
+    /// Cell `band * BAND_CELLS + ra_cell`.
+    Cell(usize),
+    /// A finite star the grid cannot place (|dec| > π/2 or a huge RA):
+    /// a candidate of every view.
+    Stray,
+    /// A non-finite coordinate: `direction()` is NaN, which no view keeps.
+    Never,
+}
+
+fn slot(s: &SkyStar) -> Slot {
+    if !(s.ra.is_finite() && s.dec.is_finite()) {
+        Slot::Never
+    } else if s.dec.abs() > FRAC_PI_2 || s.ra.abs() > MAX_GRID_RA {
+        Slot::Stray
+    } else {
+        let ra_cell = ((s.ra.rem_euclid(TAU) / CELL_WIDTH) as usize).min(BAND_CELLS - 1);
+        Slot::Cell(band_of(s.dec) * BAND_CELLS + ra_cell)
+    }
+}
+
+/// The band holding declination `dec`; `as` saturates, so everything
+/// below −π/2 lands in band 0.
+fn band_of(dec: f64) -> usize {
+    (((dec + FRAC_PI_2) / BAND_HEIGHT) as usize).min(BANDS - 1)
+}
+
+/// Star indices grouped by cell: declination bands cut into RA cells.
+#[derive(Debug, Clone)]
+struct ZoneIndex {
+    /// Cell `c` lists `order[start[c]..start[c + 1]]`.
+    start: Vec<u32>,
+    /// Catalogue indices, grouped by cell and ascending within each.
+    order: Vec<u32>,
+    /// Indices of [`Slot::Stray`] stars.
+    stray: Vec<u32>,
+}
+
+impl ZoneIndex {
+    /// Counting sort of the catalogue into cells; no trigonometry.
+    fn build(stars: &[SkyStar]) -> ZoneIndex {
+        let n =
+            u32::try_from(stars.len()).expect("the zone index addresses at most u32::MAX stars");
+        let mut start = vec![0u32; BANDS * BAND_CELLS + 1];
+        let mut stray = Vec::new();
+        for (i, s) in (0..n).zip(stars) {
+            match slot(s) {
+                Slot::Cell(c) => start[c + 1] += 1,
+                Slot::Stray => stray.push(i),
+                Slot::Never => {}
+            }
+        }
+        for c in 1..start.len() {
+            start[c] += start[c - 1];
+        }
+        let mut next = start.clone();
+        let mut order = vec![0u32; start[BANDS * BAND_CELLS] as usize];
+        for (i, s) in (0..n).zip(stars) {
+            if let Slot::Cell(c) = slot(s) {
+                order[next[c] as usize] = i;
+                next[c] += 1;
+            }
+        }
+        ZoneIndex {
+            start,
+            order,
+            stray,
         }
     }
+
+    /// Sets in `marks`, a bitset over catalogue indices, every star in the
+    /// [`cover`] of the cone test `direction() · boresight >= cos_limit`,
+    /// and every stray.
+    fn mark_cone(&self, boresight: [f64; 3], cos_limit: f64, marks: &mut [u64]) {
+        let mut mark = |i: u32| marks[i as usize / 64] |= 1 << (i % 64);
+        self.stray.iter().for_each(|&i| mark(i));
+        let (bands, ra_cells) = cover(boresight, cos_limit);
+        for band in bands {
+            for k in ra_cells.clone() {
+                let c = band * BAND_CELLS + k.rem_euclid(BAND_CELLS as isize) as usize;
+                let cell = &self.order[self.start[c] as usize..self.start[c + 1] as usize];
+                cell.iter().for_each(|&i| mark(i));
+            }
+        }
+    }
+}
+
+/// Every RA cell of a band.
+const WHOLE_BAND: RangeInclusive<isize> = 0..=BAND_CELLS as isize - 1;
+
+/// The bands, and the RA cells of each (to be reduced modulo
+/// `BAND_CELLS`), that hold every direction passing the cone test
+/// `direction() · boresight >= cos_limit`: the cone's cells padded by one
+/// cell on every side, whole bands once the padded cone reaches a pole,
+/// and the whole sky when the cone is not finite.
+fn cover(boresight: [f64; 3], cos_limit: f64) -> (RangeInclusive<usize>, RangeInclusive<isize>) {
+    let norm = boresight.iter().map(|b| b * b).sum::<f64>().sqrt();
+    let radius = (cos_limit / norm).clamp(-1.0, 1.0).acos();
+    let dec0 = (boresight[2] / norm).clamp(-1.0, 1.0).asin();
+    let ra0 = boresight[1].atan2(boresight[0]);
+    if !(radius.is_finite() && dec0.is_finite() && ra0.is_finite()) {
+        return (0..=BANDS - 1, WHOLE_BAND);
+    }
+    let bands =
+        band_of(dec0 - radius).saturating_sub(1)..=(band_of(dec0 + radius) + 1).min(BANDS - 1);
+    if radius + BAND_HEIGHT >= FRAC_PI_2 - dec0.abs() {
+        return (bands, WHOLE_BAND);
+    }
+    // The widest RA offset on a cap that holds no pole.
+    let half = (radius.sin() / dec0.cos()).asin();
+    let lo = ((ra0 - half) / CELL_WIDTH).floor() as isize - 1;
+    let hi = ((ra0 + half) / CELL_WIDTH).floor() as isize + 1;
+    let ra_cells = if hi - lo >= BAND_CELLS as isize {
+        WHOLE_BAND
+    } else {
+        lo..=hi
+    };
+    (bands, ra_cells)
 }
 
 #[cfg(test)]
@@ -152,9 +309,8 @@ mod tests {
 
     #[test]
     fn collection_basics() {
-        let mut sky = SkyCatalog::new();
-        assert!(sky.is_empty());
-        sky.push(SkyStar::new(0.0, 0.0, 1.0));
+        assert!(SkyCatalog::new().is_empty());
+        let sky = SkyCatalog::from_stars(vec![SkyStar::new(0.0, 0.0, 1.0)]);
         assert_eq!(sky.len(), 1);
         assert_eq!(sky.stars().len(), 1);
     }

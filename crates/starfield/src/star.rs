@@ -59,10 +59,13 @@ impl Star {
 ///
 /// Right ascension and declination are in radians. This is the substrate
 /// record for the FOV-retrieval pipeline the paper references (\[4\]) but does
-/// not describe; see [`crate::fov`].
+/// not describe; see [`crate::fov`]. A star with a non-finite coordinate
+/// has a NaN [`direction`](SkyStar::direction) and is never in view.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SkyStar {
-    /// Right ascension, radians in `[0, 2π)`.
+    /// Right ascension, radians. Any finite value is accepted: `ra` and
+    /// `ra + 2πk` are the same direction, and the FOV index reduces it
+    /// modulo 2π.
     pub ra: f64,
     /// Declination, radians in `[−π/2, π/2]`.
     pub dec: f64,

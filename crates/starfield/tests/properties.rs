@@ -3,11 +3,14 @@
 //! Hand-rolled deterministic property loops (seeded `simrng`) instead of
 //! `proptest`, so the workspace tests run with no registry access.
 
+use std::f64::consts::{FRAC_PI_2, FRAC_PI_4, PI, TAU};
+
 use simrng::Rng64;
 use starfield::magnitude::{brightness, magnitude_from_brightness, BrightnessTable};
 use starfield::triad::{attitude_error, triad, Observation};
 use starfield::{
-    Attitude, AttitudeDynamics, Camera, FieldGenerator, SkyStar, Star, StarCatalog, Vec2,
+    Attitude, AttitudeDynamics, Camera, FieldGenerator, SkyCatalog, SkyStar, Star, StarCatalog,
+    Vec2,
 };
 
 /// Brightness is strictly decreasing and positive over the magnitude
@@ -244,5 +247,253 @@ fn rect_query_exact() {
             .filter(|&&(x, y)| x >= x0 && x < x0 + w && y >= y0 && y < y0 + h)
             .count();
         assert_eq!(hits.len(), expect);
+    }
+}
+
+/// A star's position and magnitude as bits, so comparisons are exact.
+fn star_bits(s: &Star) -> [u32; 3] {
+    [
+        s.pos.x.to_bits(),
+        s.pos.y.to_bits(),
+        s.mag.value().to_bits(),
+    ]
+}
+
+/// The full scan the zone index replaced, kept as its reference: every
+/// sky star, in catalogue order, through the per-star acceptance test
+/// (`direction()` → cone dot product → `to_body` → `project` → window).
+fn full_scan(
+    sky: &SkyCatalog,
+    attitude: Attitude,
+    camera: &Camera,
+    margin_px: f32,
+) -> Vec<[u32; 3]> {
+    let margin_angle = (margin_px as f64 / camera.focal_px).atan();
+    let cos_limit = (camera.diagonal_half_angle() + margin_angle).cos();
+    let boresight = attitude.boresight();
+    let mut out = Vec::new();
+    for s in sky.stars() {
+        let dir = s.direction();
+        let cos = dir[0] * boresight[0] + dir[1] * boresight[1] + dir[2] * boresight[2];
+        if cos < cos_limit {
+            continue;
+        }
+        let body = attitude.to_body(dir);
+        if let Some(p) = camera.project(body) {
+            let in_window = p.x >= -margin_px
+                && p.y >= -margin_px
+                && p.x < camera.width as f32 + margin_px
+                && p.y < camera.height as f32 + margin_px;
+            if in_window {
+                out.push(star_bits(&Star { pos: p, mag: s.mag }));
+            }
+        }
+    }
+    out
+}
+
+fn assert_view_is_scan(sky: &SkyCatalog, attitude: Attitude, camera: &Camera, margin_px: f32) {
+    let got: Vec<[u32; 3]> = sky
+        .view(attitude, camera, margin_px)
+        .stars()
+        .iter()
+        .map(star_bits)
+        .collect();
+    let want = full_scan(sky, attitude, camera, margin_px);
+    assert_eq!(
+        got, want,
+        "view differs from the full scan: {attitude:?}, {camera:?}, margin {margin_px}"
+    );
+}
+
+/// The sky star in inertial direction `dir`, its RA shifted by `turns`.
+fn star_toward(dir: [f64; 3], turns: f64, mag: f32) -> SkyStar {
+    let dec = dir[2].clamp(-1.0, 1.0).asin();
+    SkyStar::new(dir[1].atan2(dir[0]) + turns * TAU, dec, mag)
+}
+
+/// A star 10^8 turns out in RA whose direction lies just west of a
+/// whole-degree meridian while its RA reduced by the f64 value of 2π,
+/// which is 2.4e-8 rad larger, lies just east of it. Returns the star and
+/// its direction's RA.
+fn straddling_star(rng: &mut Rng64, dec: f64) -> (SkyStar, f64) {
+    loop {
+        let meridian = (rng.range_usize(1, 360) as f64).to_radians();
+        let star = SkyStar::new(meridian + 1e8 * TAU, dec, 1.0);
+        let dir = star.direction();
+        let true_ra = dir[1].atan2(dir[0]).rem_euclid(TAU);
+        if true_ra < meridian - 1e-9 && star.ra.rem_euclid(TAU) > meridian + 1e-9 {
+            return (star, true_ra);
+        }
+    }
+}
+
+/// `SkyCatalog::view`'s zone index returns exactly what a full scan
+/// returns, bit for bit and in catalogue order, for any attitude, camera
+/// and margin, and for RAs and coordinates outside the usual ranges.
+#[test]
+fn indexed_view_matches_full_scan() {
+    let mut rng = Rng64::new(0x20E5);
+    // One sky shared by every trial, so its index is built once and then
+    // reused: uniform on the sphere with RAs shifted up to two turns either
+    // way, plus stars at both poles, directions written with |dec| > π/2
+    // or an RA of many turns, and non-finite coordinates.
+    let mut stars: Vec<SkyStar> = (0..1 << 13)
+        .map(|_| {
+            let ra = rng.range_f64(-2.0 * TAU, 3.0 * TAU);
+            let dec = rng.range_f64(-1.0, 1.0).asin();
+            SkyStar::new(ra, dec, rng.range_f32(0.0, 6.0))
+        })
+        .collect();
+    for k in 0..8 {
+        let ra = k as f64 * TAU / 8.0;
+        stars.push(SkyStar::new(ra, FRAC_PI_2, 1.0));
+        stars.push(SkyStar::new(ra - PI, -FRAC_PI_2, 1.0));
+    }
+    for _ in 0..64 {
+        let ra = rng.range_f64(0.0, TAU);
+        let dec = rng.range_f64(-FRAC_PI_2, FRAC_PI_2);
+        stars.push(SkyStar::new(ra + PI, PI - dec, 2.0));
+        stars.push(SkyStar::new(ra - 3.0 * PI, -PI - dec, 2.0));
+        stars.push(SkyStar::new(ra + 1e8 * TAU, dec, 2.0));
+        stars.push(SkyStar::new(ra - 1e17 * TAU, dec, 2.0));
+    }
+    for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+        stars.push(SkyStar::new(bad, 0.3, 1.0));
+        stars.push(SkyStar::new(1.0, bad, 1.0));
+    }
+    let sky = SkyCatalog::from_stars(stars);
+
+    for trial in 0..600 {
+        let fov = rng.range_f64(0.01, 3.1);
+        let camera = Camera::from_fov(fov, rng.range_usize(1, 1025), rng.range_usize(1, 1025))
+            .expect("FOV inside (0, π)");
+        let margin = if trial % 5 == 0 {
+            0.0
+        } else {
+            rng.range_f32(0.0, 100.0)
+        };
+        let radius = camera.diagonal_half_angle() + (margin as f64 / camera.focal_px).atan();
+        let pole = if rng.f64() < 0.5 { 1.0 } else { -1.0 };
+        let roll = rng.range_f64(0.0, TAU);
+        let near_zero_ra = rng.range_f64(-0.05, 0.05) + if rng.f64() < 0.5 { TAU } else { 0.0 };
+        let mut on_edge = None;
+        let (ra, dec) = match trial % 4 {
+            // Anywhere, with the RA on either side of 0 / 2π half the time.
+            0 => (
+                if rng.f64() < 0.5 {
+                    near_zero_ra
+                } else {
+                    rng.range_f64(0.0, TAU)
+                },
+                rng.range_f64(-1.0, 1.0).asin(),
+            ),
+            // Within 1° of a pole.
+            1 => (
+                near_zero_ra,
+                pole * (FRAC_PI_2 - rng.range_f64(0.0, 1f64.to_radians())),
+            ),
+            // The cone's edge through a pole.
+            2 => (near_zero_ra, pole * (FRAC_PI_2 - radius)),
+            // A star at round coordinates on the cone's edge, at the
+            // cone's northmost, southmost, eastmost or westmost point.
+            _ => {
+                let star_ra = (rng.range_usize(0, 1080) as f64 - 360.0).to_radians();
+                let star_dec = (rng.range_usize(0, 179) as f64 - 89.0).to_radians();
+                on_edge = Some(SkyStar::new(star_ra, star_dec, 1.0));
+                let side = if rng.f64() < 0.5 { 1.0 } else { -1.0 };
+                if rng.f64() < 0.5 {
+                    (star_ra, star_dec - side * radius)
+                } else {
+                    let dec = (radius.cos() * star_dec.sin()).asin();
+                    let half = (radius.sin() / dec.cos()).clamp(-1.0, 1.0).asin();
+                    (star_ra - side * half, dec)
+                }
+            }
+        };
+        let attitude = Attitude::pointing(ra, dec, roll);
+        assert_view_is_scan(&sky, attitude, &camera, margin);
+
+        // A fresh sky crowded around this boresight, so narrow cameras see
+        // stars too: up to 1.2 cone radii out, a third exactly on the
+        // cone's edge, plus stars at both poles.
+        let mut local: Vec<SkyStar> = (0..rng.range_usize(0, 200))
+            .map(|_| {
+                let off = if rng.f64() < 1.0 / 3.0 {
+                    radius
+                } else {
+                    rng.range_f64(0.0, 1.2 * radius)
+                };
+                let az = rng.range_f64(0.0, TAU);
+                let body = [off.sin() * az.cos(), off.sin() * az.sin(), off.cos()];
+                let turns = rng.range_usize(0, 4) as f64 - 1.0;
+                star_toward(attitude.rotate(body), turns, rng.range_f32(0.0, 6.0))
+            })
+            .collect();
+        for k in 0..8 {
+            let ra = k as f64 * TAU / 8.0;
+            local.push(SkyStar::new(ra, FRAC_PI_2, 1.0));
+            local.push(SkyStar::new(ra, -FRAC_PI_2, 1.0));
+        }
+        local.extend(on_edge);
+        assert_view_is_scan(&SkyCatalog::from_stars(local), attitude, &camera, margin);
+    }
+
+    // The straddling star on the eastern extreme of the cone, just inside
+    // it and on an image diagonal: the scan keeps it, and only the
+    // cover's padding reaches the cell it is filed in.
+    for _ in 0..32 {
+        let dec = rng.range_f64(-1.2, 1.2);
+        let (star, true_ra) = straddling_star(&mut rng, dec);
+        let side = rng.range_usize(64, 1025);
+        let camera =
+            Camera::from_fov(rng.range_f64(0.05, 0.7), side, side).expect("FOV inside (0, π)");
+        let margin = rng.range_f32(1.0, 8.0);
+        let radius =
+            camera.diagonal_half_angle() + (margin as f64 / camera.focal_px).atan() - 1e-12;
+        let dec0 = (radius.cos() * dec.sin()).asin();
+        let ra0 = true_ra - (radius.sin() / dec0.cos()).asin();
+        // Rolling by `roll` turns the star's image azimuth by `-roll`.
+        let body = Attitude::pointing(ra0, dec0, 0.0).to_body(star.direction());
+        let attitude = Attitude::pointing(ra0, dec0, body[1].atan2(body[0]) - FRAC_PI_4);
+        let one = SkyCatalog::from_stars(vec![star]);
+        assert_eq!(full_scan(&one, attitude, &camera, margin).len(), 1);
+        assert_view_is_scan(&one, attitude, &camera, margin);
+    }
+
+    // A clone carries the built index along.
+    let copy = sky.clone();
+    let camera = Camera::from_fov(0.2, 640, 480).expect("FOV inside (0, π)");
+    for _ in 0..32 {
+        let attitude = Attitude::pointing(
+            rng.range_f64(-TAU, 2.0 * TAU),
+            rng.range_f64(-1.0, 1.0).asin(),
+            rng.range_f64(0.0, TAU),
+        );
+        assert_view_is_scan(&copy, attitude, &camera, 8.0);
+        // Attitude's fields are public, so a quaternion need not be a
+        // unit one; the scan then tests against a scaled boresight.
+        for scale in [0.0, 0.7, 1.6] {
+            let scaled = Attitude {
+                w: attitude.w * scale,
+                x: attitude.x * scale,
+                y: attitude.y * scale,
+                z: attitude.z * scale,
+            };
+            assert_view_is_scan(&copy, scaled, &camera, 8.0);
+        }
+    }
+
+    // Empty and one-star catalogues.
+    let attitude = Attitude::pointing(0.3, -0.2, 0.1);
+    assert_view_is_scan(&SkyCatalog::new(), attitude, &camera, 8.0);
+    for star in [
+        SkyStar::new(0.3, -0.2, 1.0),
+        SkyStar::new(0.3 - 2.0 * TAU, -0.2, 1.0),
+        SkyStar::new(0.3 + PI, -PI + 0.2, 1.0),
+        SkyStar::new(f64::NAN, -0.2, 1.0),
+        SkyStar::new(0.3, f64::INFINITY, 1.0),
+    ] {
+        assert_view_is_scan(&SkyCatalog::from_stars(vec![star]), attitude, &camera, 8.0);
     }
 }

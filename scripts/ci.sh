@@ -27,6 +27,13 @@ cargo build --release
 echo "== cargo test -q --workspace"
 cargo test -q --workspace
 
+# The benchmark's own self-test: every workload once at a tiny size,
+# untraced and traced, with its correctness checks (dense-field against
+# ExecMode::Reference, the split-burst digest, the replay digest against
+# starsimd's) and a deliberately corrupted run that must be caught.
+echo "== perfbench --self-test"
+cargo run --release --offline -q --manifest-path perfbench/Cargo.toml -- --self-test
+
 # The backend contract: the exec-modes and sanitizer suites must hold
 # verbatim with the SIMD fast paths selected (counters and modeled times
 # bit-equal; image assertions switch to the documented tolerance where
