@@ -20,7 +20,6 @@ pub mod streams;
 pub mod table3;
 pub mod test1;
 pub mod test2;
-pub mod throughput;
 pub mod trace;
 
 use std::path::PathBuf;

@@ -1,21 +1,17 @@
 //! Frame-pipelined scheduler benchmark: the double-buffered producer /
 //! consumer frame loop ([`FrameSequencer::run_frames_pipelined`]) against
-//! the sequential frame loop, with the pre-PR-7 executor scheduling as the
-//! baseline.
+//! the sequential frame loop.
 //!
-//! Three legs at the headline shape (2^13 stars dense in a 10° FOV,
+//! Two legs at the headline shape (2^13 stars dense in a 10° FOV,
 //! ROI 10, 1024×1024 — the paper's test-1 scale as a frame stream):
 //!
-//! * `sequential_legacy` — [`FrameSequencer::run_frames`] on a device with
-//!   the legacy per-worker scheduler (the gate baseline);
-//! * `sequential` — the same loop on the current scheduler (also the
-//!   bit-identity reference);
+//! * `sequential` — [`FrameSequencer::run_frames`] (also the bit-identity
+//!   reference);
 //! * `pipelined` — [`FrameSequencer::run_frames_pipelined`], star gen +
 //!   upload overlapped with kernel + download.
 //!
 //! `BENCH_PR7.json` carries the gates:
 //!
-//! * `speedup_ok` — pipelined FPS ≥ 1.3× the legacy sequential loop;
 //! * `p99_ok` — pipelined p99 frame latency ≤ 39 ms;
 //! * `bit_identical` — pipelined images, counters and modeled times are
 //!   bit-equal to the sequential loop across a seed × workers × backend
@@ -28,16 +24,12 @@ use starfield::dynamics::AttitudeDynamics;
 use starfield::{Attitude, Camera, SkyCatalog, SkyStar};
 use starsim_core::{CancelToken, FrameSequencer, LutCache, SimConfig, ThroughputReport};
 
-use super::format::{speedup, write_json_object, Json, Table};
+use super::format::{write_json_object, Json, Table};
 use super::Context;
 
 /// The headline workload: 2^13 stars. Always measured, even under
 /// `--quick`, so `BENCH_PR7.json` is comparable across runs.
 const HEADLINE_EXPONENT: u32 = 13;
-
-/// The throughput gate: the pipelined loop must beat the legacy-scheduled
-/// sequential loop by at least this factor.
-const SPEEDUP_GATE: f64 = 1.3;
 
 /// The tail-latency gate, milliseconds.
 const P99_GATE_MS: f64 = 39.0;
@@ -96,7 +88,7 @@ struct Sustained {
 
 /// Runs `reps` bursts of `frames` and keeps the fastest pass (the one
 /// least disturbed by unrelated host load — the same best-of-reps policy
-/// as the `executor` and `throughput` experiments). One untimed warmup
+/// as the `executor` experiment). One untimed warmup
 /// burst populates the pool, the LUT, and the pipeline's device images.
 fn measure(seq: &mut FrameSequencer, frames: usize, reps: usize, pipelined: bool) -> Sustained {
     let run = |seq: &mut FrameSequencer| -> ThroughputReport {
@@ -195,7 +187,7 @@ fn identity_sweep(ctx: &Context, seeds: &[u64]) -> (bool, usize) {
     (all_equal, configs)
 }
 
-/// Runs the three-leg comparison and writes `pipeline.csv` plus the
+/// Runs the two-leg comparison and writes `pipeline.csv` plus the
 /// `BENCH_PR7.json` headline artefact.
 pub fn run(ctx: &Context) -> Table {
     let frames = if ctx.quick { 6 } else { 24 };
@@ -211,42 +203,23 @@ pub fn run(ctx: &Context) -> Table {
     let cache = Arc::new(LutCache::new());
 
     let mut t = Table::new(vec!["config", "fps", "p50_ms", "p99_ms"]);
-    let mut measured = Vec::new();
-    for (name, legacy, pipelined) in [
-        ("sequential_legacy", true, false),
-        ("sequential", false, false),
-        ("pipelined", false, true),
-    ] {
-        eprintln!("pipeline: {name} ({frames} frames, {workers} workers) ...");
-        let gpu = if legacy {
-            VirtualGpu::gtx480().with_legacy_scheduler()
-        } else {
-            VirtualGpu::gtx480()
-        };
-        let mut seq = sequencer(gpu, config.clone(), stars, ctx.seed)
-            .expect("sequencer")
-            .with_lut_cache(Arc::clone(&cache));
-        let s = measure(&mut seq, frames, reps, pipelined);
-        t.row(vec![
-            name.to_string(),
-            format!("{:.2}", s.fps),
-            format!("{:.3}", s.p50_ms),
-            format!("{:.3}", s.p99_ms),
-        ]);
-        measured.push((name, s));
-    }
+    let [sequential, pipelined] =
+        [("sequential", false), ("pipelined", true)].map(|(name, pipelined)| {
+            eprintln!("pipeline: {name} ({frames} frames, {workers} workers) ...");
+            let mut seq = sequencer(VirtualGpu::gtx480(), config.clone(), stars, ctx.seed)
+                .expect("sequencer")
+                .with_lut_cache(Arc::clone(&cache));
+            let s = measure(&mut seq, frames, reps, pipelined);
+            t.row(vec![
+                name.to_string(),
+                format!("{:.2}", s.fps),
+                format!("{:.3}", s.p50_ms),
+                format!("{:.3}", s.p99_ms),
+            ]);
+            s
+        });
     let _ = t.write_csv(&ctx.out_path("pipeline.csv"));
 
-    let by_name = |name: &str| -> &Sustained {
-        &measured
-            .iter()
-            .find(|(n, _)| *n == name)
-            .expect("all legs measured")
-            .1
-    };
-    let legacy = by_name("sequential_legacy");
-    let sequential = by_name("sequential");
-    let pipelined = by_name("pipelined");
     let overlap = pipelined
         .report
         .overlap
@@ -261,14 +234,12 @@ pub fn run(ctx: &Context) -> Table {
     eprintln!("pipeline: bit-identity sweep ({} seeds) ...", seeds.len());
     let (bit_identical, identity_configs) = identity_sweep(ctx, seeds);
 
-    let ratio = pipelined.fps / legacy.fps;
-    let speedup_ok = ratio >= SPEEDUP_GATE;
     let p99_ok = pipelined.p99_ms <= P99_GATE_MS;
-    let gate_ok = speedup_ok && p99_ok && bit_identical;
+    let gate_ok = p99_ok && bit_identical;
     if !gate_ok {
         eprintln!(
-            "pipeline: WARNING: gate failed — speedup {ratio:.2}x (need {SPEEDUP_GATE}x), \
-             p99 {:.2} ms (need <= {P99_GATE_MS}), bit_identical {bit_identical}",
+            "pipeline: WARNING: gate failed — p99 {:.2} ms (need <= {P99_GATE_MS}), \
+             bit_identical {bit_identical}",
             pipelined.p99_ms
         );
     }
@@ -281,15 +252,11 @@ pub fn run(ctx: &Context) -> Table {
             ),
             ("frames", Json::Int(frames as u64)),
             ("workers", Json::Int(workers as u64)),
-            ("sequential_legacy_fps", Json::f3(legacy.fps)),
-            ("sequential_legacy_p99_ms", Json::f3(legacy.p99_ms)),
             ("sequential_fps", Json::f3(sequential.fps)),
             ("sequential_p99_ms", Json::f3(sequential.p99_ms)),
             ("pipelined_fps", Json::f3(pipelined.fps)),
             ("pipelined_p50_ms", Json::f3(pipelined.p50_ms)),
             ("pipelined_p99_ms", Json::f3(pipelined.p99_ms)),
-            ("speedup", Json::f3(ratio)),
-            ("speedup_gate", Json::f3(SPEEDUP_GATE)),
             ("p99_gate_ms", Json::f3(P99_GATE_MS)),
             ("overlap_modeled_saved_s", Json::f6(overlap.modeled.saved_s)),
             (
@@ -306,18 +273,10 @@ pub fn run(ctx: &Context) -> Table {
             ("lut_evictions", Json::Int(lut.evictions)),
             ("identity_configs", Json::Int(identity_configs as u64)),
             ("bit_identical", Json::Bool(bit_identical)),
-            ("speedup_ok", Json::Bool(speedup_ok)),
             ("p99_ok", Json::Bool(p99_ok)),
             ("gate_ok", Json::Bool(gate_ok)),
         ],
     );
-
-    t.row(vec![
-        "speedup (pipelined / sequential_legacy)".to_string(),
-        speedup(ratio),
-        String::new(),
-        String::new(),
-    ]);
     t
 }
 
@@ -338,27 +297,24 @@ mod tests {
             ..Default::default()
         };
         let t = run(&ctx);
-        assert_eq!(t.len(), 4, "three legs plus the speedup row");
+        assert_eq!(t.len(), 2, "one row per leg");
         let json = std::fs::read_to_string(dir.join("BENCH_PR7.json")).unwrap();
         for key in [
-            "sequential_legacy_fps",
             "sequential_fps",
             "pipelined_fps",
             "pipelined_p50_ms",
             "pipelined_p99_ms",
-            "speedup",
             "overlap_modeled_efficiency",
             "lut_prefetch_s",
             "lut_misses",
             "bit_identical",
-            "speedup_ok",
             "p99_ok",
             "gate_ok",
         ] {
             assert!(json.contains(key), "missing {key} in {json}");
         }
         // The correctness gate must hold even in a debug-profile smoke run
-        // (the speed gates are only meaningful under --release and are
+        // (the latency gate is only meaningful under --release and is
         // asserted by scripts/ci.sh instead).
         assert!(json.contains("\"bit_identical\": true"), "{json}");
         assert!(dir.join("pipeline.csv").exists());

@@ -10,8 +10,8 @@
 //! NAME ∈ { fig2, fig9, fig10, fig11, fig12, table1, table2,
 //!          fig13, fig14, fig15, fig16, table3, ablation, contention,
 //!          devices, multigpu, streams, session, lutbuild, executor,
-//!          throughput, chaos, trace, sanitize, simd, pipeline, server,
-//!          obsplane, analyze, all }
+//!          chaos, trace, sanitize, simd, pipeline, server, obsplane,
+//!          analyze, all }
 //! ```
 //!
 //! `--backend simd` runs every experiment with the lane-oriented batched
@@ -21,8 +21,11 @@
 //!
 //! `--pipeline` is shorthand for `--experiment pipeline`: the
 //! frame-pipelined scheduler against the sequential frame loop, with the
-//! overlap-efficiency accounting and the bit-identity sweep (writes
-//! `BENCH_PR7.json`).
+//! overlap-efficiency accounting, the p99 latency gate and the
+//! bit-identity sweep (writes `BENCH_PR7.json`).
+//!
+//! Sustained multi-frame throughput is measured by the repository's
+//! benchmark (`perfbench/`, workload `dense-field`), not by this harness.
 //!
 //! `--server` is shorthand for `--experiment server`: boots an in-process
 //! `starsimd`, drives it with concurrent closed-loop clients at several
@@ -65,8 +68,7 @@ mod experiments;
 
 use experiments::{
     ablation, analyze, chaos, contention, devices, executor, fig2, lutbuild, multigpu, obsplane,
-    pipeline, sanitize, server, session, simd, streams, table3, test1, test2, throughput, trace,
-    Context,
+    pipeline, sanitize, server, session, simd, streams, table3, test1, test2, trace, Context,
 };
 use starsim_core::{ExecMode, KernelBackend};
 
@@ -223,10 +225,6 @@ fn main() {
         "session" => section("Session amortization", session::run(&ctx)),
         "lutbuild" => section("LUT build placement (CPU vs GPU)", lutbuild::run(&ctx)),
         "executor" => section("Executor comparison (host wall-clock)", executor::run(&ctx)),
-        "throughput" => section(
-            "Sustained throughput (pool + buffer reuse)",
-            throughput::run(&ctx),
-        ),
         "chaos" => section(
             "Chaos mode (fault-plan overhead + seeded recovery)",
             chaos::run(&ctx),
@@ -294,10 +292,6 @@ fn main() {
             section("LUT build placement (CPU vs GPU)", lutbuild::run(&ctx));
             section("Executor comparison (host wall-clock)", executor::run(&ctx));
             section(
-                "Sustained throughput (pool + buffer reuse)",
-                throughput::run(&ctx),
-            );
-            section(
                 "Chaos mode (fault-plan overhead + seeded recovery)",
                 chaos::run(&ctx),
             );
@@ -345,8 +339,7 @@ fn usage(error: &str) -> ! {
                       [--server] [--obsplane] [--analyze]\n\
          NAME: fig2 fig9 fig10 fig11 fig12 table1 table2 fig13 fig14 fig15 fig16\n\
                table3 ablation contention devices multigpu streams session lutbuild\n\
-               executor throughput chaos trace sanitize simd pipeline server obsplane\n\
-               analyze\n\
+               executor chaos trace sanitize simd pipeline server obsplane analyze\n\
                all (default)"
     );
     std::process::exit(if error.is_empty() { 0 } else { 2 });

@@ -463,9 +463,6 @@ pub struct AdaptiveSession {
     /// same pass (`download_take`), so it is reused — never reallocated —
     /// across the session's lifetime.
     image_dev: gpusim::GlobalAtomicF32,
-    /// When `false`, every frame allocates its device image fresh — the
-    /// allocation baseline for the throughput experiment.
-    frame_reuse: bool,
     /// One-time setup cost (LUT build + upload + bind), seconds.
     setup_time_s: f64,
     /// Atomic (not `Cell`) so the session is `Sync`: the pipelined frame
@@ -643,8 +640,6 @@ impl AdaptiveSession {
             None => gpu,
         };
         if let Some(t) = &telemetry {
-            // After `with_workers`: a rebuilt pool starts with its lane
-            // rings gated off, and this re-propagates the gate.
             gpu.set_telemetry(Some(t.gpu_sink()));
         }
         let _bind_span = maybe_span(telemetry.as_ref(), "texture-bind");
@@ -681,7 +676,6 @@ impl AdaptiveSession {
             lut,
             lut_tex,
             image_dev,
-            frame_reuse: true,
             setup_time_s: build_time + t_upload + t_bind,
             frames_rendered: AtomicU64::new(0),
             retry: None,
@@ -779,15 +773,6 @@ impl AdaptiveSession {
     /// asserts the frame hot path never pays for analysis).
     pub fn advise_runs(&self) -> u64 {
         self.gpu.advise_count()
-    }
-
-    /// Enables/disables device-image reuse across frames (default on).
-    /// With reuse off, every frame allocates its device image fresh — the
-    /// allocation baseline for the throughput experiment. Both settings
-    /// produce bit-identical frames.
-    pub fn with_frame_reuse(mut self, reuse: bool) -> Self {
-        self.frame_reuse = reuse;
-        self
     }
 
     /// Enables the bounded-retry degradation ladder for
@@ -976,28 +961,18 @@ impl AdaptiveSession {
         let config = &self.config;
         let star_count = catalog.len();
 
-        let fresh_image;
-        let image_dev = if self.frame_reuse {
-            &self.image_dev
-        } else {
-            fresh_image = self.gpu.alloc_atomic_f32(config.pixels());
-            &fresh_image
-        };
         let (kernel_profile, t_stars, t_img_up) =
-            self.launch_frame(catalog, image_dev, Rung::Configured)?;
+            self.launch_frame(catalog, &self.image_dev, Rung::Configured)?;
         let t_up = t_stars + t_img_up;
         profile.kernels.push(kernel_profile);
 
         let download_span = maybe_span(self.telemetry.as_ref(), "download");
-        let (host_pixels, t_down) = if self.frame_reuse {
-            // Drain the persistent device image so the next frame starts
-            // from zero, exactly like a fresh allocation.
-            let mut host = Vec::new();
-            let t = self.gpu.try_download_take(image_dev, &mut host)?;
-            (host, t)
-        } else {
-            self.gpu.try_download(image_dev)?
-        };
+        // Drain the persistent device image so the next frame starts from
+        // zero, exactly like a fresh allocation.
+        let mut host_pixels = Vec::new();
+        let t_down = self
+            .gpu
+            .try_download_take(&self.image_dev, &mut host_pixels)?;
         drop(download_span);
         profile.push_overhead("CPU-GPU transmission", t_up + t_down);
 
@@ -1046,7 +1021,7 @@ impl AdaptiveSession {
                     start,
                     self.cancel_token.as_ref(),
                     |rung| {
-                        if rung != start && self.frame_reuse {
+                        if rung != start {
                             // A failed attempt may have deposited partial
                             // results into the persistent device image; the
                             // retry must start from zero to stay bit-identical.
@@ -1102,21 +1077,11 @@ impl AdaptiveSession {
         rung: Rung,
     ) -> Result<FrameTiming, SimError> {
         let wall_start = Instant::now();
-        let fresh_image;
-        let image_dev = if self.frame_reuse {
-            &self.image_dev
-        } else {
-            fresh_image = self.gpu.alloc_atomic_f32(self.config.pixels());
-            &fresh_image
-        };
-        let (kernel_profile, t_stars, t_img_up) = self.launch_frame(catalog, image_dev, rung)?;
+        let (kernel_profile, t_stars, t_img_up) =
+            self.launch_frame(catalog, &self.image_dev, rung)?;
         let t_up = t_stars + t_img_up;
         let _download_span = maybe_span(self.telemetry.as_ref(), "download");
-        let t_down = if self.frame_reuse {
-            self.gpu.try_download_take(image_dev, host)?
-        } else {
-            self.gpu.try_download_into(image_dev, host)?
-        };
+        let t_down = self.gpu.try_download_take(&self.image_dev, host)?;
         Ok(FrameTiming {
             // Same association as `AppProfile::app_time` (kernel time plus
             // the one transmission overhead item) so the two render paths
@@ -1405,8 +1370,11 @@ mod tests {
             timing = by_buffer.render_into(&cat, &mut host).unwrap();
         }
         assert_eq!(host.capacity(), cap, "no host reallocation when warm");
+        // Frame 4 equals a fresh session's frame 1: `download_take`
+        // re-zeroed the persistent image and the per-SM caches reset cold.
         assert_eq!(report.image.data(), host.as_slice());
         assert_eq!(report.app_time_s, timing.app_time_s);
+        assert_eq!(report.profile.kernels[0].counters, timing.counters);
         assert_eq!(by_buffer.frames_rendered(), 4);
         assert!(timing.wall_time_s > 0.0);
     }
@@ -1468,19 +1436,6 @@ mod tests {
         let warm = AdaptiveSession::on_cached(VirtualGpu::gtx480(), cfg(), &cache).unwrap();
         assert_eq!(cache.hits(), 2);
         assert!(warm.setup_time_s() > 0.0);
-    }
-
-    #[test]
-    fn frame_reuse_off_renders_identically() {
-        let cat = FieldGenerator::new(128, 128).generate(250, 4);
-        let reuse = AdaptiveSession::new(cfg()).unwrap();
-        let alloc = AdaptiveSession::new(cfg()).unwrap().with_frame_reuse(false);
-        for _ in 0..2 {
-            let a = reuse.render(&cat).unwrap();
-            let b = alloc.render(&cat).unwrap();
-            assert_eq!(a.image, b.image);
-            assert_eq!(a.app_time_s, b.app_time_s);
-        }
     }
 
     #[test]

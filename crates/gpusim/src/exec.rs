@@ -80,7 +80,7 @@ pub enum ExecMode {
     Reference,
     /// Block-batched fast path: kernels that implement
     /// [`Kernel::run_block`] process a whole block per call with analytic
-    /// counter accounting and per-worker image privatization; kernels that
+    /// counter accounting and private image shadows; kernels that
     /// don't are executed block-by-block on the reference path inside the
     /// same schedule.
     #[default]
@@ -133,25 +133,21 @@ pub struct VirtualGpu {
     space: AddressSpace,
     workers: usize,
     exec_mode: ExecMode,
-    /// Persistent worker pool; `None` = per-launch scoped-thread spawning
-    /// (the measured baseline, see [`Self::with_spawn_dispatch`]). Behind a
-    /// mutex so a watchdog-poisoned pool can be torn down and rebuilt at
-    /// the next launch through `&self` (the launch gate serializes access).
-    pool: Option<Mutex<WorkerPool>>,
-    /// When set, batched launches use the pre-PR-7 scheduler: one pool
-    /// lane per worker (even beyond the host's core count) and per-worker
-    /// dense shadow buffers merged after the join. Kept as the measured
-    /// baseline for the pipeline experiment — the new role-extraction
-    /// scheduler below groups float additions per *role* instead of per
-    /// worker, so the two schedulers agree within the usual float
-    /// tolerance but are not bit-equal to each other.
-    legacy_scheduler: bool,
+    /// Persistent worker pool. Behind a mutex so a watchdog-poisoned pool
+    /// can be torn down and rebuilt at the next launch through `&self`
+    /// (the launch gate serializes access).
+    pool: Mutex<WorkerPool>,
     /// Per-launch escape hatch: when set, dispatch bypasses the pool and
     /// spawns scoped threads — the degradation ladder's first rung, usable
     /// through `&self` mid-frame.
     spawn_override: AtomicBool,
     /// Injected-fault schedule (chaos testing); `None` in production.
     fault: Option<Arc<FaultPlan>>,
+    /// One past the fault-plan launch index this device last armed (0 =
+    /// none yet): the coordinate its downloads bind to. Kept per device
+    /// because the plan's own counter also moves with the launches of
+    /// every other device sharing the plan.
+    last_armed: AtomicU64,
     /// Watchdog deadline for pooled launches; `None` = wait forever.
     watchdog: Option<Duration>,
     /// Resilience diagnostics (see [`GpuDiagnostics`]).
@@ -178,9 +174,6 @@ pub struct VirtualGpu {
     /// frame loop). Guarded by the launch gate like the arena; the mutex
     /// satisfies `Sync`.
     runs_pool: Mutex<Vec<RoleRuns>>,
-    /// When `false`, launches allocate caches and shadows fresh each call
-    /// (the allocation baseline, see [`Self::with_buffer_reuse`]).
-    reuse: bool,
     /// Telemetry sink; `None` (the default) keeps every launch free of
     /// trace recording and lane-event drains.
     telemetry: Option<Arc<GpuTelemetry>>,
@@ -277,10 +270,10 @@ impl VirtualGpu {
             exec_mode: ExecMode::default(),
             // `workers` is already ≤ the host's core count here, so this
             // matches `pool_lanes` (which only bites after `with_workers`).
-            pool: Some(Mutex::new(WorkerPool::new(workers))),
-            legacy_scheduler: false,
+            pool: Mutex::new(WorkerPool::new(workers)),
             spawn_override: AtomicBool::new(false),
             fault: None,
+            last_armed: AtomicU64::new(0),
             watchdog: None,
             pool_rebuilds: AtomicU64::new(0),
             checksum_catches: AtomicU64::new(0),
@@ -291,7 +284,6 @@ impl VirtualGpu {
             launch_gate: Mutex::new(()),
             arena: BufferArena::new(),
             runs_pool: Mutex::new(Vec::new()),
-            reuse: true,
             telemetry: None,
             utilization: None,
             launch_seq: AtomicU64::new(0),
@@ -326,7 +318,7 @@ impl VirtualGpu {
     /// effect on modeled times or counters). Values beyond the device's SM
     /// count are clamped with a warning — the executor parallelizes over
     /// SMs, so surplus workers would never receive work. Rebuilds the
-    /// worker pool (if pooled dispatch is active) at the new width.
+    /// worker pool at the new width.
     pub fn with_workers(mut self, workers: usize) -> Self {
         let sm_count = self.spec.sm_count as usize;
         let mut workers = workers.max(1);
@@ -338,10 +330,16 @@ impl VirtualGpu {
             workers = sm_count;
         }
         self.workers = workers;
-        if self.pool.is_some() {
-            self.pool = Some(Mutex::new(WorkerPool::new(self.pool_lanes())));
-        }
+        self.pool = Mutex::new(self.fresh_pool());
         self
+    }
+
+    /// A new pool at [`Self::pool_lanes`] width with the device's
+    /// telemetry gate applied (a new pool's lane rings start gated off).
+    fn fresh_pool(&self) -> WorkerPool {
+        let pool = WorkerPool::new(self.pool_lanes());
+        pool.set_telemetry(self.telemetry.is_some());
+        pool
     }
 
     /// Lanes the persistent pool should hold: one per worker, but never
@@ -354,41 +352,7 @@ impl VirtualGpu {
     /// watchdog, injected-stall, and lane-telemetry machinery live even on
     /// a single-core host — those paths need a real worker lane to fence.
     fn pool_lanes(&self) -> usize {
-        if self.legacy_scheduler {
-            self.workers
-        } else {
-            self.workers.min(default_workers().max(2)).max(1)
-        }
-    }
-
-    /// Replaces pooled dispatch with per-launch scoped-thread spawning —
-    /// the pre-pool behavior, kept as the measured baseline for the
-    /// throughput experiment.
-    pub fn with_spawn_dispatch(mut self) -> Self {
-        self.pool = None;
-        self
-    }
-
-    /// Selects the pre-PR-7 batched scheduler — one pool lane per worker
-    /// and per-worker dense shadows merged post-join, no work stealing —
-    /// kept as the measured baseline for the pipeline experiment.
-    /// Counters and modeled times are bit-equal to the default scheduler;
-    /// images agree within float-summation-grouping tolerance (the default
-    /// scheduler groups per role, the legacy one per worker).
-    pub fn with_legacy_scheduler(mut self) -> Self {
-        self.legacy_scheduler = true;
-        if self.pool.is_some() {
-            self.pool = Some(Mutex::new(WorkerPool::new(self.pool_lanes())));
-        }
-        self
-    }
-
-    /// Enables/disables cross-launch buffer reuse (default on). With reuse
-    /// off, every launch allocates its texture caches and shadow buffers
-    /// fresh — the allocation baseline for the throughput experiment.
-    pub fn with_buffer_reuse(mut self, reuse: bool) -> Self {
-        self.reuse = reuse;
-        self
+        self.workers.min(default_workers().max(2)).max(1)
     }
 
     /// Buffers currently pooled in the shadow arena (diagnostics).
@@ -415,8 +379,7 @@ impl VirtualGpu {
     }
 
     /// Forces (or releases) spawn dispatch for subsequent launches without
-    /// rebuilding the device — the degradation ladder's first rung. No-op
-    /// on a device already built [`Self::with_spawn_dispatch`].
+    /// rebuilding the device — the degradation ladder's first rung.
     pub fn set_dispatch_override(&self, spawn: bool) {
         self.spawn_override.store(spawn, Ordering::Relaxed);
     }
@@ -432,11 +395,10 @@ impl VirtualGpu {
     /// Attaches or detaches the telemetry sink, propagating the recording
     /// gate to the worker pool's lane rings.
     pub fn set_telemetry(&mut self, sink: Option<Arc<GpuTelemetry>>) {
-        if let Some(pm) = &self.pool {
-            pm.lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .set_telemetry(sink.is_some());
-        }
+        self.pool
+            .get_mut()
+            .unwrap_or_else(|e| e.into_inner())
+            .set_telemetry(sink.is_some());
         self.telemetry = sink;
     }
 
@@ -638,16 +600,6 @@ impl VirtualGpu {
         Ok((out, t))
     }
 
-    /// [`Self::download_into`] with verification; see
-    /// [`Self::try_download`].
-    pub fn try_download_into(
-        &self,
-        buf: &GlobalAtomicF32,
-        out: &mut Vec<f32>,
-    ) -> Result<f64, GpuError> {
-        self.verified_download(buf, out, false)
-    }
-
     /// [`Self::download_take`] with verification. Unlike the infallible
     /// path, the device buffer is zeroed only *after* the checksums pass —
     /// a corrupted transfer must leave the device data intact for the
@@ -686,8 +638,10 @@ impl VirtualGpu {
         // Injected corruption: flip one mantissa bit in the chunk the spec
         // names, after the copy but before verification — exactly where a
         // real in-flight corruption would land.
-        if let Some(spec) = plan
-            .completed_launch()
+        if let Some(spec) = self
+            .last_armed
+            .load(Ordering::Relaxed)
+            .checked_sub(1)
             .and_then(|l| plan.take(FaultKind::TransferCorrupt, l))
         {
             if !out.is_empty() {
@@ -806,16 +760,18 @@ impl VirtualGpu {
         // straggler) and rebuilt here, so the launch after a timeout runs
         // at full parallel width again. The rebuilt pool inherits the
         // telemetry gate (fresh rings, recording re-enabled).
-        if let Some(pm) = &self.pool {
-            let mut pool = pm.lock().unwrap_or_else(|e| e.into_inner());
+        {
+            let mut pool = self.pool.lock().unwrap_or_else(|e| e.into_inner());
             if pool.poisoned() {
-                *pool = WorkerPool::new(self.pool_lanes());
-                pool.set_telemetry(self.telemetry.is_some());
+                *pool = self.fresh_pool();
                 self.pool_rebuilds.fetch_add(1, Ordering::Relaxed);
             }
         }
 
         let armed = self.fault.as_ref().map(|f| f.arm());
+        if let Some(a) = &armed {
+            self.last_armed.store(a.launch + 1, Ordering::Relaxed);
+        }
         let armed = armed.as_ref();
         let stamps = LaunchStamps::default();
         let stamps_ref = self.telemetry.as_ref().map(|_| &stamps);
@@ -831,43 +787,18 @@ impl VirtualGpu {
         // caches are reset at every launch entry, and shadow buffers of a
         // panicked launch are dropped, never recycled.)
         let executed = catch_unwind(AssertUnwindSafe(|| {
-            if self.reuse {
-                // Per-SM texture caches (per-SM texture L1 path on Fermi),
-                // reset — not rebuilt — per launch: a reset cache is
-                // indistinguishable from a freshly-constructed one, so
-                // counters are bit-equal to the allocation path below.
-                for cache in &self.caches {
-                    cache.lock().unwrap_or_else(|e| e.into_inner()).reset();
-                }
-                match mode {
-                    ExecMode::Reference => {
-                        self.execute_reference(kernel, &cfg, &self.caches, armed, stamps_ref)
-                    }
-                    ExecMode::Batched => {
-                        self.execute_batched(kernel, &cfg, &self.caches, armed, stamps_ref)
-                    }
-                    ExecMode::Sanitized => self.execute_sanitized(
-                        name,
-                        launch_id,
-                        kernel,
-                        &cfg,
-                        &self.caches,
-                        armed,
-                        stamps_ref,
-                    ),
-                }
-            } else {
-                let caches = Self::build_caches(&self.spec);
-                match mode {
-                    ExecMode::Reference => {
-                        self.execute_reference(kernel, &cfg, &caches, armed, stamps_ref)
-                    }
-                    ExecMode::Batched => {
-                        self.execute_batched(kernel, &cfg, &caches, armed, stamps_ref)
-                    }
-                    ExecMode::Sanitized => self.execute_sanitized(
-                        name, launch_id, kernel, &cfg, &caches, armed, stamps_ref,
-                    ),
+            // Per-SM texture caches (per-SM texture L1 path on Fermi),
+            // reset — not rebuilt — per launch: a reset cache is
+            // indistinguishable from a freshly-constructed one, so every
+            // launch starts cold.
+            for cache in &self.caches {
+                cache.lock().unwrap_or_else(|e| e.into_inner()).reset();
+            }
+            match mode {
+                ExecMode::Reference => self.execute_reference(kernel, &cfg, armed, stamps_ref),
+                ExecMode::Batched => self.execute_batched(kernel, &cfg, armed, stamps_ref),
+                ExecMode::Sanitized => {
+                    self.execute_sanitized(name, launch_id, kernel, &cfg, armed, stamps_ref)
                 }
             }
         }));
@@ -904,12 +835,10 @@ impl VirtualGpu {
             // Drain the lane rings while every lane is parked (the launch
             // gate is still held), sort across lanes, and record the trace.
             let mut lane_events = Vec::new();
-            let mut events_dropped = 0;
-            if let Some(pm) = &self.pool {
-                let pool = pm.lock().unwrap_or_else(|e| e.into_inner());
-                pool.drain_events(&mut lane_events);
-                events_dropped = pool.events_dropped();
-            }
+            let pool = self.pool.lock().unwrap_or_else(|e| e.into_inner());
+            pool.drain_events(&mut lane_events);
+            let events_dropped = pool.events_dropped();
+            drop(pool);
             lane_events.sort_by_key(|e| e.t_us);
             sink.record(LaunchTrace {
                 name: name.to_string(),
@@ -939,10 +868,10 @@ impl VirtualGpu {
         Ok(profile)
     }
 
-    /// Whether dispatch should bypass the pool: no pool, or the degradation
-    /// ladder forced spawn dispatch for this frame.
+    /// Whether dispatch should bypass the pool: the degradation ladder
+    /// forced spawn dispatch for this frame.
     fn use_spawn(&self) -> bool {
-        self.pool.is_none() || self.spawn_override.load(Ordering::Relaxed)
+        self.spawn_override.load(Ordering::Relaxed)
     }
 
     /// Converts a pool timeout into the device-level error, counting it.
@@ -966,9 +895,9 @@ impl VirtualGpu {
     }
 
     /// Dynamic-chunk dispatch through the persistent pool (guarded by the
-    /// watchdog deadline, if any), or through per-call spawned scopes when
-    /// pooled dispatch is off. Both share the same claim order semantics;
-    /// the pool merely reuses parked threads.
+    /// watchdog deadline, if any), or through per-call spawned scopes on
+    /// the degradation ladder's spawn rung. Both share the same claim
+    /// order semantics; the pool merely reuses parked threads.
     fn dispatch_dynamic<F>(
         &self,
         count: usize,
@@ -980,17 +909,15 @@ impl VirtualGpu {
     where
         F: Fn(usize, usize) + Sync,
     {
-        match &self.pool {
-            Some(pm) if !self.use_spawn() => pm
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .parallel_for_guarded(count, workers, chunk, self.watchdog, stall, body)
-                .map_err(|t| self.timeout_error(t)),
-            _ => {
-                spawn_parallel_for(count, workers, chunk, body);
-                Ok(())
-            }
+        if self.use_spawn() {
+            spawn_parallel_for(count, workers, chunk, body);
+            return Ok(());
         }
+        self.pool
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .parallel_for_guarded(count, workers, chunk, self.watchdog, stall, body)
+            .map_err(|t| self.timeout_error(t))
     }
 
     /// Static-stride dispatch (index `i` → worker `i % workers`, a pure
@@ -1010,44 +937,15 @@ impl VirtualGpu {
     where
         F: Fn(usize, usize) + Sync,
     {
-        match &self.pool {
-            Some(pm) if !self.use_spawn() => pm
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .parallel_for_static_stealing_guarded(count, workers, self.watchdog, stall, body)
-                .map_err(|t| self.timeout_error(t)),
-            _ => {
-                spawn_parallel_for_static(count, workers, body);
-                Ok(())
-            }
+        if self.use_spawn() {
+            spawn_parallel_for_static(count, workers, body);
+            return Ok(());
         }
-    }
-
-    /// [`Self::dispatch_static`] without work stealing: each lane runs
-    /// exactly the roles congruent to it, in ascending order — the
-    /// pre-PR-7 schedule the legacy batched strategy's per-worker
-    /// accumulation depends on.
-    fn dispatch_static_legacy<F>(
-        &self,
-        count: usize,
-        workers: usize,
-        stall: Option<(usize, Duration)>,
-        body: F,
-    ) -> Result<(), GpuError>
-    where
-        F: Fn(usize, usize) + Sync,
-    {
-        match &self.pool {
-            Some(pm) if !self.use_spawn() => pm
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .parallel_for_static_guarded(count, workers, self.watchdog, stall, body)
-                .map_err(|t| self.timeout_error(t)),
-            _ => {
-                spawn_parallel_for_static(count, workers, body);
-                Ok(())
-            }
-        }
+        self.pool
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .parallel_for_static_stealing_guarded(count, workers, self.watchdog, stall, body)
+            .map_err(|t| self.timeout_error(t))
     }
 
     /// The reference executor: every thread interpreted, every warp traced.
@@ -1055,7 +953,6 @@ impl VirtualGpu {
         &self,
         kernel: &K,
         cfg: &LaunchConfig,
-        caches: &[Mutex<CacheSim>],
         armed: Option<&ArmedFaults>,
         stamps: Option<&LaunchStamps>,
     ) -> Result<Counters, GpuError> {
@@ -1079,7 +976,7 @@ impl VirtualGpu {
                     panic!("injected fault: worker panic on sm {sm_id}");
                 }
                 let mut local = Counters::default();
-                let mut cache = caches[sm_id].lock().unwrap_or_else(|e| e.into_inner());
+                let mut cache = self.caches[sm_id].lock().unwrap_or_else(|e| e.into_inner());
                 let mut block = sm_id;
                 while block < total_blocks {
                     self.run_block_reference(
@@ -1107,14 +1004,12 @@ impl VirtualGpu {
     /// deterministic for any worker count. Counters, hazards, and the
     /// functional output are computed exactly as in
     /// [`Self::execute_reference`].
-    #[allow(clippy::too_many_arguments)]
     fn execute_sanitized<K: Kernel>(
         &self,
         name: &str,
         launch_id: u64,
         kernel: &K,
         cfg: &LaunchConfig,
-        caches: &[Mutex<CacheSim>],
         armed: Option<&ArmedFaults>,
         stamps: Option<&LaunchStamps>,
     ) -> Result<Counters, GpuError> {
@@ -1140,7 +1035,7 @@ impl VirtualGpu {
                     panic!("injected fault: worker panic on sm {sm_id}");
                 }
                 let mut local = Counters::default();
-                let mut cache = caches[sm_id].lock().unwrap_or_else(|e| e.into_inner());
+                let mut cache = self.caches[sm_id].lock().unwrap_or_else(|e| e.into_inner());
                 let mut slot = slots[sm_id].lock().unwrap_or_else(|e| e.into_inner());
                 let mut block = sm_id;
                 while block < total_blocks {
@@ -1183,36 +1078,63 @@ impl VirtualGpu {
     /// The batched executor: same SM schedule, but blocks whose kernel
     /// implements [`Kernel::run_block`] are processed whole, accumulating
     /// image output into private shadows instead of CAS-looping on the
-    /// shared target.
+    /// shared target. Counters and modeled times equal the reference
+    /// executor's at any worker count.
     ///
-    /// Two strategies share this entry point. The default extraction
-    /// scheduler accumulates per *role* (SM) and drains each role's sparse
-    /// output while it is still cache-warm, so the image is deterministic
-    /// for *any* worker count ≥ 2 and any lane count; the legacy scheduler
-    /// ([`Self::with_legacy_scheduler`]) keeps the pre-PR-7 per-worker
-    /// dense shadows. Counters and modeled times are bit-equal either way.
-    ///
-    /// Single-worker launches always take the legacy strategy: with one
-    /// worker its single accumulator replays the reference executor's
-    /// addition order exactly (the image starts at zero, so draining the
-    /// one shadow is the same chain of adds), preserving the
-    /// batched-equals-reference-bit-for-bit contract that per-role
-    /// grouping cannot — and at one worker the two schedules are the same
-    /// ascending role walk anyway.
+    /// Multi-worker launches take the extraction scheduler, whose image is
+    /// deterministic for *any* worker count ≥ 2 and any lane count.
+    /// Single-worker launches take [`Self::execute_batched_single`]: its
+    /// one accumulator replays the reference executor's addition order
+    /// exactly (the image starts at zero, so draining the one shadow is the
+    /// same chain of adds), preserving the batched-equals-reference
+    /// bit-for-bit contract that per-role grouping cannot.
     fn execute_batched<'k, K: Kernel>(
         &'k self,
         kernel: &'k K,
         cfg: &LaunchConfig,
-        caches: &[Mutex<CacheSim>],
         armed: Option<&ArmedFaults>,
         stamps: Option<&LaunchStamps>,
     ) -> Result<Counters, GpuError> {
         let sms = (self.spec.sm_count as usize).min(cfg.total_blocks());
-        let workers = self.workers.min(sms.max(1));
-        if self.legacy_scheduler || workers == 1 {
-            self.execute_batched_legacy(kernel, cfg, caches, armed, stamps)
+        if self.workers.min(sms.max(1)) == 1 {
+            self.execute_batched_single(kernel, cfg, armed, stamps)
         } else {
-            self.execute_batched_extracting(kernel, cfg, caches, armed, stamps)
+            self.execute_batched_extracting(kernel, cfg, armed, stamps)
+        }
+    }
+
+    /// Runs SM `sm_id`'s blocks (`sm_id, sm_id + sm_count, …`, ascending)
+    /// on the batched path, accumulating into `counters` and `shadow`.
+    /// Kernels without a [`Kernel::run_block`] fast path run each block on
+    /// the reference path instead.
+    fn run_sm_batched<'k, K: Kernel>(
+        &self,
+        kernel: &'k K,
+        cfg: &LaunchConfig,
+        sm_id: usize,
+        counters: &mut Counters,
+        shadow: &mut ShadowSet<'k>,
+        hazards: &AtomicU64,
+    ) {
+        let sm_count = self.spec.sm_count as usize;
+        let total_blocks = cfg.total_blocks();
+        let mut cache = self.caches[sm_id].lock().unwrap_or_else(|e| e.into_inner());
+        let mut block = sm_id;
+        while block < total_blocks {
+            let mut bctx = BlockCtx {
+                block_idx: cfg.grid.delinearize(block),
+                block_dim: cfg.block,
+                grid_dim: cfg.grid,
+                spec: &self.spec,
+                counters,
+                cache: &mut cache,
+                shadow,
+                backend: cfg.backend,
+            };
+            if !kernel.run_block(&mut bctx) {
+                self.run_block_reference(kernel, cfg, block, counters, &mut cache, hazards, None);
+            }
+            block += sm_count;
         }
     }
 
@@ -1236,13 +1158,10 @@ impl VirtualGpu {
         &'k self,
         kernel: &'k K,
         cfg: &LaunchConfig,
-        caches: &[Mutex<CacheSim>],
         armed: Option<&ArmedFaults>,
         stamps: Option<&LaunchStamps>,
     ) -> Result<Counters, GpuError> {
-        let sm_count = self.spec.sm_count as usize;
-        let total_blocks = cfg.total_blocks();
-        let sms = sm_count.min(total_blocks);
+        let sms = (self.spec.sm_count as usize).min(cfg.total_blocks());
         let workers = self.workers.min(sms.max(1));
         let hazards = AtomicU64::new(0);
         let panic_sm = armed.and_then(|a| a.panic_sm).map(|l| l % sms.max(1));
@@ -1278,37 +1197,8 @@ impl VirtualGpu {
                     panic!("injected fault: worker panic on sm {sm_id}");
                 }
                 let mut counters = Counters::default();
-                let mut shadow = if self.reuse {
-                    ShadowSet::with_arena(&self.arena)
-                } else {
-                    ShadowSet::new()
-                };
-                let mut cache = caches[sm_id].lock().unwrap_or_else(|e| e.into_inner());
-                let mut block = sm_id;
-                while block < total_blocks {
-                    let mut bctx = BlockCtx {
-                        block_idx: cfg.grid.delinearize(block),
-                        block_dim: cfg.block,
-                        grid_dim: cfg.grid,
-                        spec: &self.spec,
-                        counters: &mut counters,
-                        cache: &mut cache,
-                        shadow: &mut shadow,
-                        backend: cfg.backend,
-                    };
-                    if !kernel.run_block(&mut bctx) {
-                        self.run_block_reference(
-                            kernel,
-                            cfg,
-                            block,
-                            &mut counters,
-                            &mut cache,
-                            &hazards,
-                            None,
-                        );
-                    }
-                    block += sm_count;
-                }
+                let mut shadow = ShadowSet::with_arena(&self.arena);
+                self.run_sm_batched(kernel, cfg, sm_id, &mut counters, &mut shadow, &hazards);
                 // Drain this role's output while its chunks are still
                 // cache-warm; the scratch goes back to the arena drained,
                 // ready for the next role on this lane.
@@ -1351,9 +1241,9 @@ impl VirtualGpu {
         }
         // Injected shadow corruption: poison one drained scratch buffer on
         // its way back to the arena, which must screen (drop) it instead
-        // of recycling — same observable as the legacy scheduler's
-        // post-drain corruption of worker 0's buffer.
-        if armed.is_some_and(|a| a.shadow_corrupt) && self.reuse {
+        // of recycling — same observable as the single-worker path's
+        // post-drain corruption of its one buffer.
+        if armed.is_some_and(|a| a.shadow_corrupt) {
             if let Some(target) = targets.first() {
                 let mut sb = self.arena.take(target.len());
                 sb.poison();
@@ -1367,107 +1257,43 @@ impl VirtualGpu {
         Ok(counters)
     }
 
-    /// The pre-PR-7 batched strategy: per-worker dense shadows, merged in
-    /// worker order after the join (image deterministic for a fixed worker
-    /// count only). Selected by [`Self::with_legacy_scheduler`] as the
-    /// measured baseline for the pipeline experiment.
-    fn execute_batched_legacy<'k, K: Kernel>(
+    /// The single-worker batched strategy: one counter set and one
+    /// arena-backed shadow set, filled by an ascending SM walk on the
+    /// launching thread (no dispatch — a lone worker would run inline
+    /// anyway), then drained into the targets.
+    fn execute_batched_single<'k, K: Kernel>(
         &'k self,
         kernel: &'k K,
         cfg: &LaunchConfig,
-        caches: &[Mutex<CacheSim>],
         armed: Option<&ArmedFaults>,
         stamps: Option<&LaunchStamps>,
     ) -> Result<Counters, GpuError> {
-        let sm_count = self.spec.sm_count as usize;
-        let total_blocks = cfg.total_blocks();
-        let sms = sm_count.min(total_blocks);
-        let workers = self.workers.min(sms.max(1));
+        let sms = (self.spec.sm_count as usize).min(cfg.total_blocks());
         let hazards = AtomicU64::new(0);
         let panic_sm = armed.and_then(|a| a.panic_sm).map(|l| l % sms.max(1));
-
-        struct WorkerState<'k> {
-            counters: Counters,
-            shadow: ShadowSet<'k>,
-        }
-        // One private state per worker. The static (non-stealing) schedule
-        // guarantees each state is only ever touched by its worker, so the
-        // mutexes are uncontended; they exist to satisfy `Sync`. Shadow
-        // storage comes from the device arena when reuse is on — recycled,
-        // not reallocated, across frames.
-        let states: Vec<Mutex<WorkerState<'k>>> = (0..workers)
-            .map(|_| {
-                Mutex::new(WorkerState {
-                    counters: Counters::default(),
-                    shadow: if self.reuse {
-                        ShadowSet::with_arena(&self.arena)
-                    } else {
-                        ShadowSet::new()
-                    },
-                })
-            })
-            .collect();
+        let mut counters = Counters::default();
+        let mut shadow = ShadowSet::with_arena(&self.arena);
 
         if let Some(s) = stamps {
             s.dispatch_start.set(now_us());
         }
-        self.dispatch_static_legacy(
-            sms,
-            workers,
-            Self::armed_stall(armed, workers),
-            |sm_id, worker| {
-                if panic_sm == Some(sm_id) {
-                    panic!("injected fault: worker panic on sm {sm_id}");
-                }
-                let mut state = states[worker].lock().unwrap_or_else(|e| e.into_inner());
-                let state = &mut *state;
-                let mut cache = caches[sm_id].lock().unwrap_or_else(|e| e.into_inner());
-                let mut block = sm_id;
-                while block < total_blocks {
-                    let mut bctx = BlockCtx {
-                        block_idx: cfg.grid.delinearize(block),
-                        block_dim: cfg.block,
-                        grid_dim: cfg.grid,
-                        spec: &self.spec,
-                        counters: &mut state.counters,
-                        cache: &mut cache,
-                        shadow: &mut state.shadow,
-                        backend: cfg.backend,
-                    };
-                    if !kernel.run_block(&mut bctx) {
-                        self.run_block_reference(
-                            kernel,
-                            cfg,
-                            block,
-                            &mut state.counters,
-                            &mut cache,
-                            &hazards,
-                            None,
-                        );
-                    }
-                    block += sm_count;
-                }
-            },
-        )?;
+        for sm_id in 0..sms {
+            if panic_sm == Some(sm_id) {
+                panic!("injected fault: worker panic on sm {sm_id}");
+            }
+            self.run_sm_batched(kernel, cfg, sm_id, &mut counters, &mut shadow, &hazards);
+        }
         if let Some(s) = stamps {
             s.dispatch_end.set(now_us());
             s.merge_start.set(now_us());
         }
 
-        // Deterministic reduction: counters and shadows merge in worker
-        // order, single-threaded.
-        let corrupt_shadow = armed.is_some_and(|a| a.shadow_corrupt);
-        let mut counters = Counters::default();
-        for (i, s) in states.into_iter().enumerate() {
-            let state = s.into_inner().unwrap_or_else(|e| e.into_inner());
-            counters.merge(&state.counters);
-            if corrupt_shadow && i == 0 {
-                // Injected shadow corruption hits the first worker's buffer
-                // after its (correct) drain; the arena must drop it.
-                state.shadow.merge_corrupting(true);
-            } else {
-                state.shadow.merge();
-            }
+        if armed.is_some_and(|a| a.shadow_corrupt) {
+            // Injected shadow corruption hits the buffer after its
+            // (correct) drain; the arena must drop it.
+            shadow.merge_corrupting(true);
+        } else {
+            shadow.merge();
         }
         counters.shared_hazards += hazards.load(Ordering::Relaxed);
         if let Some(s) = stamps {
@@ -1969,79 +1795,6 @@ mod tests {
         );
     }
 
-    /// The spawn baseline and pooled dispatch must be observationally
-    /// identical: same counters, same modeled time, same image.
-    #[test]
-    fn spawn_dispatch_matches_pooled_dispatch() {
-        let run = |spawn: bool, mode: ExecMode| {
-            let mut gpu = VirtualGpu::gtx480().with_workers(4).with_exec_mode(mode);
-            if spawn {
-                gpu = gpu.with_spawn_dispatch();
-            }
-            let n = 4096;
-            let (x, _) = gpu.upload((0..n).map(|i| i as f32).collect::<Vec<_>>());
-            let (y, _) = gpu.upload_atomic_f32(&vec![0.5f32; n]);
-            let k = Saxpy {
-                a: 2.0,
-                x: &x,
-                y: &y,
-                n,
-            };
-            let p = gpu
-                .launch("saxpy", &k, LaunchConfig::new(32u32, 128u32))
-                .unwrap();
-            (p.counters, p.time_s, gpu.download(&y).0)
-        };
-        for mode in [ExecMode::Reference, ExecMode::Batched] {
-            let pooled = run(false, mode);
-            let spawned = run(true, mode);
-            assert_eq!(pooled, spawned, "dispatch strategy must be invisible");
-        }
-    }
-
-    /// Buffer reuse (persistent caches + shadow arena) must be
-    /// observationally identical to allocating everything per launch, and
-    /// the arena must actually recycle across launches.
-    #[test]
-    fn buffer_reuse_matches_alloc_and_recycles() {
-        let run = |reuse: bool| {
-            let gpu = VirtualGpu::gtx480()
-                .with_workers(2)
-                .with_buffer_reuse(reuse);
-            let n = 4096;
-            let (x, _) = gpu.upload(vec![1.0f32; n]);
-            let (y, _) = gpu.upload_atomic_f32(&vec![0.0f32; n]);
-            let k = Saxpy {
-                a: 3.0,
-                x: &x,
-                y: &y,
-                n,
-            };
-            let cfg = LaunchConfig::new(32u32, 128u32);
-            let mut profiles = Vec::new();
-            for _ in 0..3 {
-                profiles.push(gpu.launch("saxpy", &k, cfg).unwrap());
-            }
-            let pooled = gpu.arena_pooled();
-            (
-                profiles
-                    .into_iter()
-                    .map(|p| (p.counters, p.time_s))
-                    .collect::<Vec<_>>(),
-                gpu.download(&y).0,
-                pooled,
-            )
-        };
-        let (prof_reuse, img_reuse, pooled_reuse) = run(true);
-        let (prof_alloc, img_alloc, pooled_alloc) = run(false);
-        assert_eq!(prof_reuse, prof_alloc);
-        assert_eq!(img_reuse, img_alloc);
-        assert_eq!(pooled_alloc, 0, "alloc baseline must not populate arena");
-        // Saxpy has no run_block fast path, so no shadows are registered
-        // here; arena recycling itself is covered by kernel.rs tests.
-        let _ = pooled_reuse;
-    }
-
     #[test]
     fn workers_clamped_to_sm_count() {
         let gpu = VirtualGpu::gtx480().with_workers(1000);
@@ -2057,8 +1810,12 @@ mod tests {
     use crate::fault::{FaultKind, FaultPlan};
     use std::time::Duration;
 
-    /// Runs saxpy (a=2, x=i, y0=0) on `gpu`, returning the image.
-    fn saxpy_frame(gpu: &VirtualGpu, n: usize) -> Result<Vec<f32>, GpuError> {
+    /// Launches saxpy (a=2, x=i, y0=0) on `gpu`, returning the profile and
+    /// the output buffer, not yet downloaded.
+    fn saxpy_launch(
+        gpu: &VirtualGpu,
+        n: usize,
+    ) -> Result<(KernelProfile, GlobalAtomicF32), GpuError> {
         let (x, _) = gpu.try_upload((0..n).map(|i| i as f32).collect::<Vec<_>>())?;
         let y = gpu.alloc_atomic_f32(n);
         let k = Saxpy {
@@ -2067,11 +1824,17 @@ mod tests {
             y: &y,
             n,
         };
-        gpu.launch(
+        let profile = gpu.launch(
             "saxpy",
             &k,
             LaunchConfig::new(n.div_ceil(128) as u32, 128u32),
         )?;
+        Ok((profile, y))
+    }
+
+    /// Runs saxpy (a=2, x=i, y0=0) on `gpu`, returning the image.
+    fn saxpy_frame(gpu: &VirtualGpu, n: usize) -> Result<Vec<f32>, GpuError> {
+        let (_, y) = saxpy_launch(gpu, n)?;
         Ok(gpu.try_download(&y)?.0)
     }
 
@@ -2132,19 +1895,7 @@ mod tests {
                 0,
                 1,
             )));
-        let n = 8192;
-        let (x, _) = gpu
-            .try_upload((0..n).map(|i| i as f32).collect::<Vec<_>>())
-            .unwrap();
-        let y = gpu.alloc_atomic_f32(n);
-        let k = Saxpy {
-            a: 2.0,
-            x: &x,
-            y: &y,
-            n,
-        };
-        gpu.launch("saxpy", &k, LaunchConfig::new(64u32, 128u32))
-            .unwrap();
+        let (_, y) = saxpy_launch(&gpu, 8192).unwrap();
         let err = gpu
             .try_download(&y)
             .expect_err("checksum must catch the flip");
@@ -2157,6 +1908,32 @@ mod tests {
         // re-downloading (fault spent) recovers the exact frame.
         let (host, _) = gpu.try_download(&y).expect("second download is clean");
         assert_eq!(host, expected);
+    }
+
+    /// Devices sharing one plan (every `starsimd` session under a server
+    /// fault plan) each bind their downloads to their own last launch: a
+    /// launch on B between A's launch and A's download must not steal the
+    /// coordinate of A's transfer fault.
+    #[test]
+    fn download_faults_bind_to_the_devices_own_launch_under_a_shared_plan() {
+        let plan = Arc::new(FaultPlan::single(FaultKind::TransferCorrupt, 0, 1));
+        let a = VirtualGpu::gtx480()
+            .with_workers(2)
+            .with_fault_plan(Arc::clone(&plan));
+        let b = VirtualGpu::gtx480()
+            .with_workers(2)
+            .with_fault_plan(Arc::clone(&plan));
+        let (_, ya) = saxpy_launch(&a, 8192).unwrap(); // plan launch 0
+        let (_, yb) = saxpy_launch(&b, 8192).unwrap(); // plan launch 1
+        let err = a
+            .try_download(&ya)
+            .expect_err("A's download follows plan launch 0");
+        assert!(
+            matches!(err, GpuError::TransferCorrupted { chunk: 1 }),
+            "got {err:?}"
+        );
+        assert_eq!(plan.remaining(), 0, "the fault fired exactly once");
+        assert!(b.try_download(&yb).is_ok());
     }
 
     #[test]
@@ -2201,49 +1978,74 @@ mod tests {
         assert!(gpu.bind_texture(4, 4, 1, vec![0.0; 16]).is_ok());
     }
 
+    /// At 1 worker (the inline single-worker path) and at 4 (pooled), with
+    /// the sink attached after and before `with_workers` rebuilds the pool.
     #[test]
     fn telemetry_records_launch_traces_with_lane_events() {
-        let sink = Arc::new(GpuTelemetry::new());
-        let gpu = VirtualGpu::gtx480()
-            .with_workers(4)
-            .with_telemetry(Arc::clone(&sink));
-        let expected = saxpy_frame(&VirtualGpu::gtx480().with_workers(4), 4096).unwrap();
-        let traced = saxpy_frame(&gpu, 4096).unwrap();
-        assert_eq!(traced, expected, "telemetry must not perturb results");
+        for workers in [1, 4] {
+            for sink_first in [false, true] {
+                let sink = Arc::new(GpuTelemetry::new());
+                let gpu = if sink_first {
+                    VirtualGpu::gtx480()
+                        .with_telemetry(Arc::clone(&sink))
+                        .with_workers(workers)
+                } else {
+                    VirtualGpu::gtx480()
+                        .with_workers(workers)
+                        .with_telemetry(Arc::clone(&sink))
+                };
+                let expected =
+                    saxpy_frame(&VirtualGpu::gtx480().with_workers(workers), 4096).unwrap();
+                let traced = saxpy_frame(&gpu, 4096).unwrap();
+                assert_eq!(traced, expected, "telemetry must not perturb results");
 
-        let launches = sink.take_launches();
-        assert_eq!(launches.len(), 1);
-        let t = &launches[0];
-        assert_eq!(t.name, "saxpy");
-        assert_eq!(t.mode, "batched");
-        assert_eq!(t.launch, 0);
-        assert!(t.end_us >= t.start_us);
-        let (d0, d1) = t.dispatch_us.expect("dispatch window stamped");
-        assert!(d0 >= t.start_us && d1 >= d0);
-        let (m0, m1) = t.merge_us.expect("batched launch stamps a merge");
-        assert!(m0 >= d1 && m1 >= m0);
-        assert!(t.modeled_kernel_s > 0.0);
-        assert!(
-            t.lane_events
-                .iter()
-                .any(|e| e.kind == crate::telemetry::LaneEventKind::Launch),
-            "lane events must include the publish: {:?}",
-            t.lane_events
-        );
-        assert!(t.lane_events.windows(2).all(|w| w[0].t_us <= w[1].t_us));
-        assert_eq!(t.events_dropped, 0);
-        assert!(sink.is_empty(), "take_launches drains the sink");
+                let launches = sink.take_launches();
+                assert_eq!(launches.len(), 1);
+                let t = &launches[0];
+                assert_eq!(t.name, "saxpy");
+                assert_eq!(t.mode, "batched");
+                assert_eq!(t.launch, 0);
+                assert!(t.end_us >= t.start_us);
+                let (d0, d1) = t.dispatch_us.expect("dispatch window stamped");
+                assert!(d0 >= t.start_us && d1 >= d0);
+                let (m0, m1) = t.merge_us.expect("batched launch stamps a merge");
+                assert!(m0 >= d1 && m1 >= m0);
+                assert!(t.modeled_kernel_s > 0.0);
+                if workers > 1 {
+                    assert!(
+                        t.lane_events
+                            .iter()
+                            .any(|e| e.kind == crate::telemetry::LaneEventKind::Launch),
+                        "lane events must include the publish \
+                         (workers {workers}, sink first {sink_first}): {:?}",
+                        t.lane_events
+                    );
+                }
+                assert!(t.lane_events.windows(2).all(|w| w[0].t_us <= w[1].t_us));
+                assert_eq!(t.events_dropped, 0);
+                assert!(sink.is_empty(), "take_launches drains the sink");
+            }
+        }
     }
 
+    /// Ladder rung 1 (spawn dispatch, forced per launch) must be
+    /// observationally identical to pooled dispatch: same counters, same
+    /// modeled time, same image, in both host-parallel executors.
     #[test]
     fn dispatch_override_matches_pooled_results() {
-        let gpu = VirtualGpu::gtx480().with_workers(4);
-        let pooled = saxpy_frame(&gpu, 4096).unwrap();
-        gpu.set_dispatch_override(true);
-        let spawned = saxpy_frame(&gpu, 4096).unwrap();
-        gpu.set_dispatch_override(false);
-        let pooled_again = saxpy_frame(&gpu, 4096).unwrap();
-        assert_eq!(pooled, spawned, "ladder rung 1 must be bit-identical");
-        assert_eq!(pooled, pooled_again);
+        for mode in [ExecMode::Reference, ExecMode::Batched] {
+            let gpu = VirtualGpu::gtx480().with_workers(4).with_exec_mode(mode);
+            let frame = |gpu: &VirtualGpu| {
+                let (p, y) = saxpy_launch(gpu, 4096).unwrap();
+                (p.counters, p.time_s, gpu.try_download(&y).unwrap().0)
+            };
+            let pooled = frame(&gpu);
+            gpu.set_dispatch_override(true);
+            let spawned = frame(&gpu);
+            gpu.set_dispatch_override(false);
+            let pooled_again = frame(&gpu);
+            assert_eq!(pooled, spawned, "ladder rung 1 must be bit-identical");
+            assert_eq!(pooled, pooled_again);
+        }
     }
 }

@@ -19,8 +19,11 @@
 //!   the launch whose index equals `spec.launch`;
 //! * allocation faults fire during the uploads *preceding* that launch
 //!   (the counter has not advanced yet — [`FaultPlan::upcoming_launch`]);
-//! * transfer faults fire during the downloads *following* it
-//!   ([`FaultPlan::completed_launch`]);
+//! * transfer faults fire during the downloads *following* it on the
+//!   device that armed it (each device remembers the launch it last
+//!   armed, so devices sharing one plan cannot move each other's
+//!   download coordinate; on a lone device this is
+//!   [`FaultPlan::completed_launch`]);
 //! * texture-bind faults are consumed by the next bind call regardless of
 //!   the launch coordinate (binds happen at session setup, before any
 //!   launch).
@@ -222,8 +225,9 @@ impl FaultPlan {
         self.next_launch.load(Ordering::Relaxed)
     }
 
-    /// The most recently armed launch index — the coordinate post-launch
-    /// operations (downloads) bind to. `None` before the first launch.
+    /// The most recently armed launch index, across every device sharing
+    /// the plan. Downloads bind to the launch their own device last armed,
+    /// which equals this on a lone device. `None` before the first launch.
     pub fn completed_launch(&self) -> Option<u64> {
         self.next_launch.load(Ordering::Relaxed).checked_sub(1)
     }

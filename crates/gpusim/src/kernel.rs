@@ -201,13 +201,14 @@ const SHADOW_CHUNK: usize = 16;
 
 /// A recycling pool of shadow buffers (see [`ShadowBuf`]).
 ///
-/// The batched executor allocates one full-image shadow per worker per
-/// launch; at frame rates those multi-megabyte allocations dominate. The
-/// arena keeps *drained* (all-zero, dirty-clear) buffers from finished
-/// launches and hands them back to the next one — clear, don't reallocate.
-/// Buffers are returned only by [`ShadowSet::merge`], which zeroes every
-/// dirty chunk as it merges, so a recycled buffer needs no zeroing pass; a
-/// launch that panics simply drops its buffers instead of recycling them.
+/// The batched executor needs full-image shadows every launch; at frame
+/// rates those multi-megabyte allocations would dominate. The arena keeps
+/// *drained* (all-zero, dirty-clear) buffers from finished launches and
+/// hands them back to the next one — clear, don't reallocate. Buffers are
+/// returned only by the shadow set's drains ([`ShadowSet::merge`] and the
+/// extraction drain), which zero every dirty chunk as they go, so a
+/// recycled buffer needs no zeroing pass; a launch that panics simply
+/// drops its buffers instead of recycling them.
 ///
 /// The drained-buffer invariant is *enforced*, not assumed: both `put` and
 /// `take` check the dirty bitmap (a few words, essentially free) and a
@@ -415,39 +416,32 @@ impl RoleRuns {
     }
 }
 
-/// Per-worker private shadows of `atomicAdd` target buffers.
+/// Private shadows of `atomicAdd` target buffers.
 ///
 /// Instead of CAS-looping on the shared [`GlobalAtomicF32`] from every
-/// worker, each worker of the batched executor accumulates into a private
-/// `f32` image registered here, and the executor merges the shadows into
-/// their targets in worker order once all workers have joined. The merge is
-/// single-threaded, so the result is deterministic for a fixed worker
-/// count; modeled atomic traffic is accounted analytically by the kernel's
+/// worker, the batched executor accumulates each role's (or, at one
+/// worker, the whole launch's) output into a private `f32` image
+/// registered here, and drains the shadows into their targets
+/// single-threaded in a fixed order, so the result is deterministic;
+/// modeled atomic traffic is accounted analytically by the kernel's
 /// `run_block`, unaffected by this host-side strategy.
 ///
-/// When built [`Self::with_arena`], shadow storage is recycled across
-/// launches instead of reallocated — the zero-allocation frame loop.
-#[derive(Debug, Default)]
+/// Shadow storage is drawn from, and recycled into, a [`BufferArena`]
+/// across launches instead of reallocated — the zero-allocation frame
+/// loop.
+#[derive(Debug)]
 pub struct ShadowSet<'k> {
     bufs: Vec<(&'k GlobalAtomicF32, ShadowBuf)>,
-    arena: Option<&'k BufferArena>,
+    arena: &'k BufferArena,
 }
 
 impl<'k> ShadowSet<'k> {
-    /// An empty shadow set allocating fresh storage per buffer.
-    pub fn new() -> Self {
-        ShadowSet {
-            bufs: Vec::new(),
-            arena: None,
-        }
-    }
-
     /// An empty shadow set drawing storage from (and returning it to)
     /// `arena`.
     pub fn with_arena(arena: &'k BufferArena) -> Self {
         ShadowSet {
             bufs: Vec::new(),
-            arena: Some(arena),
+            arena,
         }
     }
 
@@ -467,42 +461,26 @@ impl<'k> ShadowSet<'k> {
         if let Some(pos) = self.bufs.iter().position(|(b, _)| std::ptr::eq(*b, buf)) {
             return &mut self.bufs[pos].1;
         }
-        let sb = match self.arena {
-            Some(arena) => arena.take(buf.len()),
-            None => ShadowBuf {
-                vals: vec![0.0; buf.len()],
-                dirty: vec![0; dirty_words(buf.len())],
-            },
-        };
+        let sb = self.arena.take(buf.len());
         self.bufs.push((buf, sb));
         &mut self.bufs.last_mut().expect("just pushed").1
     }
 
     /// Adds every accumulated value into its target buffer (ascending index
-    /// order per buffer) and recycles drained storage into the arena, if
-    /// any. Called by the executor with all workers joined, so the plain
+    /// order per buffer) and recycles the drained storage into the arena.
+    /// Called by the executor single-threaded, so the plain
     /// read-modify-write in [`GlobalAtomicF32::merge_add_range`] is
-    /// race-free.
-    ///
-    /// With an arena, the merge walks only dirty chunks — it must drain the
+    /// race-free. The merge walks only dirty chunks — it must drain the
     /// buffer back to all-zero for recycling anyway, so the bitmap pays for
-    /// itself. Without one, storage is dropped after the merge and draining
-    /// would be wasted work: the merge is the pre-arena full-range scan.
-    /// Both walk each buffer in ascending index order and skip zeros, so
-    /// the merged values are bit-identical.
+    /// itself.
     pub(crate) fn merge(self) {
         self.merge_corrupting(false);
     }
 
-    /// [`Self::merge`] with an injected fault: after the (complete,
-    /// correct) drain, re-mark the first buffer's first chunk dirty with a
-    /// poisoned value, simulating in-flight corruption of the recycled
-    /// storage. The image is unaffected — the point is to exercise the
-    /// arena's integrity check, which must drop the buffer, not recycle it.
     /// Drains every accumulator into `out` as compact runs — registering
     /// each target buffer in `targets` (by address) on first sight and
     /// referring to it by slot — then recycles the drained scratch into
-    /// the arena, if any.
+    /// the arena.
     ///
     /// This is the extraction scheduler's per-role drain: it runs on the
     /// worker lane right after the role's blocks, while the touched chunks
@@ -524,26 +502,24 @@ impl<'k> ShadowSet<'k> {
                 out.vals.extend_from_slice(span);
                 span.fill(0.0);
             });
-            if let Some(arena) = self.arena {
-                arena.put(sb);
-            }
+            self.arena.put(sb);
         }
     }
 
+    /// [`Self::merge`] with an injected fault: after the (complete,
+    /// correct) drain, re-mark the first buffer's first chunk dirty with a
+    /// poisoned value, simulating in-flight corruption of the recycled
+    /// storage. The image is unaffected — the point is to exercise the
+    /// arena's integrity check, which must drop the buffer, not recycle it.
     pub(crate) fn merge_corrupting(self, corrupt_first: bool) {
         let mut corrupt = corrupt_first;
         for (buf, mut sb) in self.bufs {
-            if let Some(arena) = self.arena {
-                sb.drain_into(buf);
-                if corrupt && !sb.vals.is_empty() {
-                    sb.vals[0] = f32::NAN;
-                    sb.dirty[0] |= 1;
-                    corrupt = false;
-                }
-                arena.put(sb);
-            } else {
-                buf.merge_add_range(0, &sb.vals);
+            sb.drain_into(buf);
+            if corrupt && !sb.vals.is_empty() {
+                sb.poison();
+                corrupt = false;
             }
+            self.arena.put(sb);
         }
     }
 }
@@ -853,7 +829,8 @@ mod tests {
     fn shadow_set_merges_into_targets() {
         let space = AddressSpace::new();
         let img = GlobalAtomicF32::from_host(&space, &[1.0, 2.0, 3.0]);
-        let mut shadow = ShadowSet::new();
+        let arena = BufferArena::new();
+        let mut shadow = ShadowSet::with_arena(&arena);
         shadow.add(&img, 0, 0.5);
         shadow.add(&img, 2, 1.0);
         shadow.add(&img, 2, 1.0);
@@ -866,7 +843,8 @@ mod tests {
         let space = AddressSpace::new();
         // Large enough that an unmarked merge scan would visit many chunks.
         let img = GlobalAtomicF32::zeroed(&space, 1024);
-        let mut shadow = ShadowSet::new();
+        let arena = BufferArena::new();
+        let mut shadow = ShadowSet::with_arena(&arena);
         let acc = shadow.accumulator(&img);
         // A span crossing a chunk boundary.
         let span = acc.span_mut(60, 70);

@@ -22,8 +22,8 @@
 //! never of the pool's thread count. When a caller asks for more workers
 //! than the pool has lanes, lane `l` plays roles `l, l + lanes,
 //! l + 2·lanes, …` — each role still visits its indices in ascending
-//! order, so the batched executor's per-worker shadow buffers and its
-//! worker-order merge see exactly the index → worker mapping the scoped
+//! order, so the batched executor's per-role shadows and its worker-order
+//! counter merge see exactly the index → worker mapping the scoped
 //! implementation produced, on any machine.
 //!
 //! ## Work stealing
@@ -592,49 +592,17 @@ impl WorkerPool {
         })
     }
 
-    /// [`Self::parallel_for_static`] with a watchdog `deadline` and an
-    /// optional injected `stall` (see [`Self::run_guarded`]). The static
-    /// index → worker mapping is unchanged; a timeout abandons the
+    /// [`Self::parallel_for_static`] with a watchdog `deadline`, an
+    /// optional injected `stall` (see [`Self::run_guarded`]), and work
+    /// stealing between idle lanes: the index → worker mapping and per-role
+    /// ascending order are identical (each role is still one worker's whole
+    /// stride, executed by exactly one lane), but roles are claimed from a
+    /// shared counter instead of assigned `lane, lane + lanes, …` — so a
+    /// ragged batch (one heavy role among light ones) no longer serializes
+    /// two heavy roles on one lane while the others idle. Deterministic
+    /// side effects are preserved because they key on the role
+    /// (`worker_id`), never on the executing lane. A timeout abandons the
     /// generation, so the caller must treat the work as not done.
-    pub fn parallel_for_static_guarded<F>(
-        &self,
-        count: usize,
-        workers: usize,
-        deadline: Option<Duration>,
-        stall: Option<(usize, Duration)>,
-        body: F,
-    ) -> Result<(), PoolTimeout>
-    where
-        F: Fn(usize, usize) + Sync,
-    {
-        let workers = workers.max(1).min(count.max(1));
-        if count == 0 {
-            return Ok(());
-        }
-        if workers == 1 {
-            for i in 0..count {
-                body(i, 0);
-            }
-            return Ok(());
-        }
-        self.run_guarded(workers, deadline, stall, false, &|worker_id| {
-            let mut i = worker_id;
-            while i < count {
-                body(i, worker_id);
-                i += workers;
-            }
-        })
-    }
-
-    /// [`Self::parallel_for_static_guarded`] with work stealing between
-    /// idle lanes: the index → worker mapping and per-role ascending order
-    /// are identical (each role is still one worker's whole stride,
-    /// executed by exactly one lane), but roles are claimed from a shared
-    /// counter instead of assigned `lane, lane + lanes, …` — so a ragged
-    /// batch (one heavy role among light ones) no longer serializes two
-    /// heavy roles on one lane while the others idle. Deterministic side
-    /// effects are preserved because they key on the role (`worker_id`),
-    /// never on the executing lane.
     pub fn parallel_for_static_stealing_guarded<F>(
         &self,
         count: usize,
@@ -850,10 +818,10 @@ where
     global().parallel_fill_chunks(data, chunk, workers, body);
 }
 
-/// Per-call spawn dispatch: the PR-1 implementation of [`parallel_for`],
-/// kept as the measured baseline for the pooled dispatcher (see the
-/// `throughput` bench experiment). Semantics are identical; only the host
-/// cost differs — a scope of fresh OS threads per call.
+/// Per-call spawn dispatch: [`parallel_for`] on a scope of fresh OS
+/// threads instead of a pool. Semantics are identical. The executor uses it
+/// only on the degradation ladder's first rung (`VirtualGpu::
+/// set_dispatch_override`), where it survives a poisoned or rebuilt pool.
 pub fn spawn_parallel_for<F>(count: usize, workers: usize, chunk: usize, body: F)
 where
     F: Fn(usize, usize) + Sync,
@@ -889,7 +857,8 @@ where
 }
 
 /// Per-call spawn dispatch twin of [`parallel_for_static`]: identical
-/// index → worker mapping, fresh OS threads per call. Baseline only.
+/// index → worker mapping, fresh OS threads per call. Degradation-ladder
+/// rung 1 only, like [`spawn_parallel_for`].
 pub fn spawn_parallel_for_static<F>(count: usize, workers: usize, body: F)
 where
     F: Fn(usize, usize) + Sync,
@@ -1138,7 +1107,7 @@ mod tests {
     }
 
     #[test]
-    fn spawn_dispatch_baseline_matches_pool_semantics() {
+    fn spawn_dispatch_matches_pool_semantics() {
         let n = 1013;
         let hits: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
         spawn_parallel_for_static(n, 4, |i, w| {
@@ -1188,7 +1157,7 @@ mod tests {
     fn guarded_without_deadline_matches_plain_dispatch() {
         let pool = WorkerPool::new(4);
         let total = AtomicU64::new(0);
-        pool.parallel_for_static_guarded(997, 4, None, None, |i, _| {
+        pool.parallel_for_static_stealing_guarded(997, 4, None, None, |i, _| {
             total.fetch_add(i as u64, Ordering::Relaxed);
         })
         .expect("no deadline, cannot time out");
@@ -1212,7 +1181,7 @@ mod tests {
     fn stall_shorter_than_deadline_recovers_without_timeout() {
         let pool = WorkerPool::new(3);
         let hits: Vec<AtomicUsize> = (0..30).map(|_| AtomicUsize::new(0)).collect();
-        pool.parallel_for_static_guarded(
+        pool.parallel_for_static_stealing_guarded(
             30,
             3,
             Some(Duration::from_secs(30)),
@@ -1231,7 +1200,7 @@ mod tests {
         let pool = WorkerPool::new(3);
         let stall = Duration::from_millis(400);
         let start = Instant::now();
-        let result = pool.parallel_for_static_guarded(
+        let result = pool.parallel_for_static_stealing_guarded(
             30,
             3,
             Some(Duration::from_millis(30)),
@@ -1264,7 +1233,7 @@ mod tests {
     #[test]
     fn rebuilding_a_poisoned_pool_restores_parallel_dispatch() {
         let mut pool = WorkerPool::new(3);
-        let r = pool.parallel_for_static_guarded(
+        let r = pool.parallel_for_static_stealing_guarded(
             30,
             3,
             Some(Duration::from_millis(20)),
@@ -1279,10 +1248,16 @@ mod tests {
         pool = WorkerPool::new(3);
         assert!(!pool.poisoned());
         let hits: Vec<AtomicUsize> = (0..60).map(|_| AtomicUsize::new(0)).collect();
-        pool.parallel_for_static_guarded(60, 3, Some(Duration::from_secs(30)), None, |i, w| {
-            assert_eq!(i % 3, w);
-            hits[i].fetch_add(1, Ordering::Relaxed);
-        })
+        pool.parallel_for_static_stealing_guarded(
+            60,
+            3,
+            Some(Duration::from_secs(30)),
+            None,
+            |i, w| {
+                assert_eq!(i % 3, w);
+                hits[i].fetch_add(1, Ordering::Relaxed);
+            },
+        )
         .expect("rebuilt pool dispatches normally");
         assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
     }

@@ -272,21 +272,27 @@ fn arena_use_after_recycle_is_reported_as_memcheck_finding() {
     // ShadowCorrupt poisons a recycled shadow buffer mid-merge; the arena
     // screens (drops) it, and the sanitizer reports the screen as a
     // use-after-recycle memcheck finding — in *batched* mode, no
-    // sanitized execution required.
-    let plan = Arc::new(FaultPlan::single(FaultKind::ShadowCorrupt, 0, 0));
-    let gpu = VirtualGpu::gtx480()
-        .with_workers(2)
-        .with_fault_plan(plan)
-        .with_exec_mode(ExecMode::Batched);
-    let sim = ParallelSimulator::on(gpu);
-    let cat = FieldGenerator::new(64, 64).generate(100, 11);
-    sim.simulate(&cat, &sim_config(64, 64, 10)).expect("frame");
-    let reports = sim.gpu().take_sanitize_reports();
-    assert_eq!(reports.len(), 1, "{reports:?}");
-    assert!(matches!(
-        reports[0].findings[0].kind,
-        FindingKind::ArenaRecycleFault { dropped: 1 }
-    ));
+    // sanitized execution required. One worker takes the single-worker
+    // batched path, two the extraction scheduler.
+    for workers in [1, 2] {
+        let plan = Arc::new(FaultPlan::single(FaultKind::ShadowCorrupt, 0, 0));
+        let gpu = VirtualGpu::gtx480()
+            .with_workers(workers)
+            .with_fault_plan(plan)
+            .with_exec_mode(ExecMode::Batched);
+        let sim = ParallelSimulator::on(gpu);
+        let cat = FieldGenerator::new(64, 64).generate(100, 11);
+        sim.simulate(&cat, &sim_config(64, 64, 10)).expect("frame");
+        let reports = sim.gpu().take_sanitize_reports();
+        assert_eq!(reports.len(), 1, "workers {workers}: {reports:?}");
+        assert!(
+            matches!(
+                reports[0].findings[0].kind,
+                FindingKind::ArenaRecycleFault { dropped: 1 }
+            ),
+            "workers {workers}: {reports:?}"
+        );
+    }
 }
 
 #[test]
