@@ -18,8 +18,7 @@ use std::time::Instant;
 
 use gpusim::memory::global::{GlobalAtomicF32, GlobalBuffer};
 use gpusim::{
-    AppProfile, BlockCtx, FlopClass, Kernel, KernelBackend, LaunchConfig, Texture, ThreadCtx,
-    VirtualGpu,
+    AppProfile, BlockCtx, FlopClass, Kernel, LaunchConfig, Texture, ThreadCtx, VirtualGpu,
 };
 use psf::lut::{LookupTable, LutParams};
 use psf::roi::Roi;
@@ -179,7 +178,17 @@ impl Kernel for AdaptiveKernel<'_> {
 
         let (x0, y0) = self.roi.origin(star.x, star.y);
         let (w, h) = (self.width as i64, self.height as i64);
-        if x0 >= 0 && y0 >= 0 && x0 + side as i64 <= w && y0 + side as i64 <= h {
+        // Swizzled addresses of one LUT row. CUDA's 1024-thread block cap
+        // keeps side ≤ 32; a wider ROI, or a table narrower than the ROI
+        // (its clamped fetches repeat the border texel), takes the
+        // per-lane loop below, which is exact for interior ROIs too.
+        let mut addrs = [0u64; 32];
+        if x0 >= 0
+            && y0 >= 0
+            && x0 + side as i64 <= w
+            && y0 + side as i64 <= h
+            && side <= addrs.len().min(self.lut_tex.width())
+        {
             // Interior ROI: all lanes fetch, one texture request per warp.
             // The row-major pixel loop visits texels in ascending linear
             // thread order — the same order the reference path feeds the
@@ -187,44 +196,20 @@ impl Kernel for AdaptiveKernel<'_> {
             ctx.counters.tex_requests += n_warps;
             ctx.counters.atomic_requests += n_warps;
             // Counter increments hoisted out of the pixel loop (every lane
-            // fetches exactly once) and the shadow lookup hoisted to a row
-            // accumulator: per pixel, only the fetch, the cache access, and
-            // one add remain. Totals are identical to per-pixel accounting.
+            // fetches exactly once). Per ROI row: one texture row view,
+            // one batched cache access over its swizzled addresses (same
+            // order, so the same hit/miss sequence), and one lane add of
+            // the row into the accumulator span — one add per pixel, so
+            // the sum is the per-pixel loop's on either backend.
             ctx.counters.tex_fetches += (side * side) as u64;
-            let mut tex_hits = 0u64;
+            let addrs = &mut addrs[..side];
             let acc = ctx.shadow.accumulator(self.image);
-            // Simd backend: stage the fetched LUT row in a stack buffer
-            // (texture fetches and cache accesses stay scalar, in the
-            // reference lane order, so tex_hits is identical), then add the
-            // whole row into the accumulator span with the lane helper. One
-            // add per slot either way — the backends are bit-identical here.
-            // Launch validation caps side at 32 (side² ≤ 1024 threads).
-            let mut row_buf = [0.0f32; 32];
-            let staged = ctx.backend == KernelBackend::Simd && side <= row_buf.len();
             for j in 0..side {
-                let py = y0 + j as i64;
-                let row = py as usize * self.width + x0 as usize;
-                let row_vals = acc.span_mut(row, row + side);
-                if staged {
-                    for (i, slot) in row_buf[..side].iter_mut().enumerate() {
-                        let (gray, taddr) = self.lut_tex.fetch(layer, i as i64, j as i64);
-                        if ctx.cache.access(taddr) {
-                            tex_hits += 1;
-                        }
-                        *slot = gray;
-                    }
-                    psf::lanes::accumulate(row_vals, &row_buf[..side]);
-                } else {
-                    for (i, slot) in row_vals.iter_mut().enumerate() {
-                        let (gray, taddr) = self.lut_tex.fetch(layer, i as i64, j as i64);
-                        if ctx.cache.access(taddr) {
-                            tex_hits += 1;
-                        }
-                        *slot += gray;
-                    }
-                }
+                let texels = self.lut_tex.row(layer, j as i64, addrs);
+                ctx.counters.tex_hits += ctx.cache.access_batch(addrs);
+                let row = (y0 as usize + j) * self.width + x0 as usize;
+                psf::lanes::accumulate(acc.span_mut(row, row + side), texels);
             }
-            ctx.counters.tex_hits += tex_hits;
         } else {
             let acc = ctx.shadow.accumulator(self.image);
             let mut t = 0usize;
@@ -497,8 +482,8 @@ mod tests {
 
     #[test]
     fn simd_backend_is_bit_identical() {
-        // The adaptive kernel's Simd path only restages the fetched row;
-        // values, counters, and cache hit sequences must be bit-equal.
+        // Both backends take the same row-view path; values, counters,
+        // and cache hit sequences must be bit-equal.
         let cfg = small_config();
         let cat = FieldGenerator::new(64, 64).generate(150, 17);
         let scalar = AdaptiveSimulator::new().simulate(&cat, &cfg).unwrap();

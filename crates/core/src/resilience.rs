@@ -10,17 +10,20 @@
 //! |------|----------|----------|--------|
 //! | 0    | pooled   | configured (`Batched`) | adaptive LUT |
 //! | 1    | spawn    | configured | adaptive LUT |
-//! | 2    | spawn    | `Reference` | adaptive LUT |
-//! | 3    | spawn    | `Reference` | parallel (direct PSF) |
+//! | 2    | serial   | `Reference` | adaptive LUT |
+//! | 3    | serial   | `Reference` | parallel (direct PSF) |
 //!
 //! Rungs 0–1 are *bit-identical*: spawn dispatch changes only how blocks
 //! are assigned to host threads, never the arithmetic or the per-worker
 //! reduction, so a retried frame matches the fault-free run at the same
-//! worker count exactly. Rung 2 keeps the kernel math but deposits blocks
-//! sequentially instead of through the per-worker shadow merge; the
-//! different f32 accumulation order can flip low-order mantissa bits on
-//! pixels covered by several blocks. Rung 3 additionally swaps the
-//! intensity model (direct PSF evaluation instead of the lookup table).
+//! worker count exactly. Rung 2 keeps the kernel math but runs every SM
+//! serially on the launching thread (the spawn override it inherits has
+//! no lanes to act on), depositing blocks in launch order instead of
+//! through the per-role shadow merge; the different f32 accumulation
+//! order can flip low-order mantissa bits on pixels covered by several
+//! blocks (its frames equal a one-worker device's). Rung 3 additionally
+//! swaps the intensity model (direct PSF evaluation instead of the lookup
+//! table).
 //! Both lower rungs are last resorts, reached only when every
 //! bit-identical attempt has failed — they trade bit-fidelity for
 //! availability.
@@ -194,9 +197,10 @@ pub enum Rung {
     Configured = 0,
     /// Spawn dispatch (bypasses a possibly-poisoned worker pool).
     SpawnDispatch = 1,
-    /// Spawn dispatch + `ExecMode::Reference` executor. Same math, but
-    /// sequential block deposits reorder the f32 accumulation, so frames
-    /// are numerically equivalent rather than bit-identical.
+    /// `ExecMode::Reference` executor, serial on the launching thread.
+    /// Same math, but sequential block deposits reorder the f32
+    /// accumulation, so frames are numerically equivalent rather than
+    /// bit-identical.
     ReferenceExec = 2,
     /// Direct-PSF parallel kernel — different intensity model; last resort.
     DirectPsf = 3,

@@ -1,11 +1,7 @@
 //! Event counters gathered during kernel execution.
 //!
-//! Workers accumulate into a plain [`Counters`] per block (no
-//! synchronization on the hot path) and merge once per block into a shared
-//! [`SharedCounters`] with relaxed atomics — per the guidance in *Rust
-//! Atomics and Locks* for independent statistics counters.
-
-use std::sync::atomic::{AtomicU64, Ordering};
+//! Executors accumulate into plain [`Counters`] (no synchronization on the
+//! hot path) and combine per-role bundles with [`Counters::merge`].
 
 /// Classes of arithmetic the cost model prices separately.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -125,55 +121,6 @@ impl Counters {
     }
 }
 
-macro_rules! shared_counter_fields {
-    ($($field:ident),* $(,)?) => {
-        /// Thread-safe counter bundle merged into by all workers.
-        #[derive(Debug, Default)]
-        pub struct SharedCounters {
-            $(#[doc = "See [`Counters`]."] pub $field: AtomicU64,)*
-        }
-
-        impl SharedCounters {
-            /// Merges a block-local bundle (relaxed ordering: counters are
-            /// read only after workers join).
-            pub fn merge(&self, c: &Counters) {
-                $(self.$field.fetch_add(c.$field, Ordering::Relaxed);)*
-            }
-
-            /// Snapshot into a plain bundle.
-            pub fn snapshot(&self) -> Counters {
-                Counters {
-                    $($field: self.$field.load(Ordering::Relaxed),)*
-                }
-            }
-        }
-    };
-}
-
-shared_counter_fields!(
-    flops_add,
-    flops_mul,
-    flops_fma,
-    flops_special,
-    arith_issues,
-    special_issues,
-    tex_requests,
-    global_requests,
-    global_transactions,
-    shared_requests,
-    shared_conflicts,
-    tex_fetches,
-    tex_hits,
-    atomic_requests,
-    atomic_conflicts,
-    branches,
-    divergent_branches,
-    barriers,
-    threads,
-    warps,
-    shared_hazards,
-);
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -219,41 +166,5 @@ mod tests {
         assert_eq!(a.global_transactions, 12);
         assert_eq!(a.threads, 10);
         assert_eq!(a.shared_hazards, 1);
-    }
-
-    #[test]
-    fn shared_counters_roundtrip() {
-        let shared = SharedCounters::default();
-        let c = Counters {
-            flops_special: 9,
-            atomic_requests: 4,
-            warps: 2,
-            ..Default::default()
-        };
-        shared.merge(&c);
-        shared.merge(&c);
-        let snap = shared.snapshot();
-        assert_eq!(snap.flops_special, 18);
-        assert_eq!(snap.atomic_requests, 8);
-        assert_eq!(snap.warps, 4);
-        assert_eq!(snap.flops_add, 0);
-    }
-
-    #[test]
-    fn shared_counters_concurrent_merge() {
-        let shared = SharedCounters::default();
-        std::thread::scope(|s| {
-            for _ in 0..4 {
-                s.spawn(|| {
-                    for _ in 0..1000 {
-                        shared.merge(&Counters {
-                            threads: 1,
-                            ..Default::default()
-                        });
-                    }
-                });
-            }
-        });
-        assert_eq!(shared.snapshot().threads, 4000);
     }
 }

@@ -2,18 +2,21 @@
 //!
 //! Blocks are scheduled the way Fermi's GigaThread engine does it to first
 //! order: block `b` runs on SM `b mod sm_count`, and each virtual SM
-//! processes its blocks in issue order. The executor parallelizes over
-//! *SMs* (not blocks), which keeps every per-SM structure — notably the
-//! texture cache — free of cross-thread interleaving, so counter results
-//! are deterministic regardless of how many host cores run the simulation.
+//! processes its blocks in issue order. The batched executor parallelizes
+//! over *SMs* (not blocks), which keeps every per-SM structure — notably
+//! the texture cache — free of cross-thread interleaving, so counter
+//! results are deterministic regardless of how many host cores run the
+//! simulation. The reference and sanitized executors run the same SM
+//! schedule serially on the launching thread.
 
+use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, RwLock};
 use std::time::Duration;
 
 use crate::analyze::{KernelReport, LintLevel};
-use crate::counters::{Counters, SharedCounters};
+use crate::counters::Counters;
 use crate::device::DeviceSpec;
 #[cfg(test)]
 use crate::dim::Dim3;
@@ -70,9 +73,11 @@ const TRANSFER_CHUNK: usize = 4096;
 
 /// How the executor runs a launch on the host.
 ///
-/// Both modes produce identical counters, identical modeled times, and
-/// (for a fixed worker count) deterministic images; they differ only in
-/// host wall-clock cost.
+/// All modes produce identical counters, identical modeled times, and
+/// deterministic images; they differ only in host wall-clock cost.
+/// `Reference` and `Sanitized` run serially on the launching thread, so
+/// their image is the same at every worker count and equals `Batched`'s
+/// at one worker.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum ExecMode {
     /// Per-thread interpretation with event traces fed through the warp
@@ -169,11 +174,12 @@ pub struct VirtualGpu {
     launch_gate: Mutex<()>,
     /// Recycled shadow storage for the batched executor.
     arena: BufferArena,
-    /// Recycled per-role run lists for the batched executor's extraction
-    /// merge (capacity persists across launches — the zero-allocation
-    /// frame loop). Guarded by the launch gate like the arena; the mutex
-    /// satisfies `Sync`.
-    runs_pool: Mutex<Vec<RoleRuns>>,
+    /// Per-SM run lists for the batched executor's extraction merge
+    /// (capacity persists across launches — the zero-allocation frame
+    /// loop). Guarded by the launch gate like the arena: a role writes its
+    /// SM's list during dispatch, the merge bands read them all after the
+    /// join; the lock satisfies `Sync`.
+    runs: Vec<RwLock<RoleRuns>>,
     /// Telemetry sink; `None` (the default) keeps every launch free of
     /// trace recording and lane-event drains.
     telemetry: Option<Arc<GpuTelemetry>>,
@@ -197,9 +203,18 @@ pub struct VirtualGpu {
 /// first, so a long chaos run without drains cannot grow without bound.
 const SAN_REPORT_BACKLOG: usize = 1024;
 
-/// Upper bound on recycled per-role run lists — one per SM of the widest
-/// device shape plus slack, mirroring the arena's cap.
-const RUNS_POOL_CAP: usize = 64;
+/// Merge bands per pool lane: enough that dynamic claiming evens out the
+/// dense and sparse stretches of an image.
+const MERGE_BANDS_PER_LANE: usize = 4;
+
+/// Merge bands are whole multiples of this many values (one 64-B cache
+/// line), so no two lanes ever write one line.
+const MERGE_BAND_ALIGN: usize = 16;
+
+/// Targets shorter than this (64 KiB) merge as one band on the launching
+/// thread: splitting them would buy a pool wake-up for microseconds of
+/// work.
+const MERGE_SPLIT_MIN: usize = 16 * 1024;
 
 /// Counters of resilience events on a device, all monotone since device
 /// construction. Zero across the board in a fault-free run.
@@ -261,6 +276,7 @@ impl VirtualGpu {
     pub fn new(spec: DeviceSpec) -> Self {
         let workers = default_workers().min(spec.sm_count as usize).max(1);
         let caches = Self::build_caches(&spec);
+        let runs = (0..spec.sm_count).map(|_| RwLock::default()).collect();
         VirtualGpu {
             spec,
             cost: CostModel::fermi(),
@@ -283,7 +299,7 @@ impl VirtualGpu {
             caches,
             launch_gate: Mutex::new(()),
             arena: BufferArena::new(),
-            runs_pool: Mutex::new(Vec::new()),
+            runs,
             telemetry: None,
             utilization: None,
             launch_seq: AtomicU64::new(0),
@@ -372,7 +388,10 @@ impl VirtualGpu {
     /// Arms a watchdog on pooled launches: a generation not finished within
     /// `deadline` (measured after the launching thread's own share of the
     /// work) is abandoned as [`GpuError::LaunchTimeout`], the pool is
-    /// poisoned, and the next launch rebuilds it.
+    /// poisoned, and the next launch rebuilds it. It guards the batched
+    /// executor's kernel dispatch only — the one place kernel code runs on
+    /// pool lanes; the post-join merge, the serial reference and sanitized
+    /// executors, and one-worker launches have no lane to fence.
     pub fn with_watchdog(mut self, deadline: Duration) -> Self {
         self.watchdog = Some(deadline);
         self
@@ -894,30 +913,23 @@ impl VirtualGpu {
         Some((1 + lane % (workers - 1), a.stall))
     }
 
-    /// Dynamic-chunk dispatch through the persistent pool (guarded by the
-    /// watchdog deadline, if any), or through per-call spawned scopes on
-    /// the degradation ladder's spawn rung. Both share the same claim
-    /// order semantics; the pool merely reuses parked threads.
-    fn dispatch_dynamic<F>(
-        &self,
-        count: usize,
-        workers: usize,
-        chunk: usize,
-        stall: Option<(usize, Duration)>,
-        body: F,
-    ) -> Result<(), GpuError>
+    /// Dynamic one-index-at-a-time dispatch for the post-join merge,
+    /// through the persistent pool or, on the degradation ladder's spawn
+    /// rung, per-call spawned scopes. Unguarded: no kernel code runs in a
+    /// merge, so there is nothing for the watchdog or an injected stall to
+    /// catch.
+    fn dispatch_merge<F>(&self, count: usize, workers: usize, body: F)
     where
         F: Fn(usize, usize) + Sync,
     {
         if self.use_spawn() {
-            spawn_parallel_for(count, workers, chunk, body);
-            return Ok(());
+            spawn_parallel_for(count, workers, 1, body);
+        } else {
+            self.pool
+                .lock()
+                .unwrap_or_else(|e| e.into_inner())
+                .parallel_for(count, workers, 1, body);
         }
-        self.pool
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .parallel_for_guarded(count, workers, chunk, self.watchdog, stall, body)
-            .map_err(|t| self.timeout_error(t))
     }
 
     /// Static-stride dispatch (index `i` → worker `i % workers`, a pure
@@ -949,6 +961,15 @@ impl VirtualGpu {
     }
 
     /// The reference executor: every thread interpreted, every warp traced.
+    ///
+    /// SMs run in ascending order on the launching thread, each SM's
+    /// blocks in issue order, so every pixel receives its atomic adds in
+    /// one fixed sequence: the image depends only on the launch — never on
+    /// the worker count, the host's cores or thread scheduling — and
+    /// equals the single-worker batched executor's bit for bit. Worker
+    /// lanes, the watchdog and injected lane stalls therefore never reach
+    /// this executor (nor [`Self::execute_sanitized`], which shares the
+    /// schedule), just as they never reach a one-worker device.
     fn execute_reference<K: Kernel>(
         &self,
         kernel: &K,
@@ -956,53 +977,14 @@ impl VirtualGpu {
         armed: Option<&ArmedFaults>,
         stamps: Option<&LaunchStamps>,
     ) -> Result<Counters, GpuError> {
-        let shared_counters = SharedCounters::default();
-        let hazards = AtomicU64::new(0);
-        let sm_count = self.spec.sm_count as usize;
-        let total_blocks = cfg.total_blocks();
-        let sms = sm_count.min(total_blocks);
-        let panic_sm = armed.and_then(|a| a.panic_sm).map(|l| l % sms.max(1));
-
-        if let Some(s) = stamps {
-            s.dispatch_start.set(now_us());
-        }
-        self.dispatch_dynamic(
-            sms,
-            self.workers,
-            1,
-            Self::armed_stall(armed, self.workers.min(sms.max(1))),
-            |sm_id, _| {
-                if panic_sm == Some(sm_id) {
-                    panic!("injected fault: worker panic on sm {sm_id}");
-                }
-                let mut local = Counters::default();
-                let mut cache = self.caches[sm_id].lock().unwrap_or_else(|e| e.into_inner());
-                let mut block = sm_id;
-                while block < total_blocks {
-                    self.run_block_reference(
-                        kernel, cfg, block, &mut local, &mut cache, &hazards, None,
-                    );
-                    block += sm_count;
-                }
-                shared_counters.merge(&local);
-            },
-        )?;
-        if let Some(s) = stamps {
-            s.dispatch_end.set(now_us());
-        }
-
-        let mut counters = shared_counters.snapshot();
-        counters.shared_hazards = hazards.load(Ordering::Relaxed);
-        Ok(counters)
+        self.execute_serial(kernel, cfg, armed, stamps, None)
     }
 
     /// The sanitized executor: the reference schedule with per-SM shadow
     /// access sets attached. Each SM records its lanes' accesses and
-    /// inline findings into its own slot (lock-free in practice — one
-    /// worker owns an SM at a time); after the join the slots are merged
-    /// *in SM order* and analyzed single-threaded, so the report is
-    /// deterministic for any worker count. Counters, hazards, and the
-    /// functional output are computed exactly as in
+    /// inline findings into its own slot; the slots are then merged *in SM
+    /// order* and analyzed, so the report is deterministic. Counters,
+    /// hazards, and the functional output are computed exactly as in
     /// [`Self::execute_reference`].
     fn execute_sanitized<K: Kernel>(
         &self,
@@ -1013,55 +995,13 @@ impl VirtualGpu {
         armed: Option<&ArmedFaults>,
         stamps: Option<&LaunchStamps>,
     ) -> Result<Counters, GpuError> {
-        let shared_counters = SharedCounters::default();
-        let hazards = AtomicU64::new(0);
-        let sm_count = self.spec.sm_count as usize;
-        let total_blocks = cfg.total_blocks();
-        let sms = sm_count.min(total_blocks);
-        let panic_sm = armed.and_then(|a| a.panic_sm).map(|l| l % sms.max(1));
+        let sms = (self.spec.sm_count as usize).min(cfg.total_blocks());
         let san_cfg = &self.san_config;
-        let slots: Vec<Mutex<SmSan>> = (0..sms).map(|_| Mutex::new(SmSan::default())).collect();
+        let mut slots: Vec<SmSan> = (0..sms).map(|_| SmSan::default()).collect();
+        let counters =
+            self.execute_serial(kernel, cfg, armed, stamps, Some((san_cfg, &mut slots)))?;
 
-        if let Some(s) = stamps {
-            s.dispatch_start.set(now_us());
-        }
-        self.dispatch_dynamic(
-            sms,
-            self.workers,
-            1,
-            Self::armed_stall(armed, self.workers.min(sms.max(1))),
-            |sm_id, _| {
-                if panic_sm == Some(sm_id) {
-                    panic!("injected fault: worker panic on sm {sm_id}");
-                }
-                let mut local = Counters::default();
-                let mut cache = self.caches[sm_id].lock().unwrap_or_else(|e| e.into_inner());
-                let mut slot = slots[sm_id].lock().unwrap_or_else(|e| e.into_inner());
-                let mut block = sm_id;
-                while block < total_blocks {
-                    self.run_block_reference(
-                        kernel,
-                        cfg,
-                        block,
-                        &mut local,
-                        &mut cache,
-                        &hazards,
-                        Some((san_cfg, &mut slot)),
-                    );
-                    block += sm_count;
-                }
-                shared_counters.merge(&local);
-            },
-        )?;
-        if let Some(s) = stamps {
-            s.dispatch_end.set(now_us());
-        }
-
-        let per_sm: Vec<SmSan> = slots
-            .into_iter()
-            .map(|m| m.into_inner().unwrap_or_else(|e| e.into_inner()))
-            .collect();
-        let (findings, accesses, truncated) = sanitize::analyze(san_cfg, per_sm);
+        let (findings, accesses, truncated) = sanitize::analyze(san_cfg, slots);
         self.push_sanitize_report(SanitizeReport {
             kernel: name.to_string(),
             launch: launch_id,
@@ -1069,8 +1009,54 @@ impl VirtualGpu {
             accesses,
             truncated,
         });
+        Ok(counters)
+    }
 
-        let mut counters = shared_counters.snapshot();
+    /// The reference schedule shared by [`Self::execute_reference`] and
+    /// [`Self::execute_sanitized`]: SMs in ascending order on the
+    /// launching thread, every block through [`Self::run_block_reference`],
+    /// recording into SM `s`'s sanitizer slot `san.1[s]` when `san` is set.
+    fn execute_serial<K: Kernel>(
+        &self,
+        kernel: &K,
+        cfg: &LaunchConfig,
+        armed: Option<&ArmedFaults>,
+        stamps: Option<&LaunchStamps>,
+        mut san: Option<(&SanitizeConfig, &mut [SmSan])>,
+    ) -> Result<Counters, GpuError> {
+        let mut counters = Counters::default();
+        let hazards = AtomicU64::new(0);
+        let sm_count = self.spec.sm_count as usize;
+        let total_blocks = cfg.total_blocks();
+        let sms = sm_count.min(total_blocks);
+        let panic_sm = armed.and_then(|a| a.panic_sm).map(|l| l % sms.max(1));
+
+        if let Some(s) = stamps {
+            s.dispatch_start.set(now_us());
+        }
+        for sm_id in 0..sms {
+            if panic_sm == Some(sm_id) {
+                panic!("injected fault: worker panic on sm {sm_id}");
+            }
+            let mut cache = self.caches[sm_id].lock().unwrap_or_else(|e| e.into_inner());
+            let mut block = sm_id;
+            while block < total_blocks {
+                let san = san.as_mut().map(|(c, slots)| (*c, &mut slots[sm_id]));
+                self.run_block_reference(
+                    kernel,
+                    cfg,
+                    block,
+                    &mut counters,
+                    &mut cache,
+                    &hazards,
+                    san,
+                );
+                block += sm_count;
+            }
+        }
+        if let Some(s) = stamps {
+            s.dispatch_end.set(now_us());
+        }
         counters.shared_hazards = hazards.load(Ordering::Relaxed);
         Ok(counters)
     }
@@ -1143,16 +1129,21 @@ impl VirtualGpu {
     ///
     /// Each role (SM) accumulates its blocks into a dense scratch shadow
     /// drawn from the arena, then — still on the worker lane, while the
-    /// touched chunks are cache-warm — drains the scratch into a compact
-    /// run list and recycles it. Only about one scratch buffer per *lane*
-    /// is ever live, so the working set stays small no matter how many
-    /// workers the caller asked for; the post-join merge reads the compact
-    /// runs sequentially instead of re-walking megabytes of cold dense
-    /// shadows. The merge adds role outputs in ascending role order — a
-    /// pure function of the launch schedule — so the image is bit-identical
-    /// for every worker count, lane count, and dispatch path (pooled,
-    /// stolen, or spawned). Per-role accumulation is also what makes work
-    /// stealing safe: two roles of the same worker may run concurrently on
+    /// touched chunks are cache-warm — drains the scratch into its SM's
+    /// compact run list and recycles it. Only about one scratch buffer per
+    /// *lane* is ever live, so the working set stays small no matter how
+    /// many workers the caller asked for; the post-join merge reads the
+    /// compact runs instead of re-walking megabytes of cold dense shadows.
+    ///
+    /// The merge runs on the pool over disjoint bands of each target
+    /// ([`merge_band_len`]). Each band adds every role's runs that reach
+    /// into it, in ascending role order, so every pixel receives one add
+    /// per role in role order — exactly the sequence a one-thread merge of
+    /// whole role outputs produces, whatever the band boundaries, lane
+    /// count or claim order. The image is therefore bit-identical for
+    /// every worker count, lane count, and dispatch path (pooled, stolen,
+    /// or spawned). Per-role accumulation is also what makes work stealing
+    /// safe: two roles of the same worker may run concurrently on
     /// different lanes, and they never share an accumulator.
     fn execute_batched_extracting<'k, K: Kernel>(
         &'k self,
@@ -1176,14 +1167,10 @@ impl VirtualGpu {
         // Target buffers registered by extraction, in first-sight order;
         // run lists refer to them by slot index.
         let targets: Mutex<Vec<&'k GlobalAtomicF32>> = Mutex::new(Vec::new());
-        // One run list per role, recycled (with their capacity) across
-        // launches so the steady-state frame loop stays allocation-free.
-        let runs: Vec<Mutex<RoleRuns>> = {
-            let mut pool = self.runs_pool.lock().unwrap_or_else(|e| e.into_inner());
-            (0..sms)
-                .map(|_| Mutex::new(pool.pop().unwrap_or_default()))
-                .collect()
-        };
+        // Role `sm` fills run list `sm`; the lists keep their capacity
+        // across launches so the steady-state frame loop stays
+        // allocation-free.
+        let runs = &self.runs[..sms];
 
         if let Some(s) = stamps {
             s.dispatch_start.set(now_us());
@@ -1202,12 +1189,9 @@ impl VirtualGpu {
                 // Drain this role's output while its chunks are still
                 // cache-warm; the scratch goes back to the arena drained,
                 // ready for the next role on this lane.
-                let mut out = runs[sm_id].lock().unwrap_or_else(|e| e.into_inner());
+                let mut out = runs[sm_id].write().unwrap_or_else(|e| e.into_inner());
                 out.clear();
-                shadow.extract_into(
-                    &mut targets.lock().unwrap_or_else(|e| e.into_inner()),
-                    &mut out,
-                );
+                shadow.extract_into(&targets, &mut out);
                 counter_slots[worker]
                     .lock()
                     .unwrap_or_else(|e| e.into_inner())
@@ -1219,26 +1203,30 @@ impl VirtualGpu {
             s.merge_start.set(now_us());
         }
 
-        // Deterministic reduction: counters merge in worker order, role
-        // outputs in role order — both single-threaded under the launch
-        // gate, so the plain read-modify-write in `merge_add_range` is
-        // race-free.
+        // Deterministic reduction: counters merge in worker order; role
+        // outputs merge band by band, each band adding the roles in role
+        // order. Bands are disjoint, so the plain read-modify-write in
+        // `merge_add_range` never races.
         let mut counters = Counters::default();
         for s in &counter_slots {
             counters.merge(&s.lock().unwrap_or_else(|e| e.into_inner()));
         }
         let targets = targets.into_inner().unwrap_or_else(|e| e.into_inner());
-        {
-            let mut pool = self.runs_pool.lock().unwrap_or_else(|e| e.into_inner());
-            for r in runs {
-                let mut r = r.into_inner().unwrap_or_else(|e| e.into_inner());
-                r.merge_into(&targets);
-                r.clear();
-                if pool.len() < RUNS_POOL_CAP {
-                    pool.push(r);
-                }
+        let lanes = self.pool_lanes().min(workers);
+        let bands = targets
+            .iter()
+            .map(|t| t.len().div_ceil(merge_band_len(t.len(), lanes)))
+            .sum();
+        self.dispatch_merge(bands, workers, |band, _| {
+            let (slot, range) = merge_band(&targets, lanes, band);
+            for role in runs {
+                role.read().unwrap_or_else(|e| e.into_inner()).merge_band(
+                    slot as u32,
+                    range.clone(),
+                    targets[slot],
+                );
             }
-        }
+        });
         // Injected shadow corruption: poison one drained scratch buffer on
         // its way back to the arena, which must screen (drop) it instead
         // of recycling — same observable as the single-worker path's
@@ -1435,6 +1423,38 @@ impl VirtualGpu {
             slot.findings.append(&mut lane_findings.borrow_mut());
         }
     }
+}
+
+/// Values per merge band for a target of `len` values merged on `lanes`
+/// pool lanes: the whole target below [`MERGE_SPLIT_MIN`], else about
+/// [`MERGE_BANDS_PER_LANE`] bands per lane, rounded up to whole
+/// [`MERGE_BAND_ALIGN`] multiples. Any banding adds the same values in the
+/// same per-pixel order; the length only trades wake-ups against balance.
+fn merge_band_len(len: usize, lanes: usize) -> usize {
+    if len < MERGE_SPLIT_MIN {
+        return len.max(1);
+    }
+    len.div_ceil(lanes.max(1) * MERGE_BANDS_PER_LANE)
+        .next_multiple_of(MERGE_BAND_ALIGN)
+}
+
+/// Band `band` of the merge, counting through `targets` in slot order and
+/// each target's bands in ascending index order: `(slot, index range)`.
+fn merge_band(
+    targets: &[&GlobalAtomicF32],
+    lanes: usize,
+    mut band: usize,
+) -> (usize, Range<usize>) {
+    for (slot, target) in targets.iter().enumerate() {
+        let step = merge_band_len(target.len(), lanes);
+        let count = target.len().div_ceil(step);
+        if band < count {
+            let start = band * step;
+            return (slot, start..(start + step).min(target.len()));
+        }
+        band -= count;
+    }
+    unreachable!("merge band beyond the registered targets")
 }
 
 impl Default for VirtualGpu {

@@ -22,6 +22,7 @@ use crate::memory::global::{GlobalAtomicF32, GlobalBuffer};
 use crate::memory::shared::SharedMem;
 use crate::memory::texture::Texture;
 use crate::sanitize::{LaneHooks, MemSpace};
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
@@ -385,14 +386,30 @@ impl ShadowBuf {
     }
 }
 
+/// One extracted run: `len` values for target slot `slot`, starting at
+/// index `start` of the target and stored at `vals[at..at + len]`.
+#[derive(Debug, Clone, Copy)]
+struct Seg {
+    slot: u32,
+    start: u32,
+    len: u32,
+    at: u32,
+}
+
+impl Seg {
+    fn end(&self) -> u32 {
+        self.start + self.len
+    }
+}
+
 /// One role's extracted kernel output: compact runs of values destined for
-/// target buffers registered in a launch-wide slot table. Recorded in
-/// ascending index order per target; `vals` holds the run values back to
-/// back. Recycled (with capacity) across launches by the executor.
+/// target buffers registered in a launch-wide slot table. Runs are sorted
+/// by target slot, then by ascending index; `vals` holds the run values
+/// back to back. Kept per SM (with capacity) across launches by the
+/// executor.
 #[derive(Debug, Default)]
 pub(crate) struct RoleRuns {
-    /// `(target slot, start index in the target, value count)` per run.
-    segs: Vec<(u32, u32, u32)>,
+    segs: Vec<Seg>,
     vals: Vec<f32>,
 }
 
@@ -403,15 +420,27 @@ impl RoleRuns {
         self.vals.clear();
     }
 
-    /// Adds every recorded non-zero value into its target buffer, in
-    /// recorded (ascending) order. Single-writer, like
-    /// [`GlobalAtomicF32::merge_add_range`].
-    pub(crate) fn merge_into(&self, targets: &[&GlobalAtomicF32]) {
-        let mut cursor = 0usize;
-        for &(slot, start, len) in &self.segs {
-            let vals = &self.vals[cursor..cursor + len as usize];
-            cursor += len as usize;
-            targets[slot as usize].merge_add_range(start as usize, vals);
+    /// Adds every recorded non-zero value for target `slot` whose index
+    /// lies in `band` into `target`, in ascending index order — one add
+    /// per value. Runs straddling the band's edges contribute only their
+    /// overlap, so the bands of a partition together add every value
+    /// exactly once. Callers may merge disjoint bands of one target
+    /// concurrently (see [`GlobalAtomicF32::merge_add_range`]).
+    pub(crate) fn merge_band(&self, slot: u32, band: Range<usize>, target: &GlobalAtomicF32) {
+        // Sorted by (slot, start) with disjoint runs per slot, so run ends
+        // ascend too: the first run reaching into the band is a binary
+        // search away.
+        let first = self
+            .segs
+            .partition_point(|s| (s.slot, s.end() as usize) <= (slot, band.start));
+        for s in &self.segs[first..] {
+            if s.slot != slot || s.start as usize >= band.end {
+                break;
+            }
+            let lo = band.start.max(s.start as usize);
+            let hi = band.end.min(s.end() as usize);
+            let at = s.at as usize + (lo - s.start as usize);
+            target.merge_add_range(lo, &self.vals[at..at + (hi - lo)]);
         }
     }
 }
@@ -421,8 +450,8 @@ impl RoleRuns {
 /// Instead of CAS-looping on the shared [`GlobalAtomicF32`] from every
 /// worker, the batched executor accumulates each role's (or, at one
 /// worker, the whole launch's) output into a private `f32` image
-/// registered here, and drains the shadows into their targets
-/// single-threaded in a fixed order, so the result is deterministic;
+/// registered here, and drains the shadows into their targets in a fixed
+/// per-pixel order, so the result is deterministic;
 /// modeled atomic traffic is accounted analytically by the kernel's
 /// `run_block`, unaffected by this host-side strategy.
 ///
@@ -480,25 +509,44 @@ impl<'k> ShadowSet<'k> {
     /// Drains every accumulator into `out` as compact runs — registering
     /// each target buffer in `targets` (by address) on first sight and
     /// referring to it by slot — then recycles the drained scratch into
-    /// the arena.
+    /// the arena. The table lock is held only to register and look up
+    /// slots, never during a drain.
     ///
     /// This is the extraction scheduler's per-role drain: it runs on the
     /// worker lane right after the role's blocks, while the touched chunks
     /// are cache-warm. The extracted values are exactly the per-role
-    /// accumulated values in ascending index order, so a later
-    /// [`RoleRuns::merge_into`] in role order reproduces the one-add-per-
+    /// accumulated values in ascending index order, so merging roles in
+    /// role order ([`RoleRuns::merge_band`]) reproduces the one-add-per-
     /// role-pixel reduction bit-for-bit.
-    pub(crate) fn extract_into(self, targets: &mut Vec<&'k GlobalAtomicF32>, out: &mut RoleRuns) {
+    pub(crate) fn extract_into(
+        mut self,
+        targets: &Mutex<Vec<&'k GlobalAtomicF32>>,
+        out: &mut RoleRuns,
+    ) {
+        let slot_in = |table: &[&GlobalAtomicF32], buf: &GlobalAtomicF32| {
+            table.iter().position(|t| std::ptr::eq(*t, buf))
+        };
+        {
+            let mut table = targets.lock().unwrap_or_else(|e| e.into_inner());
+            for &(buf, _) in &self.bufs {
+                if slot_in(&table, buf).is_none() {
+                    table.push(buf);
+                }
+            }
+            // Runs sorted by slot: the order `merge_band` searches in.
+            self.bufs
+                .sort_unstable_by_key(|&(buf, _)| slot_in(&table, buf));
+        }
         for (buf, mut sb) in self.bufs {
-            let slot = targets
-                .iter()
-                .position(|t| std::ptr::eq(*t, buf))
-                .unwrap_or_else(|| {
-                    targets.push(buf);
-                    targets.len() - 1
-                }) as u32;
+            let slot = slot_in(&targets.lock().unwrap_or_else(|e| e.into_inner()), buf)
+                .expect("registered above") as u32;
             sb.drain_runs(|start, span| {
-                out.segs.push((slot, start as u32, span.len() as u32));
+                out.segs.push(Seg {
+                    slot,
+                    start: start as u32,
+                    len: span.len() as u32,
+                    at: out.vals.len() as u32,
+                });
                 out.vals.extend_from_slice(span);
                 span.fill(0.0);
             });
@@ -836,6 +884,60 @@ mod tests {
         shadow.add(&img, 2, 1.0);
         shadow.merge();
         assert_eq!(img.to_host(), vec![1.5, 2.0, 5.0]);
+    }
+
+    /// Extracted role outputs merged band by band — any band length, any
+    /// band order — must equal adding each role's values in role order.
+    #[test]
+    fn role_runs_merge_identically_in_any_banding() {
+        let space = AddressSpace::new();
+        let a = GlobalAtomicF32::zeroed(&space, 100);
+        let b = GlobalAtomicF32::zeroed(&space, 70);
+        let arena = BufferArena::new();
+        let targets = Mutex::new(Vec::new());
+        // Values whose sum depends on the order of the adds.
+        let value = |role: usize, i: usize| [1e7, 0.3, 7.7][role] + (i % 5) as f32;
+        let touched = |role: usize, i: usize| i % (role + 2) != 1;
+        // Role 1 touches `b` first: its runs must still sort by slot.
+        let mut roles: [RoleRuns; 3] = Default::default();
+        for (r, runs) in roles.iter_mut().enumerate() {
+            let mut shadow = ShadowSet::with_arena(&arena);
+            let order = if r == 1 { [&b, &a] } else { [&a, &b] };
+            for t in order {
+                for i in (0..t.len()).filter(|&i| touched(r, i)) {
+                    shadow.add(t, i, value(r, i));
+                }
+            }
+            shadow.extract_into(&targets, runs);
+        }
+        let targets = targets.into_inner().unwrap();
+        let expected = |t: &GlobalAtomicF32| -> Vec<u32> {
+            (0..t.len())
+                .map(|i| {
+                    (0..roles.len())
+                        .filter(|&r| touched(r, i))
+                        .fold(0.0f32, |acc, r| acc + value(r, i))
+                        .to_bits()
+                })
+                .collect()
+        };
+        let want: Vec<Vec<u32>> = targets.iter().map(|t| expected(t)).collect();
+        for band_len in [1, 5, 16, 17, 64, 100] {
+            for t in &targets {
+                t.fill_zero();
+            }
+            for (slot, t) in targets.iter().enumerate() {
+                let starts: Vec<usize> = (0..t.len()).step_by(band_len).collect();
+                for &start in starts.iter().rev() {
+                    let band = start..(start + band_len).min(t.len());
+                    for runs in &roles {
+                        runs.merge_band(slot as u32, band.clone(), t);
+                    }
+                }
+                let got: Vec<u32> = t.to_host().iter().map(|v| v.to_bits()).collect();
+                assert_eq!(got, want[slot], "slot {slot}, bands of {band_len}");
+            }
+        }
     }
 
     #[test]

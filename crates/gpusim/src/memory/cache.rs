@@ -114,6 +114,36 @@ impl CacheSim {
         false
     }
 
+    /// Performs one access per address of `addrs`, in order; returns the
+    /// number of hits.
+    ///
+    /// Each run of same-line addresses costs one set lookup plus one
+    /// clock/stamp/hit update. This is exact: after the run's first access
+    /// its line is the MRU line, so [`Self::access`] would serve every
+    /// repeat through the MRU shortcut — one clock tick, a stamp refresh
+    /// and a hit each. Folding `n` repeats into `clock += n` and one stamp
+    /// write leaves the same tags, stamps, clock and statistics.
+    #[inline]
+    pub fn access_batch(&mut self, addrs: &[u64]) -> u64 {
+        let hits_before = self.hits;
+        let mut rest = addrs;
+        while let Some((&first, tail)) = rest.split_first() {
+            let line = first >> self.line_shift;
+            let repeats = tail
+                .iter()
+                .position(|&a| a >> self.line_shift != line)
+                .unwrap_or(tail.len());
+            self.access(first);
+            if repeats > 0 {
+                self.clock += repeats as u64;
+                self.stamps[self.last_slot] = self.clock;
+                self.hits += repeats as u64;
+            }
+            rest = &tail[repeats..];
+        }
+        self.hits - hits_before
+    }
+
     /// Cache hits so far.
     pub fn hits(&self) -> u64 {
         self.hits
@@ -220,6 +250,115 @@ mod tests {
         let c = CacheSim::new(12 * 1024, 128, 16);
         assert_eq!(c.sets(), 6);
         assert_eq!(c.line_bytes(), 128);
+    }
+
+    /// A seeded stream mixing the shapes a row-folded lookup meets:
+    /// same-line runs, runs straddling a line boundary, and lines that
+    /// come back after enough traffic to evict them — eight runs per cache
+    /// line, over a span four times the cache.
+    fn mixed_stream(rng: &mut simrng::Rng64, line: u64, lines: u64) -> Vec<u64> {
+        let mut out = Vec::new();
+        let mut recent = Vec::new();
+        for _ in 0..8 * lines {
+            let base = match rng.range_usize(0, 3) {
+                // A fresh line somewhere in a span several times the cache.
+                0 => rng.range_u64(0, 4 * lines) * line,
+                // A run ending just before a line boundary, so it spills
+                // into the next line.
+                1 => rng.range_u64(1, 4 * lines) * line - rng.range_u64(1, line / 2),
+                // A line seen earlier, likely evicted by the traffic since.
+                _ => match recent.len() {
+                    0 => 0,
+                    n => recent[rng.range_usize(0, n)],
+                },
+            };
+            recent.push(base);
+            for i in 0..rng.range_u64(1, 24) {
+                out.push(base + 4 * i);
+            }
+        }
+        out
+    }
+
+    /// `access_batch` over row-sized slices of a stream must leave the
+    /// cache exactly as per-address `access` does: same hit count, same
+    /// statistics, same tags, stamps and clock, and the same hit/miss
+    /// sequence for any later probe. The slices are cut at random, so runs
+    /// also straddle batch (ROI row) boundaries.
+    #[test]
+    fn access_batch_is_per_address_access() {
+        let gtx480 = crate::device::DeviceSpec::gtx480();
+        let geometries = [
+            (
+                gtx480.tex_cache_per_sm_bytes(),
+                gtx480.tex_cache_line,
+                gtx480.tex_cache_ways,
+            ),
+            (256, 64, 2),
+        ];
+        for (capacity, line, ways) in geometries {
+            for seed in 0..8 {
+                let mut rng = simrng::Rng64::new(seed);
+                let lines = (capacity / line) as u64;
+                let stream = mixed_stream(&mut rng, line as u64, lines);
+                let probe = mixed_stream(&mut rng, line as u64, lines);
+
+                let mut one = CacheSim::new(capacity, line, ways);
+                let mut batch = CacheSim::new(capacity, line, ways);
+                let mut hits_one = 0u64;
+                let mut hits_batch = 0u64;
+                // Misses on lines seen before: evicted lines coming back.
+                let mut seen = std::collections::HashSet::new();
+                let mut remisses = 0u64;
+                let mut rest = &stream[..];
+                while !rest.is_empty() {
+                    let (row, tail) = rest.split_at(rng.range_usize(1, 33).min(rest.len()));
+                    for &a in row {
+                        let hit = one.access(a);
+                        hits_one += u64::from(hit);
+                        remisses += u64::from(!seen.insert(a / line as u64) && !hit);
+                    }
+                    hits_batch += batch.access_batch(row);
+                    rest = tail;
+                }
+                let label = format!("{capacity} B / {line} B lines / {ways} ways, seed {seed}");
+                assert!(remisses > 0, "{label}: the stream must evict and revisit");
+                assert_eq!(hits_one, hits_batch, "{label}");
+                assert_eq!(one.hits(), batch.hits(), "{label}");
+                assert_eq!(one.misses(), batch.misses(), "{label}");
+                // The whole replacement state, not just what the next
+                // accesses can observe.
+                assert_eq!(
+                    (
+                        &one.tags,
+                        &one.stamps,
+                        one.clock,
+                        one.last_line,
+                        one.last_slot
+                    ),
+                    (
+                        &batch.tags,
+                        &batch.stamps,
+                        batch.clock,
+                        batch.last_line,
+                        batch.last_slot
+                    ),
+                    "{label}"
+                );
+                for &a in &probe {
+                    assert_eq!(one.access(a), batch.access(a), "{label}: probe {a:#x}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn access_batch_counts_repeats_as_hits() {
+        let mut c = CacheSim::new(256, 64, 2);
+        assert_eq!(c.access_batch(&[]), 0);
+        // Line 0 cold then three repeats; line 1 cold then one repeat.
+        assert_eq!(c.access_batch(&[0, 4, 8, 60, 64, 68]), 4);
+        assert_eq!((c.hits(), c.misses()), (4, 2));
     }
 
     #[test]

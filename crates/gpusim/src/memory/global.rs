@@ -187,10 +187,12 @@ impl GlobalAtomicF32 {
         }
     }
 
-    /// Single-writer bulk add of a sub-range: `self[start + i] += vals[i]`
-    /// for every non-zero entry of `vals`. Same contract and zero-skip
-    /// exactness argument as [`Self::merge_add`]; used by the dirty-chunk
-    /// shadow merge, which visits only touched 64-value spans.
+    /// Bulk add of a sub-range: `self[start + i] += vals[i]` for every
+    /// non-zero entry of `vals`. Same zero-skip exactness argument as
+    /// [`Self::merge_add`]. The plain load/store needs one writer per
+    /// element, not per buffer: the batched executor's merge calls this
+    /// concurrently on disjoint bands of one target, for the runs of
+    /// touched 16-value chunks its shadows extract.
     #[inline]
     pub fn merge_add_range(&self, start: usize, vals: &[f32]) {
         debug_assert!(start + vals.len() <= self.data.len());

@@ -111,6 +111,32 @@ impl Texture {
             + ((l * self.pitch_pow2 * self.pitch_pow2 + morton2(xi as u32, yi as u32)) * 4) as u64;
         (value, addr)
     }
+
+    /// Row view: the stored texels `x = 0..addrs.len()` of row `y` in
+    /// `layer`, with the swizzled address of each written to `addrs` —
+    /// `(row[x], addrs[x]) == fetch(layer, x, y)` for every `x`. Layer and
+    /// row clamp like [`Self::fetch`].
+    ///
+    /// # Panics
+    /// Panics when `addrs` is longer than the texture width.
+    #[inline]
+    pub fn row(&self, layer: usize, y: i64, addrs: &mut [u64]) -> &[f32] {
+        let l = layer.min(self.layers - 1);
+        let yi = y.clamp(0, self.height as i64 - 1) as usize;
+        let start = (l * self.height + yi) * self.width;
+        let texels = &self.data[start..start + self.width][..addrs.len()];
+        let row_base = self.base_addr
+            + ((l * self.pitch_pow2 * self.pitch_pow2) as u64 + (spread_bits(yi as u32) << 1)) * 4;
+        // `sx` walks spread_bits(x) for x = 0, 1, …: setting the odd bits
+        // lets the +1 carry ripple through them to the next even bit (and
+        // wrap at x = 2^16, as spread_bits' 16-bit mask does).
+        let mut sx = 0u64;
+        for addr in addrs.iter_mut() {
+            *addr = row_base + sx * 4;
+            sx = (sx | !EVEN_BITS).wrapping_add(1) & EVEN_BITS;
+        }
+        texels
+    }
 }
 
 /// Interleaves the bits of `x` and `y` into a Morton (Z-order) index.
@@ -118,6 +144,9 @@ impl Texture {
 fn morton2(x: u32, y: u32) -> usize {
     (spread_bits(x) | (spread_bits(y) << 1)) as usize
 }
+
+/// The bit positions [`spread_bits`] spreads into.
+const EVEN_BITS: u64 = 0x5555_5555;
 
 /// Spreads the low 16 bits of `v` into the even bit positions.
 #[inline]
@@ -158,6 +187,34 @@ mod tests {
         assert_eq!(t.fetch(0, 9, 2).0, t.fetch(0, 3, 2).0);
         assert_eq!(t.fetch(0, 1, -1).0, t.fetch(0, 1, 0).0);
         assert_eq!(t.fetch(5, 1, 1).0, t.fetch(0, 1, 1).0, "layer clamps too");
+    }
+
+    #[test]
+    fn row_view_matches_per_texel_fetch() {
+        let t = tex(37, 7, 3);
+        let mut addrs = [0u64; 37];
+        for layer in 0..5 {
+            for y in -2..9 {
+                for len in [0, 1, 8, 10, 37] {
+                    let row = t.row(layer, y, &mut addrs[..len]);
+                    assert_eq!(row.len(), len);
+                    for x in 0..len {
+                        assert_eq!(
+                            (row[x], addrs[x]),
+                            t.fetch(layer, x as i64, y),
+                            "layer {layer} row {y} texel {x}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic]
+    fn row_view_longer_than_the_texture_panics() {
+        let t = tex(4, 4, 1);
+        let _ = t.row(0, 0, &mut [0u64; 5]);
     }
 
     #[test]

@@ -553,45 +553,6 @@ impl WorkerPool {
         });
     }
 
-    /// [`Self::parallel_for`] with a watchdog `deadline` and an optional
-    /// injected `stall` (see [`Self::run_guarded`]). Inline fast paths
-    /// (single worker, small counts) cannot time out and return `Ok`.
-    pub fn parallel_for_guarded<F>(
-        &self,
-        count: usize,
-        workers: usize,
-        chunk: usize,
-        deadline: Option<Duration>,
-        stall: Option<(usize, Duration)>,
-        body: F,
-    ) -> Result<(), PoolTimeout>
-    where
-        F: Fn(usize, usize) + Sync,
-    {
-        let workers = workers.max(1);
-        let chunk = chunk.max(1);
-        if count == 0 {
-            return Ok(());
-        }
-        if workers == 1 || count <= chunk {
-            for i in 0..count {
-                body(i, 0);
-            }
-            return Ok(());
-        }
-        let next = AtomicUsize::new(0);
-        self.run_guarded(workers, deadline, stall, false, &|worker_id| loop {
-            let start = next.fetch_add(chunk, Ordering::Relaxed);
-            if start >= count {
-                break;
-            }
-            let end = (start + chunk).min(count);
-            for i in start..end {
-                body(i, worker_id);
-            }
-        })
-    }
-
     /// [`Self::parallel_for_static`] with a watchdog `deadline`, an
     /// optional injected `stall` (see [`Self::run_guarded`]), and work
     /// stealing between idle lanes: the index → worker mapping and per-role
@@ -1162,18 +1123,6 @@ mod tests {
         })
         .expect("no deadline, cannot time out");
         assert_eq!(total.load(Ordering::Relaxed), 996 * 997 / 2);
-        assert!(!pool.poisoned());
-    }
-
-    #[test]
-    fn guarded_completes_within_generous_deadline() {
-        let pool = WorkerPool::new(4);
-        let total = AtomicU64::new(0);
-        pool.parallel_for_guarded(2000, 4, 16, Some(Duration::from_secs(30)), None, |i, _| {
-            total.fetch_add(i as u64, Ordering::Relaxed);
-        })
-        .expect("well within deadline");
-        assert_eq!(total.load(Ordering::Relaxed), 1999 * 2000 / 2);
         assert!(!pool.poisoned());
     }
 

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Full offline CI gate: format, lint, build, test (unpinned and pinned to
-# one core), Miri smoke, bench smokes.
+# one core), a determinism soak, Miri smoke, bench smokes.
 #
 # Artefact convention: every BENCH_PR*.json (PR1 executor speedup, PR2
 # sustained throughput — historical, its experiment is gone and
@@ -40,6 +40,15 @@ if command -v taskset >/dev/null 2>&1; then
 else
   echo "taskset: not installed — skipped"
 fi
+
+# Determinism soak: the bit-identity suites rerun unpinned, so a result
+# that depends on thread scheduling fails CI here instead of in 1 run in
+# k. Each rerun is time-boxed so a wedged run fails loudly, not hangs.
+echo "== determinism soak: sanitizer + exec_modes suites, 10 unpinned reruns"
+for i in $(seq 1 10); do
+  echo "-- soak run $i/10"
+  timeout 300 cargo test -q --test sanitizer --test exec_modes
+done
 
 # The benchmark's own self-test: every workload once at a tiny size,
 # untraced and traced, with its correctness checks (dense-field against
