@@ -56,9 +56,9 @@ struct Sustained {
     p99_ms: f64,
 }
 
-/// Runs `reps` bursts of `frames` through the pipelined loop with
+/// Runs `reps` bursts of `frames` through the frame loop with
 /// `per_frame` on the observer hook and keeps the fastest pass. One
-/// untimed warmup burst populates the pool, LUT and device images.
+/// untimed warmup burst populates the pool and the shadow arena.
 fn measure(
     seq: &mut FrameSequencer,
     frames: usize,
@@ -67,12 +67,12 @@ fn measure(
 ) -> Sustained {
     let token = CancelToken::new();
     let _ = seq
-        .run_frames_pipelined_observed(frames, &token, &mut per_frame)
+        .run_frames_observed(frames, &token, &mut per_frame)
         .expect("warmup burst");
     let mut best: Option<Sustained> = None;
     for _ in 0..reps.max(1) {
         let report = seq
-            .run_frames_pipelined_observed(frames, &token, &mut per_frame)
+            .run_frames_observed(frames, &token, &mut per_frame)
             .expect("measured burst");
         let pass = Sustained {
             fps: report.fps(),
@@ -100,7 +100,7 @@ fn overhead_leg(ctx: &Context, frames: usize, reps: usize, workers: usize) -> Ov
     let mut config = ctx.sim_config(1024, 1024, 10);
     config.workers = Some(workers);
 
-    // Off: the plain pipelined loop, no sink, no sampling, no recorder.
+    // Off: the plain frame loop, no sink, no sampling, no recorder.
     eprintln!("obsplane: overhead leg, plane off ({frames} frames) ...");
     let mut seq =
         sequencer(VirtualGpu::gtx480(), config.clone(), stars, ctx.seed).expect("off sequencer");
@@ -298,7 +298,7 @@ fn utilization_determinism(ctx: &Context) -> (bool, usize) {
         let mut config = ctx.sim_config(256, 256, 10);
         config.workers = Some(workers);
         let mut seq = sequencer(gpu, config, 1024, ctx.seed).expect("determinism sequencer");
-        let _ = seq.run_frames_pipelined(3).expect("determinism burst");
+        let _ = seq.run_frames(3).expect("determinism burst");
         signatures.push(sink.snapshot().signature());
     }
     let first = signatures.first().cloned().unwrap_or_default();

@@ -1,28 +1,20 @@
-//! Frame-pipelined scheduler benchmark: the double-buffered producer /
-//! consumer frame loop ([`FrameSequencer::run_frames_pipelined`]) against
-//! the sequential frame loop.
-//!
-//! Two legs at the headline shape (2^13 stars dense in a 10° FOV,
-//! ROI 10, 1024×1024 — the paper's test-1 scale as a frame stream):
-//!
-//! * `sequential` — [`FrameSequencer::run_frames`] (also the bit-identity
-//!   reference);
-//! * `pipelined` — [`FrameSequencer::run_frames_pipelined`], star gen +
-//!   upload overlapped with kernel + download.
+//! Frame-loop benchmark: sustained bursts of
+//! [`FrameSequencer::run_frames`] at the headline shape (2^13 stars dense
+//! in a 10° FOV, ROI 10, 1024×1024 — the paper's test-1 scale as a frame
+//! stream).
 //!
 //! `BENCH_PR7.json` carries the gates:
 //!
-//! * `p99_ok` — pipelined p99 frame latency ≤ 39 ms;
-//! * `bit_identical` — pipelined images, counters and modeled times are
-//!   bit-equal to the sequential loop across a seed × workers × backend
-//!   sweep (the invariant `tests/pipeline.rs` checks exhaustively).
-
-use std::sync::Arc;
+//! * `p99_ok` — p99 frame latency ≤ 39 ms;
+//! * `bit_identical` — burst images, counters and modeled times are
+//!   bit-equal to [`FrameSequencer::next_frame`] across a seed × workers ×
+//!   backend sweep (the invariant `tests/pipeline.rs` checks
+//!   exhaustively).
 
 use gpusim::{DeviceSpec, KernelBackend, VirtualGpu};
 use starfield::dynamics::AttitudeDynamics;
 use starfield::{Attitude, Camera, SkyCatalog, SkyStar};
-use starsim_core::{CancelToken, FrameSequencer, LutCache, SimConfig, ThroughputReport};
+use starsim_core::{CancelToken, FrameSequencer, SimConfig, ThroughputReport};
 
 use super::format::{write_json_object, Json, Table};
 use super::Context;
@@ -78,7 +70,7 @@ pub(super) fn sequencer(
     )
 }
 
-/// One leg's sustained numbers plus the report of its best pass.
+/// Sustained numbers plus the report of the best pass.
 struct Sustained {
     fps: f64,
     p50_ms: f64,
@@ -88,20 +80,13 @@ struct Sustained {
 
 /// Runs `reps` bursts of `frames` and keeps the fastest pass (the one
 /// least disturbed by unrelated host load — the same best-of-reps policy
-/// as the `executor` experiment). One untimed warmup
-/// burst populates the pool, the LUT, and the pipeline's device images.
-fn measure(seq: &mut FrameSequencer, frames: usize, reps: usize, pipelined: bool) -> Sustained {
-    let run = |seq: &mut FrameSequencer| -> ThroughputReport {
-        if pipelined {
-            seq.run_frames_pipelined(frames).expect("pipelined burst")
-        } else {
-            seq.run_frames(frames).expect("sequential burst")
-        }
-    };
-    let _ = run(seq); // warmup
+/// as the `executor` experiment). One untimed warmup burst populates the
+/// pool and the shadow arena.
+fn measure(seq: &mut FrameSequencer, frames: usize, reps: usize) -> Sustained {
+    let _ = seq.run_frames(frames).expect("warmup burst");
     let mut best: Option<Sustained> = None;
     for _ in 0..reps.max(1) {
-        let report = run(seq);
+        let report = seq.run_frames(frames).expect("burst");
         let pass = Sustained {
             fps: report.fps(),
             p50_ms: report.p50_ms,
@@ -124,7 +109,8 @@ fn fnv1a(hash: &mut u64, bytes: &[u8]) {
     }
 }
 
-/// Digest of `frames` sequential frames (the reference schedule).
+/// Digest of `frames` frames through [`FrameSequencer::next_frame`] (the
+/// reference).
 fn sequential_digest(seq: &mut FrameSequencer, frames: usize) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     for _ in 0..frames {
@@ -141,23 +127,23 @@ fn sequential_digest(seq: &mut FrameSequencer, frames: usize) -> u64 {
     h
 }
 
-/// Digest of `frames` pipelined frames, taken in flight.
-fn pipelined_digest(seq: &mut FrameSequencer, frames: usize) -> u64 {
+/// Digest of `frames` burst frames, taken by the observer.
+fn burst_digest(seq: &mut FrameSequencer, frames: usize) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     let token = CancelToken::new();
-    seq.run_frames_pipelined_observed(frames, &token, |frame| {
+    seq.run_frames_observed(frames, &token, |frame| {
         for p in frame.pixels {
             fnv1a(&mut h, &p.to_bits().to_le_bytes());
         }
         fnv1a(&mut h, format!("{:?}", frame.timing.counters).as_bytes());
         fnv1a(&mut h, &frame.timing.app_time_s.to_bits().to_le_bytes());
     })
-    .expect("pipelined burst");
+    .expect("burst");
     h
 }
 
 /// Sweeps seed × workers × backend at a small shape and reports whether
-/// every configuration's pipelined digest matches the sequential one.
+/// every configuration's burst digest matches the sequential one.
 fn identity_sweep(ctx: &Context, seeds: &[u64]) -> (bool, usize) {
     let mut all_equal = true;
     let mut configs = 0;
@@ -169,10 +155,10 @@ fn identity_sweep(ctx: &Context, seeds: &[u64]) -> (bool, usize) {
                 config.backend = backend;
                 let mut reference = sequencer(VirtualGpu::gtx480(), config.clone(), 1024, seed)
                     .expect("reference sequencer");
-                let mut pipelined =
+                let mut burst =
                     sequencer(VirtualGpu::gtx480(), config, 1024, seed).expect("sequencer");
                 let expected = sequential_digest(&mut reference, 3);
-                let got = pipelined_digest(&mut pipelined, 3);
+                let got = burst_digest(&mut burst, 3);
                 if expected != got {
                     eprintln!(
                         "pipeline: WARNING: identity broken at seed {seed}, \
@@ -187,8 +173,8 @@ fn identity_sweep(ctx: &Context, seeds: &[u64]) -> (bool, usize) {
     (all_equal, configs)
 }
 
-/// Runs the two-leg comparison and writes `pipeline.csv` plus the
-/// `BENCH_PR7.json` headline artefact.
+/// Runs the frame-loop measurement and the identity sweep; writes
+/// `pipeline.csv` plus the `BENCH_PR7.json` headline artefact.
 pub fn run(ctx: &Context) -> Table {
     let frames = if ctx.quick { 6 } else { 24 };
     let reps = if ctx.quick { 2 } else { 3 };
@@ -200,31 +186,19 @@ pub fn run(ctx: &Context) -> Table {
         .unwrap_or(DeviceSpec::gtx480().sm_count as usize);
     let mut config = ctx.sim_config(1024, 1024, 10);
     config.workers = Some(workers);
-    let cache = Arc::new(LutCache::new());
 
+    eprintln!("pipeline: frame loop ({frames} frames, {workers} workers) ...");
+    let mut seq = sequencer(VirtualGpu::gtx480(), config, stars, ctx.seed).expect("sequencer");
+    let s = measure(&mut seq, frames, reps);
     let mut t = Table::new(vec!["config", "fps", "p50_ms", "p99_ms"]);
-    let [sequential, pipelined] =
-        [("sequential", false), ("pipelined", true)].map(|(name, pipelined)| {
-            eprintln!("pipeline: {name} ({frames} frames, {workers} workers) ...");
-            let mut seq = sequencer(VirtualGpu::gtx480(), config.clone(), stars, ctx.seed)
-                .expect("sequencer")
-                .with_lut_cache(Arc::clone(&cache));
-            let s = measure(&mut seq, frames, reps, pipelined);
-            t.row(vec![
-                name.to_string(),
-                format!("{:.2}", s.fps),
-                format!("{:.3}", s.p50_ms),
-                format!("{:.3}", s.p99_ms),
-            ]);
-            s
-        });
+    t.row(vec![
+        "frame-loop".to_string(),
+        format!("{:.2}", s.fps),
+        format!("{:.3}", s.p50_ms),
+        format!("{:.3}", s.p99_ms),
+    ]);
     let _ = t.write_csv(&ctx.out_path("pipeline.csv"));
-
-    let overlap = pipelined
-        .report
-        .overlap
-        .expect("pipelined bursts report overlap");
-    let lut = pipelined.report.lut_cache.unwrap_or_default();
+    let overlap = s.report.overlap.expect("bursts report overlap");
 
     let seeds: &[u64] = if ctx.quick {
         &[ctx.seed]
@@ -234,13 +208,13 @@ pub fn run(ctx: &Context) -> Table {
     eprintln!("pipeline: bit-identity sweep ({} seeds) ...", seeds.len());
     let (bit_identical, identity_configs) = identity_sweep(ctx, seeds);
 
-    let p99_ok = pipelined.p99_ms <= P99_GATE_MS;
+    let p99_ok = s.p99_ms <= P99_GATE_MS;
     let gate_ok = p99_ok && bit_identical;
     if !gate_ok {
         eprintln!(
             "pipeline: WARNING: gate failed — p99 {:.2} ms (need <= {P99_GATE_MS}), \
              bit_identical {bit_identical}",
-            pipelined.p99_ms
+            s.p99_ms
         );
     }
     let _ = write_json_object(
@@ -252,11 +226,9 @@ pub fn run(ctx: &Context) -> Table {
             ),
             ("frames", Json::Int(frames as u64)),
             ("workers", Json::Int(workers as u64)),
-            ("sequential_fps", Json::f3(sequential.fps)),
-            ("sequential_p99_ms", Json::f3(sequential.p99_ms)),
-            ("pipelined_fps", Json::f3(pipelined.fps)),
-            ("pipelined_p50_ms", Json::f3(pipelined.p50_ms)),
-            ("pipelined_p99_ms", Json::f3(pipelined.p99_ms)),
+            ("fps", Json::f3(s.fps)),
+            ("p50_ms", Json::f3(s.p50_ms)),
+            ("p99_ms", Json::f3(s.p99_ms)),
             ("p99_gate_ms", Json::f3(P99_GATE_MS)),
             ("overlap_modeled_saved_s", Json::f6(overlap.modeled.saved_s)),
             (
@@ -267,10 +239,6 @@ pub fn run(ctx: &Context) -> Table {
                 "overlap_measured_efficiency",
                 Json::f3(overlap.measured_efficiency),
             ),
-            ("lut_prefetch_s", Json::f6(pipelined.report.lut_prefetch_s)),
-            ("lut_hits", Json::Int(lut.hits)),
-            ("lut_misses", Json::Int(lut.misses)),
-            ("lut_evictions", Json::Int(lut.evictions)),
             ("identity_configs", Json::Int(identity_configs as u64)),
             ("bit_identical", Json::Bool(bit_identical)),
             ("p99_ok", Json::Bool(p99_ok)),
@@ -297,16 +265,13 @@ mod tests {
             ..Default::default()
         };
         let t = run(&ctx);
-        assert_eq!(t.len(), 2, "one row per leg");
+        assert_eq!(t.len(), 1, "one row for the frame loop");
         let json = std::fs::read_to_string(dir.join("BENCH_PR7.json")).unwrap();
         for key in [
-            "sequential_fps",
-            "pipelined_fps",
-            "pipelined_p50_ms",
-            "pipelined_p99_ms",
+            "fps",
+            "p50_ms",
+            "p99_ms",
             "overlap_modeled_efficiency",
-            "lut_prefetch_s",
-            "lut_misses",
             "bit_identical",
             "p99_ok",
             "gate_ok",

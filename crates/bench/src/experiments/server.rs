@@ -36,8 +36,8 @@ const OVERLOAD_FACTOR: usize = 4;
 /// Admission capacity the loadgen server runs with: the host's
 /// *sustainable* render concurrency, which is 1 on any core count — a
 /// single render burst already spreads across the available cores (the
-/// pipelined producer plus the kernel worker pool), so admitting a
-/// second concurrent burst just time-slices both. Every admitted
+/// kernel worker pool), so admitting a second concurrent burst just
+/// time-slices both. Every admitted
 /// request gets slower, which is exactly what the admitted-p99 gate
 /// exists to forbid; capacity 1 keeps admitted work undegraded and
 /// pushes all excess demand into rejects, where it belongs.

@@ -19,10 +19,9 @@
 //! The `simd` experiment compares the two backends directly and writes
 //! `BENCH_PR6.json`.
 //!
-//! `--pipeline` is shorthand for `--experiment pipeline`: the
-//! frame-pipelined scheduler against the sequential frame loop, with the
-//! overlap-efficiency accounting, the p99 latency gate and the
-//! bit-identity sweep (writes `BENCH_PR7.json`).
+//! `--pipeline` is shorthand for `--experiment pipeline`: sustained
+//! bursts of the frame loop, with the overlap accounting, the p99 latency
+//! gate and the bit-identity sweep (writes `BENCH_PR7.json`).
 //!
 //! Sustained multi-frame throughput is measured by the repository's
 //! benchmark (`perfbench/`, workload `dense-field`), not by this harness.
@@ -241,10 +240,7 @@ fn main() {
             "SIMD backend (batched wall-clock + pixel-error gate)",
             simd::run(&ctx),
         ),
-        "pipeline" => section(
-            "Frame pipeline (overlap + bit-identity gates)",
-            pipeline::run(&ctx),
-        ),
+        "pipeline" => section("Frame loop (p99 + bit-identity gates)", pipeline::run(&ctx)),
         "server" => section(
             "Server loadgen (admission + deadline + shedding gates)",
             server::run(&ctx),
@@ -307,10 +303,7 @@ fn main() {
                 "SIMD backend (batched wall-clock + pixel-error gate)",
                 simd::run(&ctx),
             );
-            section(
-                "Frame pipeline (overlap + bit-identity gates)",
-                pipeline::run(&ctx),
-            );
+            section("Frame loop (p99 + bit-identity gates)", pipeline::run(&ctx));
             section(
                 "Server loadgen (admission + deadline + shedding gates)",
                 server::run(&ctx),

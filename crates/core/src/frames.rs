@@ -9,17 +9,14 @@
 //! resident across frames) → one [`SimulationReport`] per frame, with the
 //! slew-dependent smear applied automatically when it matters.
 //!
-//! Two frame-loop schedules are offered. [`FrameSequencer::run_frames`] is
-//! the sequential reference: each frame's star generation, upload, kernel
-//! and download run back to back on the calling thread.
-//! [`FrameSequencer::run_frames_pipelined`] double-buffers the loop —
-//! frame `N+1`'s attitude propagation, FOV retrieval and star upload run
-//! on a producer thread while frame `N`'s kernel and download execute on
-//! the caller — and is required to be *bit-identical* to the sequential
-//! schedule: same images, same counters, same modeled times, for every
-//! seed, worker count and kernel backend.
+//! Every frame runs on the calling thread through one loop: FOV retrieval,
+//! star upload, kernel, download, then the attitude and clock step.
+//! [`FrameSequencer::next_frame`] renders one frame with a full report;
+//! [`FrameSequencer::run_frames`] and [`FrameSequencer::run_frames_observed`]
+//! render bursts into one reused pixel buffer. All of them produce the same
+//! images, counters and modeled times for every seed, worker count and
+//! kernel backend.
 
-use std::sync::mpsc::sync_channel;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -28,12 +25,13 @@ use psf::smear::SmearedGaussianPsf;
 use starfield::dynamics::AttitudeDynamics;
 use starfield::fov::SkyCatalog;
 use starfield::projection::Camera;
+use starfield::StarCatalog;
 
 use crate::config::{PsfKind, SimConfig};
 use crate::error::SimError;
 use crate::report::SimulationReport;
 use crate::resilience::{CancelToken, ResilienceReport, RetryPolicy};
-use crate::session::{AdaptiveSession, FrameTiming, LutCache, LutCacheStats, PreparedStars};
+use crate::session::{AdaptiveSession, FrameTiming};
 use crate::streams::{frame_overlap_estimate, StreamedEstimate};
 use crate::telemetry::{maybe_span, FrameTelemetry, Telemetry};
 
@@ -49,13 +47,6 @@ pub struct FrameSequencer {
     frame_dt: f64,
     session: AdaptiveSession,
     time_s: f64,
-    /// Shared LUT cache, when attached: pipelined bursts (re)validate the
-    /// table off the render critical path and reports carry its counters.
-    lut_cache: Option<Arc<LutCache>>,
-    /// The two rotating device images of the pipelined schedule, allocated
-    /// on first use and reused for the sequencer's lifetime — the steady
-    /// state allocates nothing.
-    pipeline_images: Option<[gpusim::GlobalAtomicF32; 2]>,
 }
 
 impl FrameSequencer {
@@ -117,13 +108,11 @@ impl FrameSequencer {
             frame_dt,
             session,
             time_s: 0.0,
-            lut_cache: None,
-            pipeline_images: None,
         })
     }
 
     /// Wraps an already-open session — the server path, where the session
-    /// was opened through a shared tenant-attributed [`LutCache`]
+    /// was opened through a shared tenant-attributed [`crate::LutCache`]
     /// ([`AdaptiveSession::on_cached_tenant`]) before the sequencer
     /// exists. The session's config becomes the base config; the attitude
     /// rate must not engage the smear PSF (the session's lookup table was
@@ -165,8 +154,6 @@ impl FrameSequencer {
             frame_dt,
             session,
             time_s: 0.0,
-            lut_cache: None,
-            pipeline_images: None,
         })
     }
 
@@ -196,8 +183,8 @@ impl FrameSequencer {
         config
     }
 
-    /// Enables the bounded-retry degradation ladder for
-    /// [`Self::run_frames`] bursts.
+    /// Enables the bounded-retry degradation ladder for every frame,
+    /// [`Self::next_frame`] and bursts alike.
     pub fn with_retry_policy(mut self, policy: RetryPolicy) -> Self {
         self.session.set_retry_policy(Some(policy));
         self
@@ -234,16 +221,6 @@ impl FrameSequencer {
         self.session.set_shed_floor(floor);
     }
 
-    /// Attaches a shared [`LutCache`]. Pipelined bursts prefetch (and
-    /// revalidate) the lookup table on the producer thread before the
-    /// first frame — off the kernel/download critical path — and every
-    /// [`ThroughputReport`] carries the cache's hit/miss/eviction
-    /// counters plus the time that prefetch took.
-    pub fn with_lut_cache(mut self, cache: Arc<LutCache>) -> Self {
-        self.lut_cache = Some(cache);
-        self
-    }
-
     /// Cumulative resilience accounting for the underlying session.
     pub fn resilience_report(&self) -> ResilienceReport {
         self.session.resilience_report()
@@ -267,24 +244,31 @@ impl FrameSequencer {
     /// Renders the next frame and advances the clock and attitude.
     pub fn next_frame(&mut self) -> Result<Frame, SimError> {
         let _frame_span = maybe_span(self.session.telemetry(), "frame");
-        let attitude = self.dynamics.attitude;
-        let config = self.config();
-        let star_gen = maybe_span(self.session.telemetry(), "star-gen");
-        let catalog = self
-            .sky
-            .view(attitude, &self.camera, config.roi_side as f32);
-        drop(star_gen);
+        let catalog = self.view();
         let report = self.session.render(&catalog)?;
         let frame = Frame {
             index: (self.time_s / self.frame_dt).round() as u64,
             time_s: self.time_s,
-            attitude,
+            attitude: self.dynamics.attitude,
             stars_in_view: catalog.len(),
             report,
         };
+        self.step();
+        Ok(frame)
+    }
+
+    /// The current frame's FOV retrieval, under the `star-gen` span.
+    fn view(&self) -> StarCatalog {
+        let roi_side = self.config().roi_side;
+        let _star_gen = maybe_span(self.session.telemetry(), "star-gen");
+        self.sky
+            .view(self.dynamics.attitude, &self.camera, roi_side as f32)
+    }
+
+    /// Advances the attitude and the clock by one frame period.
+    fn step(&mut self) {
         self.dynamics.step(self.frame_dt);
         self.time_s += self.frame_dt;
-        Ok(frame)
     }
 
     /// Whether the modeled per-frame cost fits the frame period — the
@@ -299,230 +283,71 @@ impl FrameSequencer {
     /// [`Self::next_frame`]; only the per-frame `SimulationReport` (and its
     /// image allocation) is skipped — one pixel buffer serves all frames.
     pub fn run_frames(&mut self, n: usize) -> Result<ThroughputReport, SimError> {
-        assert!(n > 0, "need at least one frame");
-        let mut host = Vec::new();
-        let mut latencies_s = Vec::with_capacity(n);
-        let mut app_time_s = 0.0;
-        let mut totals = PhaseTotals::default();
-        let mut produce_busy_s = 0.0;
-        let mut consume_busy_s = 0.0;
-        let start = std::time::Instant::now();
-        for _ in 0..n {
-            let _frame_span = maybe_span(self.session.telemetry(), "frame");
-            let t0 = Instant::now();
-            let attitude = self.dynamics.attitude;
-            let config = self.config();
-            let star_gen = maybe_span(self.session.telemetry(), "star-gen");
-            let catalog = self
-                .sky
-                .view(attitude, &self.camera, config.roi_side as f32);
-            drop(star_gen);
-            produce_busy_s += t0.elapsed().as_secs_f64();
-            let t1 = Instant::now();
-            let timing = self.session.render_into(&catalog, &mut host)?;
-            consume_busy_s += t1.elapsed().as_secs_f64();
-            latencies_s.push(timing.wall_time_s);
-            app_time_s += timing.app_time_s;
-            totals.absorb(&timing);
-            self.dynamics.step(self.frame_dt);
-            self.time_s += self.frame_dt;
-        }
-        let elapsed_s = start.elapsed().as_secs_f64();
-        latencies_s.sort_by(f64::total_cmp);
-        Ok(ThroughputReport {
-            frames: n,
-            elapsed_s,
-            p50_ms: percentile_ms(&latencies_s, 50.0),
-            p99_ms: percentile_ms(&latencies_s, 99.0),
-            mean_app_time_s: app_time_s / n as f64,
-            resilience: self.session.resilience_report(),
-            diagnostics: self.session.diagnostics(),
-            overlap: Some(overlap_report(
-                n,
-                &totals,
-                produce_busy_s,
-                consume_busy_s,
-                elapsed_s,
-            )),
-            lut_cache: self.lut_cache.as_ref().map(|c| c.stats()),
-            lut_prefetch_s: 0.0,
-            telemetry: self
-                .session
-                .telemetry()
-                .map(|t| t.frame_telemetry())
-                .map(Box::new),
-        })
+        self.run_frames_observed(n, &CancelToken::new(), |_| {})
     }
 
-    /// Renders `n` frames through the frame-pipelined schedule: a scoped
-    /// producer thread runs frame `N+1`'s attitude propagation, FOV
-    /// retrieval, star generation and star upload while the calling thread
-    /// executes frame `N`'s kernel and download. Two device images rotate
-    /// between in-flight frames (allocated once, on the first pipelined
-    /// burst), so the steady state performs no new allocation.
+    /// [`Self::run_frames`] with an observer: `on_frame` runs after each
+    /// frame completes, seeing the frame's pixels in place. Each frame, in
+    /// order: check `token`, retrieve the view, render it into the
+    /// session's own device image, call `on_frame`, then step the attitude
+    /// and the clock.
     ///
-    /// **Invariant:** the emitted images, device counters and modeled
-    /// times are bit-equal to [`Self::run_frames`] for every seed, worker
-    /// count and [`gpusim::KernelBackend`]; faults retry and degrade
-    /// through the same [`RetryPolicy`] ladder on the consuming thread, in
-    /// frame order, so recovery is bit-identical on rungs 0–1 too.
-    pub fn run_frames_pipelined(&mut self, n: usize) -> Result<ThroughputReport, SimError> {
-        let token = CancelToken::new();
-        self.run_frames_pipelined_observed(n, &token, |_| {})
-    }
-
-    /// [`Self::run_frames_pipelined`] with an observer: `on_frame` runs on
-    /// the consuming thread after each frame completes, seeing the frame's
-    /// pixels in place. Cancelling `token` (from the observer or another
-    /// thread) stops production; frames already in flight drain
-    /// deterministically, the clock stops exactly after the last completed
-    /// frame, and the burst returns [`SimError::Cancelled`]. A later burst
-    /// (or [`Self::next_frame`]) resumes bit-identically with where an
-    /// uninterrupted run would have been.
-    pub fn run_frames_pipelined_observed(
+    /// Cancelling `token` (from the observer or another thread) stops the
+    /// burst between frames, with nothing in flight: the clock stops
+    /// exactly after the last completed frame, and the burst returns
+    /// [`SimError::Cancelled`] ([`SimError::DeadlineExceeded`] for an
+    /// expired budget). A later burst (or [`Self::next_frame`]) resumes
+    /// bit-identically with where an uninterrupted run would have been.
+    pub fn run_frames_observed(
         &mut self,
         n: usize,
         token: &CancelToken,
         mut on_frame: impl FnMut(&PipelinedFrame<'_>),
     ) -> Result<ThroughputReport, SimError> {
         assert!(n > 0, "need at least one frame");
-        if self.pipeline_images.is_none() {
-            self.pipeline_images = Some([
-                self.session.alloc_frame_image(),
-                self.session.alloc_frame_image(),
-            ]);
-        }
         // Let the retry ladder see the burst's token: a deadline expiring
         // mid-retry stops burning attempts at the next between-attempt
         // checkpoint instead of descending the whole ladder first.
         self.session.set_cancel_token(Some(token.clone()));
-        let images = self.pipeline_images.as_ref().expect("just allocated");
-        let session = &self.session;
-        let sky = &self.sky;
-        let camera = &self.camera;
-        let base_config = &self.base_config;
-        let exposure_s = self.exposure_s;
-        let frame_dt = self.frame_dt;
-        let start_time_s = self.time_s;
-        let start_dynamics = self.dynamics;
-        let lut_cache = self.lut_cache.clone();
-
         let mut host = Vec::new();
         let mut latencies_s = Vec::with_capacity(n);
         let mut app_time_s = 0.0;
         let mut totals = PhaseTotals::default();
-        let mut consume_busy_s = 0.0;
-        let mut completed = 0usize;
-        let mut error: Option<SimError> = None;
         let mut produce_busy_s = 0.0;
-        let mut lut_prefetch_s = 0.0;
-        let mut produced: Result<(), SimError> = Ok(());
-
+        let mut consume_busy_s = 0.0;
         let start = Instant::now();
-        std::thread::scope(|scope| {
-            // Producer stage: stars for frame N+1 while frame N renders.
-            // Capacity 1 bounds the producer to at most two prepared
-            // frames ahead of the render stage (one queued, one in hand).
-            let (tx, rx) = sync_channel::<PreparedStars>(1);
-            let producer = scope.spawn(move || -> (f64, f64, Result<(), SimError>) {
-                let mut busy_s = 0.0;
-                let mut prefetch_s = 0.0;
-                if let Some(cache) = &lut_cache {
-                    let t0 = Instant::now();
-                    let span = maybe_span(session.telemetry(), "lut-prefetch");
-                    let result = cache.prefetch(session.gpu(), session.config());
-                    drop(span);
-                    prefetch_s = t0.elapsed().as_secs_f64();
-                    if let Err(e) = result {
-                        return (busy_s, prefetch_s, Err(e));
-                    }
+        let burst = 'burst: {
+            for _ in 0..n {
+                if let Err(e) = token.checkpoint() {
+                    break 'burst Err(e);
                 }
-                let mut dynamics = start_dynamics;
-                for _ in 0..n {
-                    if token.is_cancelled() {
-                        break;
-                    }
-                    let t0 = Instant::now();
-                    let produce_span = maybe_span(session.telemetry(), "frame-produce");
-                    let attitude = dynamics.attitude;
-                    let config = Self::frame_config(base_config, camera, &dynamics, exposure_s);
-                    let star_gen = maybe_span(session.telemetry(), "star-gen");
-                    let catalog = sky.view(attitude, camera, config.roi_side as f32);
-                    drop(star_gen);
-                    let prepared = session.prepare_stars(&catalog);
-                    drop(produce_span);
-                    dynamics.step(frame_dt);
-                    busy_s += t0.elapsed().as_secs_f64();
-                    if tx.send(prepared).is_err() {
-                        break; // consumer stopped early
-                    }
-                }
-                (busy_s, prefetch_s, Ok(()))
-            });
-
-            // Consumer stage (this thread): kernel + download for frame N.
-            while let Ok(prepared) = rx.recv() {
+                let _frame_span = maybe_span(self.session.telemetry(), "frame");
                 let t0 = Instant::now();
-                let frame_span = maybe_span(session.telemetry(), "frame");
-                let image_dev = &images[completed % 2];
-                match session.render_prepared_into(&prepared, image_dev, &mut host) {
-                    Ok(timing) => {
-                        drop(frame_span);
-                        latencies_s.push(timing.wall_time_s);
-                        app_time_s += timing.app_time_s;
-                        totals.absorb(&timing);
-                        let time_s = start_time_s + completed as f64 * frame_dt;
-                        let frame = PipelinedFrame {
-                            index: (time_s / frame_dt).round() as u64,
-                            time_s,
-                            stars_in_view: prepared.star_count(),
-                            pixels: &host,
-                            timing,
-                        };
-                        completed += 1;
-                        consume_busy_s += t0.elapsed().as_secs_f64();
-                        on_frame(&frame);
-                    }
-                    Err(e) => {
-                        drop(frame_span);
-                        // A failed attempt may have left partial deposits
-                        // in the rotating image; zero it so a later burst
-                        // resumes from a clean device state.
-                        image_dev.fill_zero();
-                        consume_busy_s += t0.elapsed().as_secs_f64();
-                        error = Some(e);
-                        break;
-                    }
-                }
+                let catalog = self.view();
+                let t1 = Instant::now();
+                produce_busy_s += (t1 - t0).as_secs_f64();
+                let timing = match self.session.render_into(&catalog, &mut host) {
+                    Ok(timing) => timing,
+                    Err(e) => break 'burst Err(e),
+                };
+                consume_busy_s += t1.elapsed().as_secs_f64();
+                latencies_s.push(timing.wall_time_s);
+                app_time_s += timing.app_time_s;
+                totals.absorb(&timing);
+                on_frame(&PipelinedFrame {
+                    index: (self.time_s / self.frame_dt).round() as u64,
+                    time_s: self.time_s,
+                    stars_in_view: catalog.len(),
+                    pixels: &host,
+                    timing,
+                });
+                self.step();
             }
-            drop(rx); // unblock a producer mid-send
-            let (busy_s, prefetch_s, result) = producer.join().expect("producer thread panicked");
-            produce_busy_s = busy_s;
-            lut_prefetch_s = prefetch_s;
-            produced = result;
-        });
+            Ok(())
+        };
         let elapsed_s = start.elapsed().as_secs_f64();
         self.session.set_cancel_token(None);
-
-        // The producer propagated its own attitude copy (possibly a frame
-        // ahead); re-step the sequencer's state to exactly the completed
-        // frames so a later burst resumes bit-identically.
-        let mut dynamics = start_dynamics;
-        for _ in 0..completed {
-            dynamics.step(frame_dt);
-        }
-        self.dynamics = dynamics;
-        self.time_s = start_time_s + completed as f64 * frame_dt;
-
-        if let Some(e) = error {
-            return Err(e);
-        }
-        produced?;
-        if completed < n {
-            // Distinguish an expired deadline budget from an operator
-            // cancel; the drain semantics above were identical either way.
-            return Err(token.cancel_error());
-        }
+        burst?;
         latencies_s.sort_by(f64::total_cmp);
         Ok(ThroughputReport {
             frames: n,
@@ -539,14 +364,31 @@ impl FrameSequencer {
                 consume_busy_s,
                 elapsed_s,
             )),
-            lut_cache: self.lut_cache.as_ref().map(|c| c.stats()),
-            lut_prefetch_s,
             telemetry: self
                 .session
                 .telemetry()
                 .map(|t| t.frame_telemetry())
                 .map(Box::new),
         })
+    }
+
+    /// [`Self::run_frames`] under the name of the retired two-thread
+    /// schedule. Kept only because the repository's benchmark
+    /// (`perfbench/`) still calls it.
+    pub fn run_frames_pipelined(&mut self, n: usize) -> Result<ThroughputReport, SimError> {
+        self.run_frames(n)
+    }
+
+    /// [`Self::run_frames_observed`] under the name of the retired
+    /// two-thread schedule. Kept only because the repository's benchmark
+    /// (`perfbench/`) still calls it.
+    pub fn run_frames_pipelined_observed(
+        &mut self,
+        n: usize,
+        token: &CancelToken,
+        on_frame: impl FnMut(&PipelinedFrame<'_>),
+    ) -> Result<ThroughputReport, SimError> {
+        self.run_frames_observed(n, token, on_frame)
     }
 }
 
@@ -628,16 +470,9 @@ pub struct ThroughputReport {
     /// holding a device reference.
     pub diagnostics: GpuDiagnostics,
     /// Modeled-vs-measured overlap accounting for the burst: how much of
-    /// the producer stage (star gen + upload) the pipeline could hide
-    /// behind the consumer stage (kernel + download), and how much it did.
+    /// the star upload a streamed copy/compute overlap could hide behind
+    /// the kernel, next to the host stages' busy times. Always `Some`.
     pub overlap: Option<OverlapReport>,
-    /// Hit/miss/eviction counters of the attached [`LutCache`]
-    /// ([`FrameSequencer::with_lut_cache`]); `None` without a cache.
-    pub lut_cache: Option<LutCacheStats>,
-    /// Wall-clock the pipelined producer spent prefetching the lookup
-    /// table before the first frame — LUT work amortized off the render
-    /// critical path. Zero for sequential bursts or without a cache.
-    pub lut_prefetch_s: f64,
     /// Telemetry rollup (span stages, launch counts, metrics) when a sink
     /// is attached ([`FrameSequencer::with_telemetry`]); `None` otherwise.
     /// Boxed: the rollup is much larger than the scalar fields.
@@ -651,9 +486,9 @@ impl ThroughputReport {
     }
 }
 
-/// Overlap accounting for one frame burst: the modeled software-pipeline
-/// bound over the burst's phase totals, next to what the host actually
-/// overlapped.
+/// Overlap accounting for one frame burst: the modeled copy/compute
+/// overlap bound over the burst's phase totals (the paper's streamed
+/// transfers, §III-B.3), next to what the host measured.
 #[derive(Debug, Clone, Copy)]
 pub struct OverlapReport {
     /// The modeled pipeline bound ([`frame_overlap_estimate`]) over the
@@ -663,24 +498,23 @@ pub struct OverlapReport {
     /// totals, in `[0, 1]`: 1 means the smaller phase disappears entirely
     /// behind the larger.
     pub modeled_efficiency: f64,
-    /// Host wall-clock the producer stage (attitude propagation, FOV
-    /// retrieval, star generation, star upload) was busy, seconds.
+    /// Host wall-clock the prepare stage (FOV retrieval and star
+    /// generation) was busy, seconds.
     pub produce_busy_s: f64,
-    /// Host wall-clock the consumer stage (kernel + download) was busy,
-    /// seconds.
+    /// Host wall-clock the render stage (star upload, kernel and download)
+    /// was busy, seconds.
     pub consume_busy_s: f64,
-    /// Measured overlap: busy time hidden by running the stages
+    /// Measured overlap: busy time hidden by running the two stages
     /// concurrently, over the smaller stage's busy time, in `[0, 1]`.
-    /// Sequential bursts measure ≈ 0; a perfectly overlapped pipeline
-    /// measures ≈ 1 (single-core hosts report ≈ 0 either way — the model
-    /// above is the capacity estimate).
+    /// Both stages run one after the other on the calling thread, so this
+    /// is ≈ 0 by construction; the modeled half above is the estimate of
+    /// what a device-side overlap would hide.
     pub measured_efficiency: f64,
 }
 
-/// One frame as observed in flight by
-/// [`FrameSequencer::run_frames_pipelined_observed`]. Borrows the burst's
-/// rotating host buffer: the pixels are valid for the callback's duration
-/// only.
+/// One frame as observed by [`FrameSequencer::run_frames_observed`].
+/// Borrows the burst's host buffer: the pixels are valid for the
+/// callback's duration only.
 #[derive(Debug)]
 pub struct PipelinedFrame<'a> {
     /// Frame number since the sequencer started.
@@ -691,7 +525,7 @@ pub struct PipelinedFrame<'a> {
     pub stars_in_view: usize,
     /// The rendered image, row-major `width × height`.
     pub pixels: &'a [f32],
-    /// Per-frame timing decomposition (bit-equal to the sequential path).
+    /// Per-frame timing decomposition.
     pub timing: FrameTiming,
 }
 

@@ -48,24 +48,24 @@ struct TokenInner {
     deadline: Mutex<Option<Instant>>,
 }
 
-/// A cooperative cancellation handle for the pipelined frame loop
-/// ([`crate::frames::FrameSequencer::run_frames_pipelined_observed`]).
+/// A cooperative cancellation handle for the frame loop
+/// ([`crate::frames::FrameSequencer::run_frames_observed`]).
 ///
-/// Cloning shares the flag: any clone can [`Self::cancel`], every stage
-/// observes it. Cancellation composes with the retry ladder rather than
-/// racing it — the producer stops *admitting* new frames, while frames
-/// already in flight drain deterministically (including any
-/// [`RetryPolicy`] retries they need), so the sequencer's clock stops
-/// exactly after the last completed frame and a later burst resumes
-/// bit-identically with an uninterrupted run.
+/// Cloning shares the flag: any clone can [`Self::cancel`], every
+/// checkpoint observes it. Cancellation composes with the retry ladder
+/// rather than racing it — the loop checks the token before each frame,
+/// and the ladder checks it between attempts, so no frame or attempt is
+/// cut midway; the sequencer's clock stops exactly after the last
+/// completed frame and a later burst resumes bit-identically with an
+/// uninterrupted run.
 ///
 /// A token can additionally carry a **deadline budget**
 /// ([`Self::with_deadline`] / [`Self::with_budget`]): once the deadline
 /// passes, the token observes as cancelled and checkpoints surface
 /// [`SimError::DeadlineExceeded`] instead of [`SimError::Cancelled`], so
 /// callers (the `starsimd` server's per-request budgets in particular)
-/// can tell an expired budget from an operator cancel. The drain
-/// semantics are identical: in-flight frames complete, production stops.
+/// can tell an expired budget from an operator cancel. The stop is the
+/// same either way: the frame under way completes, no new one starts.
 #[derive(Clone, Debug, Default)]
 pub struct CancelToken(Arc<TokenInner>);
 
@@ -354,8 +354,8 @@ pub fn run_with_retry<T>(
 /// enters here. `token` composes cancellation (including deadline
 /// budgets) with the retry ladder deterministically: it is consulted only
 /// **between** attempts, never mid-attempt, so an in-flight attempt
-/// always drains before the cancel surfaces — the same drain contract as
-/// the pipelined frame loop.
+/// always completes before the cancel surfaces — the same contract as
+/// the frame loop's check between frames.
 pub fn run_with_retry_from<T>(
     policy: &RetryPolicy,
     report: &mut ResilienceReport,

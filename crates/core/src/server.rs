@@ -11,9 +11,9 @@
 //!   unboundedly or timing the client out.
 //! * **Deadline budgets.** A render's `deadline_ms` becomes a
 //!   [`CancelToken::with_budget`] threaded through
-//!   [`FrameSequencer::run_frames_pipelined_observed`]; an expiring
-//!   budget cancels in-flight frames, which drain deterministically, and
-//!   the burst stays bit-identically resumable.
+//!   [`FrameSequencer::run_frames_observed`]; an expiring budget stops the
+//!   burst between frames, and the burst stays bit-identically
+//!   resumable.
 //! * **Graceful shedding.** The admission controller's hysteresis ladder
 //!   ([`ShedLevel`]) sheds telemetry detail first, then monitoring
 //!   resolution, then falls back to the star-centric kernel
@@ -666,7 +666,7 @@ fn handle_render(
     let start = Instant::now();
     let result = state
         .seq
-        .run_frames_pipelined_observed(frames as usize, &token, |frame| {
+        .run_frames_observed(frames as usize, &token, |frame| {
             for px in frame.pixels {
                 digest = digest_fold(digest, &px.to_bits().to_le_bytes());
             }
@@ -706,7 +706,7 @@ fn handle_render(
             true
         }
         Err(e) => {
-            // The burst drained deterministically before erroring; the
+            // The failed frame left the session's image zeroed; the
             // session stays usable, the request is answered with the error.
             shared.obs.recorder().record(FlightEntry {
                 t_us: now_us(),

@@ -230,18 +230,6 @@ impl LutCache {
         }
     }
 
-    /// Builds (or touches) the table for `config` without opening a
-    /// session — the off-critical-path warm-up hook. The pipelined frame
-    /// loop calls this from its producer stage while the consumer renders,
-    /// so a later session over the same optics pays neither the host-side
-    /// build nor the modeled build time. Returns `true` on a hit (the
-    /// table was already resident).
-    pub fn prefetch(&self, gpu: &VirtualGpu, config: &SimConfig) -> Result<bool, SimError> {
-        config.validate()?;
-        let (_, hit) = self.get_or_build(gpu, config)?;
-        Ok(hit)
-    }
-
     /// Returns the cached table for `config`, building (and caching) it on
     /// a miss. The boolean is `true` on a hit.
     fn get_or_build(
@@ -413,12 +401,13 @@ fn zero_build_time(_: &LookupTable) -> f64 {
 pub struct FrameTiming {
     /// Modeled application time (kernel + transfers), seconds.
     pub app_time_s: f64,
-    /// Host wall-clock time of the render call, seconds.
+    /// Host wall-clock time of the frame's successful attempt (kernel
+    /// launch and download), seconds.
     pub wall_time_s: f64,
     /// Modeled kernel execution time, seconds.
     pub kernel_s: f64,
-    /// Modeled star-upload time — the transfer a pipelined loop can hide
-    /// behind the previous frame's kernel, seconds.
+    /// Modeled star-upload time — the transfer a streamed copy/compute
+    /// overlap can hide behind the previous frame's kernel, seconds.
     pub star_upload_s: f64,
     /// Modeled image upload + download — the serial prefix/suffix no
     /// pipeline removes, seconds.
@@ -427,12 +416,13 @@ pub struct FrameTiming {
     pub counters: gpusim::Counters,
 }
 
-/// One frame's star data staged on the device ahead of its launch by the
-/// pipelined frame loop's producer stage ([`AdaptiveSession::prepare_stars`]).
+/// One frame's star data staged on the device ahead of its launch
+/// ([`AdaptiveSession::prepare_stars`]).
 ///
-/// Holds the uploaded buffer plus the modeled upload time; the fault-plan
-/// consult is deferred to the consumer so fault coordinates stay
-/// serialized in launch order.
+/// Holds the uploaded buffer plus the modeled upload time. The fault-plan
+/// consult is deferred to the render attempt, just before the launch, so
+/// an upload fault keeps its launch coordinate and a retry relaunches from
+/// the same staged buffer.
 pub struct PreparedStars {
     stars: GlobalBuffer<DeviceStar>,
     star_count: usize,
@@ -452,6 +442,37 @@ impl PreparedStars {
     }
 }
 
+/// One rendered frame: the launch's profile and the modeled transfers.
+struct Rendered {
+    kernel: gpusim::KernelProfile,
+    star_upload_s: f64,
+    image_upload_s: f64,
+    download_s: f64,
+    wall_time_s: f64,
+}
+
+impl Rendered {
+    /// The profile's one "CPU-GPU transmission" item: star upload, image
+    /// upload and download.
+    fn transfer_s(&self) -> f64 {
+        (self.star_upload_s + self.image_upload_s) + self.download_s
+    }
+
+    fn timing(&self) -> FrameTiming {
+        FrameTiming {
+            // Same association as `AppProfile::app_time` (kernel time plus
+            // the one transmission item), so `render` and `render_into`
+            // report bit-equal modeled times.
+            app_time_s: self.kernel.time_s + self.transfer_s(),
+            wall_time_s: self.wall_time_s,
+            kernel_s: self.kernel.time_s,
+            star_upload_s: self.star_upload_s,
+            serial_transfer_s: self.image_upload_s + self.download_s,
+            counters: self.kernel.counters,
+        }
+    }
+}
+
 /// A long-lived adaptive simulator with its lookup table resident in
 /// texture memory.
 pub struct AdaptiveSession {
@@ -460,15 +481,15 @@ pub struct AdaptiveSession {
     lut: Arc<LookupTable>,
     lut_tex: Texture,
     /// Persistent device image: each frame's download zeroes it in the
-    /// same pass (`download_take`), so it is reused — never reallocated —
-    /// across the session's lifetime.
+    /// same pass (`download_take`), and a failed frame zeroes it too, so
+    /// it is reused — never reallocated — across the session's lifetime.
     image_dev: gpusim::GlobalAtomicF32,
     /// One-time setup cost (LUT build + upload + bind), seconds.
     setup_time_s: f64,
-    /// Atomic (not `Cell`) so the session is `Sync`: the pipelined frame
-    /// loop shares one session between its producer and consumer stages.
+    /// Atomic (not `Cell`) so the session stays `Sync`: every render path
+    /// takes `&self`, and callers may share one session across threads.
     frames_rendered: AtomicU64,
-    /// When set, [`Self::render_into`] retries failed frames under this
+    /// When set, every render path retries failed frames under this
     /// policy, descending the degradation ladder one [`Rung`] per attempt.
     retry: Option<RetryPolicy>,
     /// Host-side resilience accounting (faults, retries, rungs).
@@ -548,8 +569,8 @@ impl AdaptiveSession {
     }
 
     /// Opens a session with the resilient frame loop enabled: texture
-    /// binding retries under `policy`, and every [`Self::render_into`]
-    /// frame runs under the bounded-retry degradation ladder.
+    /// binding retries under `policy`, and every frame runs under the
+    /// bounded-retry degradation ladder.
     pub fn on_resilient(
         gpu: VirtualGpu,
         config: SimConfig,
@@ -775,8 +796,7 @@ impl AdaptiveSession {
         self.gpu.advise_count()
     }
 
-    /// Enables the bounded-retry degradation ladder for
-    /// [`Self::render_into`] frames.
+    /// Enables the bounded-retry degradation ladder for every frame.
     pub fn with_retry_policy(mut self, policy: RetryPolicy) -> Self {
         self.retry = Some(policy);
         self
@@ -871,35 +891,13 @@ impl AdaptiveSession {
         self.frames_rendered.load(Ordering::Relaxed)
     }
 
-    /// Uploads the catalog and launches the fetch kernel against
-    /// `image_dev`; returns the kernel profile and the modeled transfer
-    /// time of the star upload + image upload (download not included).
+    /// Launches the fetch kernel over `star_count` staged stars against
+    /// `image_dev` and returns its profile.
     ///
     /// `rung` selects the degradation level: [`Rung::ReferenceExec`] and
     /// below force the reference executor, and [`Rung::DirectPsf`] swaps
     /// the LUT fetch kernel for the direct-PSF star-centric kernel (the
     /// last-resort fallback — numerically close, not bit-identical).
-    fn launch_frame(
-        &self,
-        catalog: &StarCatalog,
-        image_dev: &gpusim::GlobalAtomicF32,
-        rung: Rung,
-    ) -> Result<(gpusim::KernelProfile, f64, f64), SimError> {
-        let upload_span = maybe_span(self.telemetry.as_ref(), "star-upload");
-        let (stars, t_stars) = self.gpu.try_upload(to_device_stars(catalog.stars()))?;
-        let t_img_up = self
-            .gpu
-            .transfer_model()
-            .time(MemcpyKind::HostToDevice, self.config.pixels() * 4);
-        drop(upload_span);
-        let profile = self.launch_kernel(&stars, catalog.len(), image_dev, rung)?;
-        Ok((profile, t_stars, t_img_up))
-    }
-
-    /// The kernel half of [`Self::launch_frame`]: mode/rung selection and
-    /// the launch itself, against an already-uploaded star buffer. Shared
-    /// by the sequential path and the pipelined path (whose star buffer
-    /// was staged ahead of time by [`Self::prepare_stars`]).
     fn launch_kernel(
         &self,
         stars: &GlobalBuffer<DeviceStar>,
@@ -953,41 +951,27 @@ impl AdaptiveSession {
 
     /// Renders one frame. Unlike [`AdaptiveSimulator::simulate`], the
     /// profile carries **no** lookup-table build or texture-binding items —
-    /// they were paid at session setup.
+    /// they were paid at session setup. The frame runs through the same
+    /// body as [`Self::render_into`]: it starts at the shed floor and
+    /// retries under the session's [`RetryPolicy`], if one is set.
     pub fn render(&self, catalog: &StarCatalog) -> Result<SimulationReport, SimError> {
-        let _render_span = maybe_span(self.telemetry.as_ref(), "render");
         let wall_start = Instant::now();
-        let mut profile = AppProfile::new();
-        let config = &self.config;
-        let star_count = catalog.len();
-
-        let (kernel_profile, t_stars, t_img_up) =
-            self.launch_frame(catalog, &self.image_dev, Rung::Configured)?;
-        let t_up = t_stars + t_img_up;
-        profile.kernels.push(kernel_profile);
-
-        let download_span = maybe_span(self.telemetry.as_ref(), "download");
-        // Drain the persistent device image so the next frame starts from
-        // zero, exactly like a fresh allocation.
+        let prepared = self.prepare_stars(catalog);
         let mut host_pixels = Vec::new();
-        let t_down = self
-            .gpu
-            .try_download_take(&self.image_dev, &mut host_pixels)?;
-        drop(download_span);
-        profile.push_overhead("CPU-GPU transmission", t_up + t_down);
-
-        self.frames_rendered.fetch_add(1, Ordering::Relaxed);
-        self.note_frame_metrics(wall_start.elapsed().as_secs_f64());
-        let image = ImageF32::from_data(config.width, config.height, host_pixels);
+        let frame = self.render_frame(&prepared, &self.image_dev, &mut host_pixels)?;
+        let mut profile = AppProfile::new();
+        let transfer_s = frame.transfer_s();
+        profile.kernels.push(frame.kernel);
+        profile.push_overhead("CPU-GPU transmission", transfer_s);
         let app_time_s = profile.app_time();
         Ok(SimulationReport {
             simulator: "adaptive-session",
-            image,
+            image: ImageF32::from_data(self.config.width, self.config.height, host_pixels),
             profile,
             app_time_s,
             wall_time_s: wall_start.elapsed().as_secs_f64(),
-            stars: star_count,
-            roi_side: config.roi_side,
+            stars: catalog.len(),
+            roi_side: self.config.roi_side,
         })
     }
 
@@ -1009,108 +993,39 @@ impl AdaptiveSession {
         catalog: &StarCatalog,
         host: &mut Vec<f32>,
     ) -> Result<FrameTiming, SimError> {
-        let _render_span = maybe_span(self.telemetry.as_ref(), "render");
-        let start = self.shed_floor();
-        let result = match self.retry {
-            None => self.render_attempt(catalog, host, start),
-            Some(policy) => {
-                let mut stats = self.stats.lock().unwrap_or_else(|e| e.into_inner());
-                run_with_retry_from(
-                    &policy,
-                    &mut stats,
-                    start,
-                    self.cancel_token.as_ref(),
-                    |rung| {
-                        if rung != start {
-                            // A failed attempt may have deposited partial
-                            // results into the persistent device image; the
-                            // retry must start from zero to stay bit-identical.
-                            self.image_dev.fill_zero();
-                        }
-                        self.render_attempt(catalog, host, rung)
-                    },
-                )
-            }
-        };
-        if let Ok(timing) = &result {
-            self.frames_rendered.fetch_add(1, Ordering::Relaxed);
-            self.note_frame_metrics(timing.wall_time_s);
-        }
-        result
+        let prepared = self.prepare_stars(catalog);
+        self.render_prepared_into(&prepared, &self.image_dev, host)
     }
 
-    /// Per-frame metric rollup, recorded once per successful frame.
-    fn note_frame_metrics(&self, wall_s: f64) {
-        if let Some(t) = &self.telemetry {
-            let metrics = t.metrics();
-            metrics.counter_add("frames.rendered", 1);
-            metrics.observe("frame.wall_ms", wall_s * 1e3);
-            metrics.gauge_set("arena.pooled", self.gpu.arena_pooled() as f64);
-        }
-    }
-
-    /// One attempt of the zero-allocation frame path at `rung`.
-    fn render_attempt(
-        &self,
-        catalog: &StarCatalog,
-        host: &mut Vec<f32>,
-        rung: Rung,
-    ) -> Result<FrameTiming, SimError> {
-        let _attempt_span = maybe_span(self.telemetry.as_ref(), rung.span_name());
-        let spawn = rung >= Rung::SpawnDispatch;
-        if spawn {
-            // Sidestep the worker pool: spawn dispatch survives a poisoned
-            // or rebuilt pool and is bit-identical to pooled dispatch.
-            self.gpu.set_dispatch_override(true);
-        }
-        let result = self.render_attempt_inner(catalog, host, rung);
-        if spawn {
-            self.gpu.set_dispatch_override(false);
-        }
-        result
-    }
-
-    fn render_attempt_inner(
-        &self,
-        catalog: &StarCatalog,
-        host: &mut Vec<f32>,
-        rung: Rung,
-    ) -> Result<FrameTiming, SimError> {
-        let wall_start = Instant::now();
-        let (kernel_profile, t_stars, t_img_up) =
-            self.launch_frame(catalog, &self.image_dev, rung)?;
-        let t_up = t_stars + t_img_up;
-        let _download_span = maybe_span(self.telemetry.as_ref(), "download");
-        let t_down = self.gpu.try_download_take(&self.image_dev, host)?;
-        Ok(FrameTiming {
-            // Same association as `AppProfile::app_time` (kernel time plus
-            // the one transmission overhead item) so the two render paths
-            // report bit-equal modeled times.
-            app_time_s: kernel_profile.time_s + (t_up + t_down),
-            wall_time_s: wall_start.elapsed().as_secs_f64(),
-            kernel_s: kernel_profile.time_s,
-            star_upload_s: t_stars,
-            serial_transfer_s: t_img_up + t_down,
-            counters: kernel_profile.counters,
-        })
-    }
-
-    /// A fresh zeroed device image sized for this session's frames.
+    /// Renders one frame from stars staged by [`Self::prepare_stars`] into
+    /// `image_dev`, draining the result into `host`. [`Self::render_into`]
+    /// is this call on the session's own device image.
     ///
-    /// The pipelined frame loop allocates two of these once and rotates
-    /// them across frames (frame N downloading while frame N+1's stars
-    /// stage), so its steady state allocates nothing — the same contract
-    /// as the session's own persistent image.
+    /// Pixels, counters, and modeled times are bit-identical to
+    /// [`Self::render_into`] on the same catalog. With a [`RetryPolicy`]
+    /// installed, failed attempts descend the same degradation ladder and
+    /// relaunch from the staged buffer after zeroing `image_dev`.
+    pub fn render_prepared_into(
+        &self,
+        prepared: &PreparedStars,
+        image_dev: &gpusim::GlobalAtomicF32,
+        host: &mut Vec<f32>,
+    ) -> Result<FrameTiming, SimError> {
+        self.render_frame(prepared, image_dev, host)
+            .map(|frame| frame.timing())
+    }
+
+    /// A fresh zeroed device image sized for this session's frames, for
+    /// callers that render into an image of their own through
+    /// [`Self::render_prepared_into`].
     pub fn alloc_frame_image(&self) -> gpusim::GlobalAtomicF32 {
         self.gpu.alloc_atomic_f32(self.config.pixels())
     }
 
-    /// Stages one frame's star data on the device — the producer half of
-    /// the pipelined frame loop. Runs the host-side record conversion and
-    /// the upload copy, but does **not** consult the fault plan: fault
-    /// coordinates stay serialized in launch order, so the consumer takes
-    /// the upload fault in [`Self::render_prepared_into`] just before the
-    /// launch, exactly where the sequential loop would.
+    /// Stages one frame's star data on the device: the host-side record
+    /// conversion and the upload copy. It does **not** consult the fault
+    /// plan: the render attempt takes the upload fault just before the
+    /// launch, so an injected `AllocOom` keeps its launch coordinate.
     pub fn prepare_stars(&self, catalog: &StarCatalog) -> PreparedStars {
         let _upload_span = maybe_span(self.telemetry.as_ref(), "star-upload");
         let data = to_device_stars(catalog.stars());
@@ -1124,29 +1039,25 @@ impl AdaptiveSession {
         }
     }
 
-    /// Renders one frame from stars staged by [`Self::prepare_stars`] into
-    /// `image_dev` (one of the pipeline's two rotating device images),
-    /// draining the result into `host` — the consumer half of the
-    /// pipelined frame loop.
+    /// The one render body behind every public render path: starts the
+    /// degradation ladder at the shed floor, retries under the session's
+    /// [`RetryPolicy`] (one attempt without one), and counts the frame.
     ///
-    /// Pixels, counters, and modeled times are bit-identical to
-    /// [`Self::render_into`] on the same catalog: the staged upload is the
-    /// same bytes, the upload-fault consult happens here in launch order,
-    /// and the modeled-time summation replays the sequential association
-    /// exactly. With a [`RetryPolicy`] installed, failed attempts descend
-    /// the same degradation ladder; retries re-launch from the retained
-    /// staged buffer after zeroing `image_dev`, so recovery on rungs 0–1
-    /// is bit-identical just as in the sequential loop.
-    pub fn render_prepared_into(
+    /// A failed attempt can leave partial deposits in `image_dev`: the SMs
+    /// that ran before an injected panic, or a download whose checksum
+    /// caught a corruption before re-zeroing. So the image is zeroed
+    /// before every retry and after a frame that fails for good; the next
+    /// frame then starts from the same all-zero image as a fresh session.
+    fn render_frame(
         &self,
         prepared: &PreparedStars,
         image_dev: &gpusim::GlobalAtomicF32,
         host: &mut Vec<f32>,
-    ) -> Result<FrameTiming, SimError> {
+    ) -> Result<Rendered, SimError> {
         let _render_span = maybe_span(self.telemetry.as_ref(), "render");
         let start = self.shed_floor();
         let result = match self.retry {
-            None => self.prepared_attempt(prepared, image_dev, host, start),
+            None => self.attempt(prepared, image_dev, host, start),
             Some(policy) => {
                 let mut stats = self.stats.lock().unwrap_or_else(|e| e.into_inner());
                 run_with_retry_from(
@@ -1156,76 +1067,73 @@ impl AdaptiveSession {
                     self.cancel_token.as_ref(),
                     |rung| {
                         if rung != start {
-                            // A failed attempt may have deposited partial
-                            // results into the rotating device image; the
-                            // retry must start from zero to stay bit-identical.
                             image_dev.fill_zero();
                         }
-                        self.prepared_attempt(prepared, image_dev, host, rung)
+                        self.attempt(prepared, image_dev, host, rung)
                     },
                 )
             }
         };
-        if let Ok(timing) = &result {
-            self.frames_rendered.fetch_add(1, Ordering::Relaxed);
-            self.note_frame_metrics(timing.wall_time_s);
+        match &result {
+            Ok(frame) => {
+                self.frames_rendered.fetch_add(1, Ordering::Relaxed);
+                self.note_frame_metrics(frame.wall_time_s);
+            }
+            Err(_) => image_dev.fill_zero(),
         }
         result
     }
 
-    /// One attempt of the prepared-frame path at `rung` (same dispatch
-    /// override handling as [`Self::render_attempt`]).
-    fn prepared_attempt(
+    /// One attempt at `rung`: the upload-fault consult, the launch and the
+    /// download.
+    fn attempt(
         &self,
         prepared: &PreparedStars,
         image_dev: &gpusim::GlobalAtomicF32,
         host: &mut Vec<f32>,
         rung: Rung,
-    ) -> Result<FrameTiming, SimError> {
+    ) -> Result<Rendered, SimError> {
         let _attempt_span = maybe_span(self.telemetry.as_ref(), rung.span_name());
+        let wall_start = Instant::now();
         let spawn = rung >= Rung::SpawnDispatch;
         if spawn {
+            // Sidestep the worker pool: spawn dispatch survives a poisoned
+            // or rebuilt pool and is bit-identical to pooled dispatch.
             self.gpu.set_dispatch_override(true);
         }
-        let result = self.prepared_attempt_inner(prepared, image_dev, host, rung);
+        let launched = self
+            .gpu
+            .take_upload_fault(prepared.star_bytes)
+            .map_err(SimError::from)
+            .and_then(|()| {
+                self.launch_kernel(&prepared.stars, prepared.star_count, image_dev, rung)
+            });
         if spawn {
             self.gpu.set_dispatch_override(false);
         }
-        result
+        let kernel = launched?;
+        let _download_span = maybe_span(self.telemetry.as_ref(), "download");
+        let download_s = self.gpu.try_download_take(image_dev, host)?;
+        Ok(Rendered {
+            kernel,
+            star_upload_s: prepared.t_stars,
+            image_upload_s: self
+                .gpu
+                .transfer_model()
+                .time(MemcpyKind::HostToDevice, self.config.pixels() * 4),
+            download_s,
+            wall_time_s: wall_start.elapsed().as_secs_f64(),
+        })
     }
 
-    fn prepared_attempt_inner(
-        &self,
-        prepared: &PreparedStars,
-        image_dev: &gpusim::GlobalAtomicF32,
-        host: &mut Vec<f32>,
-        rung: Rung,
-    ) -> Result<FrameTiming, SimError> {
-        let wall_start = Instant::now();
-        // The upload-fault consult the producer deliberately skipped: an
-        // `AllocOom` spec bound to this launch surfaces here, in launch
-        // order, exactly as `try_upload` would have in the sequential loop.
-        self.gpu.take_upload_fault(prepared.star_bytes)?;
-        let t_stars = prepared.t_stars;
-        let t_img_up = self
-            .gpu
-            .transfer_model()
-            .time(MemcpyKind::HostToDevice, self.config.pixels() * 4);
-        let kernel_profile =
-            self.launch_kernel(&prepared.stars, prepared.star_count, image_dev, rung)?;
-        let t_up = t_stars + t_img_up;
-        let _download_span = maybe_span(self.telemetry.as_ref(), "download");
-        let t_down = self.gpu.try_download_take(image_dev, host)?;
-        Ok(FrameTiming {
-            // Identical float association to `render_attempt_inner`, so
-            // pipelined and sequential modeled times are bit-equal.
-            app_time_s: kernel_profile.time_s + (t_up + t_down),
-            wall_time_s: wall_start.elapsed().as_secs_f64(),
-            kernel_s: kernel_profile.time_s,
-            star_upload_s: t_stars,
-            serial_transfer_s: t_img_up + t_down,
-            counters: kernel_profile.counters,
-        })
+    /// Per-frame metric rollup, recorded once per successful frame.
+    fn note_frame_metrics(&self, wall_s: f64) {
+        if let Some(t) = &self.telemetry {
+            let metrics = t.metrics();
+            metrics.counter_add("frames.rendered", 1);
+            metrics.observe("frame.wall_ms", wall_s * 1e3);
+            metrics.gauge_set("arena.pooled", self.gpu.arena_pooled() as f64);
+        }
     }
 
     /// Amortized per-frame cost after `frames` renders of `per_frame_s`
@@ -1380,7 +1288,7 @@ mod tests {
     }
 
     #[test]
-    fn session_is_sync_for_the_pipelined_stages() {
+    fn session_and_staged_stars_are_sync() {
         fn assert_sync<T: Sync>() {}
         assert_sync::<AdaptiveSession>();
         assert_sync::<PreparedStars>();
@@ -1390,16 +1298,16 @@ mod tests {
     fn prepared_path_matches_render_into_bitwise() {
         let cat = FieldGenerator::new(128, 128).generate(250, 11);
         let sequential = AdaptiveSession::new(cfg()).unwrap();
-        let pipelined = AdaptiveSession::new(cfg()).unwrap();
+        let staged = AdaptiveSession::new(cfg()).unwrap();
         let mut expected = Vec::new();
         let expected_t = sequential.render_into(&cat, &mut expected).unwrap();
 
-        let image = pipelined.alloc_frame_image();
-        let prepared = pipelined.prepare_stars(&cat);
+        let image = staged.alloc_frame_image();
+        let prepared = staged.prepare_stars(&cat);
         assert_eq!(prepared.star_count(), cat.len());
         assert!(prepared.modeled_upload_s() > 0.0);
         let mut host = Vec::new();
-        let timing = pipelined
+        let timing = staged
             .render_prepared_into(&prepared, &image, &mut host)
             .unwrap();
         assert_eq!(
@@ -1410,7 +1318,7 @@ mod tests {
         assert_eq!(expected_t.app_time_s.to_bits(), timing.app_time_s.to_bits());
         assert_eq!(expected_t.kernel_s.to_bits(), timing.kernel_s.to_bits());
         assert_eq!(expected_t.counters, timing.counters);
-        assert_eq!(pipelined.frames_rendered(), 1);
+        assert_eq!(staged.frames_rendered(), 1);
     }
 
     #[test]
@@ -1422,20 +1330,6 @@ mod tests {
         let sum = t.kernel_s + t.star_upload_s + t.serial_transfer_s;
         assert!((t.app_time_s - sum).abs() <= 1e-15 * t.app_time_s.abs());
         assert!(t.kernel_s > 0.0 && t.star_upload_s > 0.0 && t.serial_transfer_s > 0.0);
-    }
-
-    #[test]
-    fn lut_cache_prefetch_warms_the_cache_off_session() {
-        let cache = LutCache::new();
-        let gpu = VirtualGpu::gtx480();
-        let hit = cache.prefetch(&gpu, &cfg()).unwrap();
-        assert!(!hit, "first prefetch builds");
-        let hit = cache.prefetch(&gpu, &cfg()).unwrap();
-        assert!(hit, "second prefetch hits");
-        // A session over the same optics now skips the build entirely.
-        let warm = AdaptiveSession::on_cached(VirtualGpu::gtx480(), cfg(), &cache).unwrap();
-        assert_eq!(cache.hits(), 2);
-        assert!(warm.setup_time_s() > 0.0);
     }
 
     #[test]

@@ -77,8 +77,8 @@ pub fn streamed_estimate(report: &SimulationReport, streams: usize) -> StreamedE
     }
 }
 
-/// Models the frame-pipelined sequencer as a software pipeline over whole
-/// frames instead of upload chunks: frame `i+1`'s star generation + upload
+/// Models a frame sequence as a software pipeline over whole frames
+/// instead of upload chunks: frame `i+1`'s star generation + upload
 /// (total `upload_s` across the burst) overlaps frame `i`'s kernel (total
 /// `kernel_s`), while the per-frame image upload + download (`serial_s`)
 /// never overlaps. The same bound as [`streamed_estimate`] applies with

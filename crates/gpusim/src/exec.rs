@@ -541,10 +541,10 @@ impl VirtualGpu {
 
     /// Consults the fault plan for an [`FaultKind::AllocOom`] spec bound
     /// to the upcoming launch, as [`Self::try_upload`] would before
-    /// copying `requested` bytes. The pipelined frame loop uploads star
-    /// data ahead of time on a producer stage and calls this just before
-    /// the launch instead, so fault coordinates stay serialized in launch
-    /// order exactly as in the sequential loop.
+    /// copying `requested` bytes. A caller that stages its upload ahead of
+    /// the launch (and retries the launch from the staged buffer) calls
+    /// this just before each launch instead, so the fault keeps its launch
+    /// coordinate.
     pub fn take_upload_fault(&self, requested: usize) -> Result<(), GpuError> {
         if let Some(plan) = &self.fault {
             if plan
@@ -559,14 +559,6 @@ impl VirtualGpu {
             }
         }
         Ok(())
-    }
-
-    /// Whether downloads verify per-chunk checksums (a fault plan with
-    /// transfer faults is attached). The pipelined frame loop degrades to
-    /// synchronous downloads when this holds, so injected transfer faults
-    /// keep their sequential launch coordinates.
-    pub fn verifies_transfers(&self) -> bool {
-        self.fault.as_deref().is_some_and(|p| p.verify_transfers())
     }
 
     /// Allocates a zero-filled atomic f32 device buffer (e.g. the output

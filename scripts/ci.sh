@@ -7,7 +7,8 @@
 # perfbench's dense-field measures sustained throughput — PR3 chaos
 # overhead + recovery, PR4 telemetry overhead + trace validation, PR5
 # sanitizer gate + clean pass + corpus, PR6 SIMD backend speedup +
-# pixel-error gate, PR7 frame-pipelined scheduler p99 + bit-identity,
+# pixel-error gate, PR7 frame-loop p99 + bit-identity (first written for
+# a pipelined scheduler, since retired; the one frame loop writes it now),
 # PR8 server loadgen overload gates, PR9 observability-plane overhead +
 # flight-recorder + utilization gates, PR10 static-analyzer consistency
 # gate + perf-defect corpus) is written to results/ — the single tracked
@@ -44,10 +45,10 @@ fi
 # Determinism soak: the bit-identity suites rerun unpinned, so a result
 # that depends on thread scheduling fails CI here instead of in 1 run in
 # k. Each rerun is time-boxed so a wedged run fails loudly, not hangs.
-echo "== determinism soak: sanitizer + exec_modes suites, 10 unpinned reruns"
+echo "== determinism soak: sanitizer + exec_modes + pipeline suites, 10 unpinned reruns"
 for i in $(seq 1 10); do
   echo "-- soak run $i/10"
-  timeout 300 cargo test -q --test sanitizer --test exec_modes
+  timeout 300 cargo test -q --test sanitizer --test exec_modes --test pipeline
 done
 
 # The benchmark's own self-test: every workload once at a tiny size,
@@ -158,7 +159,7 @@ grep -q '"error_ok": true' results/BENCH_PR6.json
 grep -q '"speedup_ok": true' results/BENCH_PR6.json
 grep -q '"gate_ok": true' results/BENCH_PR6.json
 
-echo "== frame-pipeline bench (overlap scheduler vs sequential loop + bit-identity)"
+echo "== frame-loop bench (p99 gate + bit-identity sweep)"
 $BENCH --pipeline --quick --out results
 
 echo "== BENCH_PR7.json"

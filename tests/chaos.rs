@@ -275,6 +275,39 @@ fn no_panic_crosses_the_public_boundary() {
 }
 
 #[test]
+fn a_failed_frame_leaves_no_pixels_for_the_next_frame() {
+    // No retry policy: frame 0's fault surfaces as an error. Its partial
+    // deposits (a corrupted download keeps the device image for a retry;
+    // the reference executor has deposited the SMs that ran before the
+    // panic) must not leak into frame 1.
+    for kind in [FaultKind::TransferCorrupt, FaultKind::WorkerPanic] {
+        for mode in [ExecMode::Batched, ExecMode::Reference] {
+            let mut config = cfg();
+            config.exec_mode = mode;
+            let clean = AdaptiveSession::on(VirtualGpu::gtx480(), config.clone()).unwrap();
+            let mut expected = Vec::new();
+            clean.render_into(&catalog(1), &mut expected).unwrap();
+
+            let plan = Arc::new(FaultPlan::single(kind, 0, 2));
+            let gpu = VirtualGpu::gtx480().with_fault_plan(Arc::clone(&plan));
+            let session = AdaptiveSession::on(gpu, config).unwrap();
+            let mut host = Vec::new();
+            assert!(
+                session.render_into(&catalog(0), &mut host).is_err(),
+                "{kind:?}, {mode:?}: frame 0 must fail"
+            );
+            assert_eq!(plan.remaining(), 0, "{kind:?}, {mode:?}");
+            session.render_into(&catalog(1), &mut host).unwrap();
+            assert_eq!(
+                bits(&expected),
+                bits(&host),
+                "{kind:?}, {mode:?}: frame 1 must equal a clean session's frame"
+            );
+        }
+    }
+}
+
+#[test]
 fn watchdog_converts_a_stuck_lane_within_the_deadline() {
     let stall = Duration::from_millis(400);
     let plan = Arc::new(FaultPlan::single(FaultKind::StuckLane, 0, 1).with_stall(stall));

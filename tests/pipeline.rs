@@ -1,14 +1,14 @@
-//! Frame-pipelined scheduler contract.
+//! Frame-loop contract.
 //!
-//! [`FrameSequencer::run_frames_pipelined`] overlaps frame `N+1`'s star
-//! generation + upload with frame `N`'s kernel + download. Its defining
-//! invariant: the pipelined schedule is **bit-identical** to the
-//! sequential frame loop — same images, same device counters, same
-//! modeled times — for every seed, worker count and kernel backend; and
-//! faults injected mid-pipeline retry/degrade through the same resilience
-//! ladder, in frame order, recovering bit-identically. Cancellation
-//! drains in-flight frames deterministically and a resumed sequencer
-//! continues exactly where an uninterrupted run would have been.
+//! [`FrameSequencer::run_frames_observed`] renders a burst on the calling
+//! thread into one reused pixel buffer. Its defining invariant: a burst is
+//! **bit-identical** to the same frames through
+//! [`FrameSequencer::next_frame`] — same images, same device counters,
+//! same modeled times — for every seed, worker count and kernel backend;
+//! and faults injected mid-burst retry/degrade through the same resilience
+//! ladder, in frame order, recovering bit-identically. Cancellation stops
+//! a burst between frames and a resumed sequencer continues exactly where
+//! an uninterrupted run would have been.
 //!
 //! `STARSIM_BACKEND=simd` reruns the suite with the SIMD fast paths
 //! (scripts/ci.sh does exactly that); the identity tests additionally
@@ -23,7 +23,7 @@ use starsim::field::{Attitude, Camera};
 use starsim::gpu::{FaultKind, FaultPlan, KernelBackend, VirtualGpu};
 use starsim::sim::telemetry::Telemetry;
 use starsim::sim::{
-    CancelToken, FrameSequencer, LutCache, RetryPolicy, SimConfig, SimError, ThroughputReport,
+    CancelToken, FrameSequencer, RetryPolicy, SimConfig, SimError, ThroughputReport,
 };
 
 const FRAMES: usize = 4;
@@ -84,12 +84,12 @@ fn sequential_digests(seq: &mut FrameSequencer, n: usize) -> Vec<FrameDigest> {
         .collect()
 }
 
-/// `n` frames through the pipelined schedule, digested from the observer.
-fn pipelined_digests(seq: &mut FrameSequencer, n: usize) -> (Vec<FrameDigest>, ThroughputReport) {
+/// `n` frames through one burst, digested from the observer.
+fn burst_digests(seq: &mut FrameSequencer, n: usize) -> (Vec<FrameDigest>, ThroughputReport) {
     let mut digests = Vec::with_capacity(n);
     let token = CancelToken::new();
     let report = seq
-        .run_frames_pipelined_observed(n, &token, |frame| {
+        .run_frames_observed(n, &token, |frame| {
             digests.push(FrameDigest {
                 image: bits(frame.pixels),
                 counters: frame.timing.counters,
@@ -102,22 +102,26 @@ fn pipelined_digests(seq: &mut FrameSequencer, n: usize) -> (Vec<FrameDigest>, T
 
 #[test]
 fn pipelined_matches_sequential_bit_identically() {
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let mut worker_counts = vec![1usize, 2, cores, 4, 15];
+    worker_counts.sort_unstable();
+    worker_counts.dedup();
     for &seed in &[3u64, 11] {
-        for &workers in &[1usize, 4, 15] {
+        for &workers in &worker_counts {
             for backend in [KernelBackend::Scalar, KernelBackend::Simd] {
                 let mut reference = sequencer(VirtualGpu::gtx480(), seed, workers, backend);
                 let expected = sequential_digests(&mut reference, FRAMES);
-                let mut pipelined = sequencer(VirtualGpu::gtx480(), seed, workers, backend);
-                let (got, report) = pipelined_digests(&mut pipelined, FRAMES);
+                let mut bursts = sequencer(VirtualGpu::gtx480(), seed, workers, backend);
+                let (got, report) = burst_digests(&mut bursts, FRAMES);
                 assert_eq!(
                     expected, got,
-                    "seed {seed}, {workers} workers, {backend:?}: pipelined frames \
-                     must be bit-identical to the sequential loop"
+                    "seed {seed}, {workers} workers, {backend:?}: burst frames \
+                     must be bit-identical to next_frame"
                 );
                 assert_eq!(report.frames, FRAMES);
                 assert!(report.overlap.is_some());
                 assert!(
-                    (pipelined.time_s() - reference.time_s()).abs() < 1e-12,
+                    (bursts.time_s() - reference.time_s()).abs() < 1e-12,
                     "both clocks advanced {FRAMES} frames"
                 );
             }
@@ -127,16 +131,16 @@ fn pipelined_matches_sequential_bit_identically() {
 
 #[test]
 fn pipelined_bursts_compose_with_next_frame() {
-    // Burst, single frame, burst again: the interleaved schedule sees the
+    // Burst, single frame, burst again: the interleaved calls see the
     // same sky as one long sequential run.
     let mut reference = sequencer(VirtualGpu::gtx480(), 5, 4, backend_under_test());
     let expected = sequential_digests(&mut reference, 5);
     let mut seq = sequencer(VirtualGpu::gtx480(), 5, 4, backend_under_test());
-    let (first, _) = pipelined_digests(&mut seq, 2);
+    let (first, _) = burst_digests(&mut seq, 2);
     let middle = sequential_digests(&mut seq, 1);
-    let (rest, _) = pipelined_digests(&mut seq, 2);
+    let (rest, _) = burst_digests(&mut seq, 2);
     let got: Vec<FrameDigest> = first.into_iter().chain(middle).chain(rest).collect();
-    assert_eq!(expected, got, "pipelined bursts must compose seamlessly");
+    assert_eq!(expected, got, "bursts must compose seamlessly");
 }
 
 #[test]
@@ -145,23 +149,27 @@ fn pipelined_span_tree_is_deterministic_and_two_staged() {
         let telemetry = Telemetry::new();
         let mut seq = sequencer(VirtualGpu::gtx480(), 7, 2, backend_under_test())
             .with_telemetry(Arc::clone(&telemetry));
-        seq.run_frames_pipelined(FRAMES).unwrap();
+        seq.run_frames(FRAMES).unwrap();
         telemetry
     };
     let a = run().span_tree_signature();
     let b = run().span_tree_signature();
-    assert_eq!(a, b, "pipelined span tree must be deterministic");
+    assert_eq!(a, b, "burst span tree must be deterministic");
+    // One layout, on one thread: frame > {star-gen, star-upload,
+    // render > attempt > {kernel-launch, download}}.
     let n = FRAMES;
-    // Producer stage roots on its own thread.
-    assert!(a.contains(&("", "frame-produce", n)), "sig: {a:?}");
-    assert!(a.contains(&("frame-produce", "star-gen", n)));
-    assert!(a.contains(&("frame-produce", "star-upload", n)));
-    // Consumer stage: frame > render > attempt > kernel + download.
-    assert!(a.contains(&("", "frame", n)));
-    assert!(a.contains(&("frame", "render", n)));
-    assert!(a.contains(&("render", "attempt-configured", n)));
-    assert!(a.contains(&("attempt-configured", "kernel-launch", n)));
-    assert!(a.contains(&("attempt-configured", "download", n)));
+    assert_eq!(
+        a,
+        vec![
+            ("", "frame", n),
+            ("attempt-configured", "download", n),
+            ("attempt-configured", "kernel-launch", n),
+            ("frame", "render", n),
+            ("frame", "star-gen", n),
+            ("frame", "star-upload", n),
+            ("render", "attempt-configured", n),
+        ]
+    );
 }
 
 #[test]
@@ -176,7 +184,7 @@ fn chaos_matrix_pipelined_recovers_bit_identically() {
     for kind in FaultKind::ALL {
         if kind == FaultKind::TextureBindFail {
             // Fires at session setup (the one texture bind), never
-            // mid-pipeline — covered by the session chaos matrix.
+            // mid-burst — covered by the session chaos matrix.
             continue;
         }
         let plan = Arc::new(FaultPlan::single(kind, 1, 2).with_stall(Duration::from_millis(150)));
@@ -187,11 +195,11 @@ fn chaos_matrix_pipelined_recovers_bit_identically() {
             backoff: Duration::ZERO,
             ..RetryPolicy::default()
         });
-        let (got, _report) = pipelined_digests(&mut seq, FRAMES);
+        let (got, _report) = burst_digests(&mut seq, FRAMES);
         let got = got.into_iter().map(|d| d.image).collect::<Vec<_>>();
         assert_eq!(
             expected, got,
-            "{kind:?}: mid-pipeline fault must recover bit-identically"
+            "{kind:?}: mid-burst fault must recover bit-identically"
         );
         assert_eq!(plan.remaining(), 0, "{kind:?}: the fault must have fired");
     }
@@ -211,7 +219,7 @@ fn pipelined_fault_accounting_matches_the_sequential_ladder() {
         backoff: Duration::ZERO,
         ..RetryPolicy::default()
     });
-    let report = seq.run_frames_pipelined(FRAMES).unwrap();
+    let report = seq.run_frames(FRAMES).unwrap();
     assert_eq!(report.frames, FRAMES);
     assert_eq!(report.resilience.panics, 1);
     assert_eq!(report.resilience.retries, 1);
@@ -232,7 +240,7 @@ fn cancellation_drains_in_flight_frames_and_resumes_bit_identically() {
     let token = CancelToken::new();
     let mut digests = Vec::new();
     let err = seq
-        .run_frames_pipelined_observed(6, &token, |frame| {
+        .run_frames_observed(6, &token, |frame| {
             digests.push(FrameDigest {
                 image: bits(frame.pixels),
                 counters: frame.timing.counters,
@@ -245,10 +253,9 @@ fn cancellation_drains_in_flight_frames_and_resumes_bit_identically() {
         .unwrap_err();
     assert!(matches!(err, SimError::Cancelled), "got {err}");
     let completed = digests.len();
-    assert!(
-        (2..=4).contains(&completed),
-        "cancel after frame 1 drains at most the two produced frames \
-         already in flight, got {completed}"
+    assert_eq!(
+        completed, 2,
+        "a cancel from frame 1's observer stops the burst before frame 2"
     );
     assert!(
         (seq.time_s() - completed as f64 * 0.5).abs() < 1e-12,
@@ -257,7 +264,7 @@ fn cancellation_drains_in_flight_frames_and_resumes_bit_identically() {
     assert_eq!(
         &expected[..completed],
         &digests[..],
-        "drained frames are bit-identical to the sequential loop"
+        "completed frames are bit-identical to the sequential loop"
     );
 
     // Resume: the remaining frames continue exactly where an
@@ -272,7 +279,7 @@ fn immediate_cancellation_completes_no_frames() {
     let token = CancelToken::new();
     token.cancel();
     let err = seq
-        .run_frames_pipelined_observed(4, &token, |_| panic!("no frame should complete"))
+        .run_frames_observed(4, &token, |_| panic!("no frame should complete"))
         .unwrap_err();
     assert!(matches!(err, SimError::Cancelled));
     assert_eq!(seq.time_s(), 0.0, "the clock must not advance");
@@ -280,35 +287,13 @@ fn immediate_cancellation_completes_no_frames() {
 
 #[test]
 fn overlap_and_lut_stats_surface_on_the_report() {
-    let cache = Arc::new(LutCache::new());
-    let mut seq = sequencer(VirtualGpu::gtx480(), 31, 2, backend_under_test())
-        .with_lut_cache(Arc::clone(&cache));
-
-    let report = seq.run_frames_pipelined(FRAMES).unwrap();
-    let overlap = report.overlap.expect("pipelined bursts report overlap");
+    let mut seq = sequencer(VirtualGpu::gtx480(), 31, 2, backend_under_test());
+    let report = seq.run_frames(FRAMES).unwrap();
+    let overlap = report.overlap.expect("bursts report overlap");
     assert!(overlap.modeled.app_time_s > 0.0);
     assert!(overlap.modeled.saved_s >= 0.0);
     assert!((0.0..=1.0).contains(&overlap.modeled_efficiency));
     assert!((0.0..=1.0).contains(&overlap.measured_efficiency));
     assert!(overlap.produce_busy_s > 0.0);
     assert!(overlap.consume_busy_s > 0.0);
-
-    // The producer prefetched (and built) the LUT off the critical path.
-    assert!(report.lut_prefetch_s > 0.0);
-    let stats = report.lut_cache.expect("cache stats surface");
-    assert_eq!(stats.len, 1);
-    assert!(stats.misses >= 1, "first prefetch builds: {stats:?}");
-
-    // A second burst revalidates from cache.
-    let report = seq.run_frames_pipelined(FRAMES).unwrap();
-    let stats = report.lut_cache.unwrap();
-    assert!(stats.hits >= 1, "second prefetch hits: {stats:?}");
-    assert_eq!(stats.len, 1);
-
-    // The sequential loop also reports overlap accounting (its measured
-    // efficiency is ~0) and never spends prefetch time.
-    let report = seq.run_frames(FRAMES).unwrap();
-    assert!(report.overlap.is_some());
-    assert_eq!(report.lut_prefetch_s, 0.0);
-    assert!(report.lut_cache.is_some());
 }

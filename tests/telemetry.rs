@@ -47,12 +47,12 @@ fn spans_nest_under_the_frame_and_setup_roots() {
     assert!(sig.contains(&("", "session-setup", 1)), "sig: {sig:?}");
     assert!(sig.contains(&("session-setup", "lut-build", 1)));
     assert!(sig.contains(&("session-setup", "texture-bind", 1)));
-    // Frames: frame > render > attempt-configured > {star-upload,
-    // kernel-launch, download}.
+    // Frames: frame > {star-upload, render > attempt-configured >
+    // {kernel-launch, download}}.
     assert!(sig.contains(&("", "frame", 2)));
+    assert!(sig.contains(&("frame", "star-upload", 2)));
     assert!(sig.contains(&("frame", "render", 2)));
     assert!(sig.contains(&("render", "attempt-configured", 2)));
-    assert!(sig.contains(&("attempt-configured", "star-upload", 2)));
     assert!(sig.contains(&("attempt-configured", "kernel-launch", 2)));
     assert!(sig.contains(&("attempt-configured", "download", 2)));
 }
