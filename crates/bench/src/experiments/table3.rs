@@ -10,12 +10,25 @@ use super::Context;
 
 /// Builds the selection table from measured sweeps and reports the
 /// measured inflection points alongside the paper's.
-pub fn table3(t1: &[Test1Row], t2: &[Test2Row], ctx: &Context) -> (Table, InflectionPoint) {
-    let stars_exp = inflection_stars(t1);
-    let roi = inflection_roi(t2);
+///
+/// # Errors
+/// When a sweep has no crossover — adaptive never beats parallel in it —
+/// the error names that sweep: there is no measured point to report, and
+/// the paper's own is not one.
+pub fn table3(
+    t1: &[Test1Row],
+    t2: &[Test2Row],
+    ctx: &Context,
+) -> Result<(Table, InflectionPoint), String> {
+    let no_crossover = |sweep: &str| {
+        format!("{sweep}: adaptive never beats parallel, so there is no measured inflection point")
+    };
+    let stars_exp =
+        inflection_stars(t1).ok_or_else(|| no_crossover("test 1 (star-count sweep, ROI 10)"))?;
+    let roi = inflection_roi(t2).ok_or_else(|| no_crossover("test 2 (ROI sweep, 8192 stars)"))?;
     let point = InflectionPoint {
-        stars: stars_exp.map_or(1 << 13, |e| 1usize << e),
-        roi_side: roi.unwrap_or(10),
+        stars: 1usize << stars_exp,
+        roi_side: roi,
         ..InflectionPoint::default()
     };
 
@@ -60,7 +73,7 @@ pub fn table3(t1: &[Test1Row], t2: &[Test2Row], ctx: &Context) -> (Table, Inflec
         ]);
     }
     let _ = t.write_csv(&ctx.out_path("table3.csv"));
-    (t, point)
+    Ok((t, point))
 }
 
 /// Renders the measured-vs-paper inflection summary line.
@@ -89,5 +102,45 @@ mod tests {
         let p = InflectionPoint::default();
         assert!(choices_match_paper(&p));
         assert!(summary(&p).contains("8192"));
+    }
+
+    fn test1_row(exponent: u32, par_app: f64, ada_app: f64) -> Test1Row {
+        Test1Row {
+            exponent,
+            par_app,
+            ada_app,
+            ..Default::default()
+        }
+    }
+
+    fn test2_row(roi_side: usize, par_app: f64, ada_app: f64) -> Test2Row {
+        Test2Row {
+            roi_side,
+            par_app,
+            ada_app,
+            ..Default::default()
+        }
+    }
+
+    /// A sweep in which adaptive never wins has no inflection point: the
+    /// table is an error naming that sweep, not the paper's point.
+    #[test]
+    fn a_sweep_without_crossover_is_an_error() {
+        let ctx = Context {
+            out_dir: std::env::temp_dir().join("starsim_table3"),
+            ..Default::default()
+        };
+        let t1_never = [test1_row(11, 1.0, 2.0), test1_row(12, 1.0, 1.5)];
+        let t1_crosses = [test1_row(12, 1.0, 1.5), test1_row(13, 1.0, 0.5)];
+        let t2_never = [test2_row(8, 1.0, 2.0), test2_row(12, 1.0, 1.0)];
+        let t2_crosses = [test2_row(8, 1.0, 2.0), test2_row(12, 1.0, 0.5)];
+
+        let err = table3(&t1_never, &t2_crosses, &ctx).unwrap_err();
+        assert!(err.starts_with("test 1 "), "{err}");
+        let err = table3(&t1_crosses, &t2_never, &ctx).unwrap_err();
+        assert!(err.starts_with("test 2 "), "{err}");
+
+        let (_, point) = table3(&t1_crosses, &t2_crosses, &ctx).unwrap();
+        assert_eq!((point.stars, point.roi_side), (1 << 13, 12));
     }
 }

@@ -8,7 +8,7 @@ use super::format::{ms, speedup, Table};
 use super::{reference_sequential_s, Context};
 
 /// One sweep point: all three simulators on the same star field.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct Test1Row {
     /// log2 of the star count.
     pub exponent: u32,

@@ -8,7 +8,7 @@ use super::format::{ms, speedup, Table};
 use super::{reference_sequential_s, Context};
 
 /// One sweep point of test 2.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct Test2Row {
     /// ROI side length.
     pub roi_side: usize,

@@ -209,7 +209,8 @@ fn main() {
             test2::fig16(t2.as_ref().unwrap(), &ctx),
         ),
         "table3" => {
-            let (t, point) = table3::table3(t1.as_ref().unwrap(), t2.as_ref().unwrap(), &ctx);
+            let (t, point) = table3::table3(t1.as_ref().unwrap(), t2.as_ref().unwrap(), &ctx)
+                .unwrap_or_else(|e| fail(&e));
             section("Table III: simulator selection", t);
             println!("{}", table3::summary(&point));
         }
@@ -273,7 +274,7 @@ fn main() {
                 "Fig 16: test2 non-kernel percentage",
                 test2::fig16(t2, &ctx),
             );
-            let (t, point) = table3::table3(t1, t2, &ctx);
+            let (t, point) = table3::table3(t1, t2, &ctx).unwrap_or_else(|e| fail(&e));
             section("Table III: simulator selection", t);
             println!("{}", table3::summary(&point));
             section(
@@ -319,6 +320,12 @@ fn main() {
         }
         other => usage(&format!("unknown experiment `{other}`")),
     }
+}
+
+/// Reports a failed experiment and exits with the runtime-error status.
+fn fail(error: &str) -> ! {
+    eprintln!("error: {error}");
+    std::process::exit(1);
 }
 
 fn usage(error: &str) -> ! {

@@ -178,37 +178,35 @@ impl Kernel for AdaptiveKernel<'_> {
 
         let (x0, y0) = self.roi.origin(star.x, star.y);
         let (w, h) = (self.width as i64, self.height as i64);
-        // Swizzled addresses of one LUT row. CUDA's 1024-thread block cap
-        // keeps side ≤ 32; a wider ROI, or a table narrower than the ROI
-        // (its clamped fetches repeat the border texel), takes the
-        // per-lane loop below, which is exact for interior ROIs too.
-        let mut addrs = [0u64; 32];
-        if x0 >= 0
-            && y0 >= 0
-            && x0 + side as i64 <= w
-            && y0 + side as i64 <= h
-            && side <= addrs.len().min(self.lut_tex.width())
-        {
-            // Interior ROI: all lanes fetch, one texture request per warp.
-            // The row-major pixel loop visits texels in ascending linear
-            // thread order — the same order the reference path feeds the
-            // cache simulator, so hit/miss sequences are identical.
+        // An interior ROI over a table of exactly the ROI's shape (as every
+        // simulator binds it) fetches each texel of one layer once, in the
+        // layer walk's row-major order — the order the reference path feeds
+        // the cache simulator, so hit/miss sequences are identical. Edge
+        // ROIs and any other table shape take the per-lane loop below,
+        // which is exact for interior ROIs too.
+        let interior = x0 >= 0 && y0 >= 0 && x0 + side as i64 <= w && y0 + side as i64 <= h;
+        let walk = if interior && self.lut_tex.width() == side && self.lut_tex.height() == side {
+            self.lut_tex.walk(layer, ctx.cache.line_bytes())
+        } else {
+            None
+        };
+        if let Some((walk, line_offset)) = walk {
+            // All lanes fetch, one texture request per warp. Counter
+            // increments hoisted out of the pixel loop; the whole layer
+            // goes through the SM's cache as one walk replay, then each
+            // LUT row is added into its accumulator span — one add per
+            // pixel, so the sum is the per-pixel loop's on either backend.
             ctx.counters.tex_requests += n_warps;
             ctx.counters.atomic_requests += n_warps;
-            // Counter increments hoisted out of the pixel loop (every lane
-            // fetches exactly once). Per ROI row: one texture row view,
-            // one batched cache access over its swizzled addresses (same
-            // order, so the same hit/miss sequence), and one lane add of
-            // the row into the accumulator span — one add per pixel, so
-            // the sum is the per-pixel loop's on either backend.
-            ctx.counters.tex_fetches += (side * side) as u64;
-            let addrs = &mut addrs[..side];
+            ctx.counters.tex_fetches += tpb as u64;
+            ctx.counters.tex_hits += ctx.cache.access_walk(walk, line_offset);
             let acc = ctx.shadow.accumulator(self.image);
             for j in 0..side {
-                let texels = self.lut_tex.row(layer, j as i64, addrs);
-                ctx.counters.tex_hits += ctx.cache.access_batch(addrs);
                 let row = (y0 as usize + j) * self.width + x0 as usize;
-                psf::lanes::accumulate(acc.span_mut(row, row + side), texels);
+                psf::lanes::accumulate(
+                    acc.span_mut(row, row + side),
+                    self.lut_tex.row(layer, j as i64),
+                );
             }
         } else {
             let acc = ctx.shadow.accumulator(self.image);
@@ -482,7 +480,7 @@ mod tests {
 
     #[test]
     fn simd_backend_is_bit_identical() {
-        // Both backends take the same row-view path; values, counters,
+        // Both backends take the same walk-replay path; values, counters,
         // and cache hit sequences must be bit-equal.
         let cfg = small_config();
         let cat = FieldGenerator::new(64, 64).generate(150, 17);

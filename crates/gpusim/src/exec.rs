@@ -693,6 +693,7 @@ impl VirtualGpu {
             layers,
             data,
             self.spec.texture_mem_bytes,
+            self.spec.tex_cache_line,
         )?;
         let upload = self.transfer.time(MemcpyKind::HostToDevice, bytes);
         Ok((tex, upload, self.cost.tex_bind_overhead_s))

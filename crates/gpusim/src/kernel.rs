@@ -173,7 +173,9 @@ pub struct BlockCtx<'k, 'a> {
     /// the executor after the launch).
     pub counters: &'a mut Counters,
     /// The owning SM's texture cache. Fast-path kernels feed it the same
-    /// swizzled addresses, in the same order, as the reference path.
+    /// swizzled addresses, in the same order, as the reference path —
+    /// one by one, or as a texture layer walk
+    /// ([`CacheSim::access_walk`]).
     pub cache: &'a mut CacheSim,
     /// The worker's private accumulation buffers (image privatization).
     pub shadow: &'a mut ShadowSet<'k>,
@@ -854,7 +856,8 @@ mod tests {
     fn texture_fetch_logs_swizzled_address() {
         let sm = SharedMem::new(1);
         let space = AddressSpace::new();
-        let tex = Texture::bind(&space, 2, 2, 1, vec![1.0, 2.0, 3.0, 4.0], usize::MAX).unwrap();
+        let tex =
+            Texture::bind(&space, 2, 2, 1, vec![1.0, 2.0, 3.0, 4.0], usize::MAX, 128).unwrap();
         let mut c = ctx(&sm);
         assert_eq!(c.tex_fetch(&tex, 0, 1, 1), 4.0);
         let events = c.take_events();

@@ -4,8 +4,70 @@
 //! paper stores the lookup table in texture memory because "the texture
 //! memory has the texture (L2) cache, which will speed up the access when
 //! the same star data in lookup table has been accessed several times"
-//! (§III-C). Each executor worker (one virtual SM) owns one instance, so
-//! accesses need no locking.
+//! (§III-C). The executor keeps one instance per virtual SM, each behind a
+//! `Mutex`: an SM's blocks run on one worker at a time, so the lock is
+//! never contended, and the simulator itself is single-threaded.
+
+use std::collections::HashSet;
+
+/// Most distinct lines [`CacheSim::access_walk`] replays as one
+/// transaction; a walk over more lines runs access by access. 32 covers
+/// the widest ROI (32 × 32 texels, 4 KiB) on 128-B lines.
+const WALK_REPLAY_LINES: usize = 32;
+
+/// An access sequence reduced to what [`CacheSim::access_walk`] needs:
+/// its runs of same-line accesses in order, and its distinct lines, each
+/// with the walk index of its last access.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct LineWalk {
+    line_bytes: usize,
+    /// `(line, accesses)` per run of consecutive same-line accesses.
+    runs: Vec<(u64, u64)>,
+    /// `(line, index of its last access)`, ascending by that index, so
+    /// the final entry is the walk's last line.
+    lines: Vec<(u64, u64)>,
+    len: u64,
+}
+
+impl LineWalk {
+    /// The walk over `addrs`, in order, on a cache of `line_bytes` lines.
+    /// O(`addrs`).
+    ///
+    /// # Panics
+    /// Panics when `line_bytes` is not a power of two.
+    pub fn new(addrs: impl IntoIterator<Item = u64>, line_bytes: usize) -> Self {
+        assert!(
+            line_bytes.is_power_of_two(),
+            "line size must be a power of two, got {line_bytes}"
+        );
+        let shift = line_bytes.trailing_zeros();
+        let mut runs: Vec<(u64, u64)> = Vec::new();
+        for line in addrs.into_iter().map(|a| a >> shift) {
+            match runs.last_mut() {
+                Some((l, n)) if *l == line => *n += 1,
+                _ => runs.push((line, 1)),
+            }
+        }
+        let len = runs.iter().map(|&(_, n)| n).sum();
+        // Backwards, the first sighting of a line is its last access.
+        let mut seen = HashSet::new();
+        let mut end = len;
+        let mut lines = Vec::new();
+        for &(line, n) in runs.iter().rev() {
+            if seen.insert(line) {
+                lines.push((line, end - 1));
+            }
+            end -= n;
+        }
+        lines.reverse();
+        LineWalk {
+            line_bytes,
+            runs,
+            lines,
+            len,
+        }
+    }
+}
 
 /// Set-associative cache with true-LRU replacement.
 #[derive(Debug, Clone)]
@@ -76,70 +138,107 @@ impl CacheSim {
         self.line_bytes
     }
 
+    /// Where `line` lives: `Ok(slot)` when resident, else `Err(base)`, the
+    /// first slot of its set. The MRU line skips the set scan: its slot
+    /// was filled or refreshed by the previous access and the cache is
+    /// single-threaded, so it is still there.
+    #[inline]
+    fn lookup(&self, line: u64) -> Result<usize, usize> {
+        if line == self.last_line {
+            return Ok(self.last_slot);
+        }
+        let base = (line % self.sets as u64) as usize * self.ways;
+        match self.tags[base..base + self.ways]
+            .iter()
+            .position(|&t| t == line)
+        {
+            Some(way) => Ok(base + way),
+            None => Err(base),
+        }
+    }
+
     /// Performs one access at byte address `addr`; returns `true` on hit.
     #[inline]
     pub fn access(&mut self, addr: u64) -> bool {
-        self.clock += 1;
-        let line = addr >> self.line_shift;
-        // MRU shortcut: the last-touched line is resident by construction
-        // (its slot was filled or refreshed on the previous access and the
-        // cache is single-threaded), and refreshing its stamp with the new
-        // clock is exactly what the full scan would do — same stamps, same
-        // statistics, same future evictions.
-        if line == self.last_line {
-            self.stamps[self.last_slot] = self.clock;
-            self.hits += 1;
-            return true;
-        }
-        let set = (line % self.sets as u64) as usize;
-        let base = set * self.ways;
-        let slots = &self.tags[base..base + self.ways];
-
-        if let Some(way) = slots.iter().position(|&t| t == line) {
-            self.stamps[base + way] = self.clock;
-            self.hits += 1;
-            self.last_line = line;
-            self.last_slot = base + way;
-            return true;
-        }
-        // Miss: evict the LRU way of this set.
-        let lru = (0..self.ways)
-            .min_by_key(|&w| self.stamps[base + w])
-            .expect("ways > 0");
-        self.tags[base + lru] = line;
-        self.stamps[base + lru] = self.clock;
-        self.misses += 1;
-        self.last_line = line;
-        self.last_slot = base + lru;
-        false
+        self.access_line(addr >> self.line_shift)
     }
 
-    /// Performs one access per address of `addrs`, in order; returns the
-    /// number of hits.
-    ///
-    /// Each run of same-line addresses costs one set lookup plus one
-    /// clock/stamp/hit update. This is exact: after the run's first access
-    /// its line is the MRU line, so [`Self::access`] would serve every
-    /// repeat through the MRU shortcut — one clock tick, a stamp refresh
-    /// and a hit each. Folding `n` repeats into `clock += n` and one stamp
-    /// write leaves the same tags, stamps, clock and statistics.
     #[inline]
-    pub fn access_batch(&mut self, addrs: &[u64]) -> u64 {
-        let hits_before = self.hits;
-        let mut rest = addrs;
-        while let Some((&first, tail)) = rest.split_first() {
-            let line = first >> self.line_shift;
-            let repeats = tail
-                .iter()
-                .position(|&a| a >> self.line_shift != line)
-                .unwrap_or(tail.len());
-            self.access(first);
-            if repeats > 0 {
-                self.clock += repeats as u64;
-                self.stamps[self.last_slot] = self.clock;
-                self.hits += repeats as u64;
+    fn access_line(&mut self, line: u64) -> bool {
+        self.clock += 1;
+        let (slot, hit) = match self.lookup(line) {
+            Ok(slot) => {
+                self.hits += 1;
+                (slot, true)
             }
-            rest = &tail[repeats..];
+            // Miss: evict the LRU way of this set.
+            Err(base) => {
+                let lru = (base..base + self.ways)
+                    .min_by_key(|&s| self.stamps[s])
+                    .expect("ways > 0");
+                self.tags[lru] = line;
+                self.misses += 1;
+                (lru, false)
+            }
+        };
+        self.stamps[slot] = self.clock;
+        self.last_line = line;
+        self.last_slot = slot;
+        hit
+    }
+
+    /// Performs every access of `walk`, each shifted by `line_offset`
+    /// lines, in order; returns the number of hits. The cache ends exactly
+    /// as per-address [`Self::access`] would leave it.
+    ///
+    /// When every line of the walk is resident at the start, the walk is
+    /// replayed as one transaction: only a miss evicts, so every access
+    /// hits, and per-address access would leave each line stamped with the
+    /// clock of its last access, `clock + last + 1`, the clock and hits
+    /// each `len` higher, and the walk's last line as the MRU line — so
+    /// that is what the replay writes, one residency check and one stamp
+    /// per distinct line. Otherwise (or past [`WALK_REPLAY_LINES`] lines)
+    /// the walk runs access by access, each run of same-line accesses
+    /// folded into one set lookup: after the run's first access its line
+    /// is the MRU line, so each repeat is one clock tick, a stamp refresh
+    /// and a hit, and `n` repeats are `clock += n`, one stamp write and
+    /// `hits += n`.
+    ///
+    /// # Panics
+    /// Panics when `walk` was cut for another line size.
+    pub fn access_walk(&mut self, walk: &LineWalk, line_offset: u64) -> u64 {
+        assert_eq!(
+            walk.line_bytes, self.line_bytes,
+            "walk cut for {}-B lines replayed on {}-B lines",
+            walk.line_bytes, self.line_bytes
+        );
+        let Some(&(last_line, _)) = walk.lines.last() else {
+            return 0;
+        };
+        let mut slots = [0usize; WALK_REPLAY_LINES];
+        let resident = walk.lines.len() <= WALK_REPLAY_LINES
+            && walk.lines.iter().zip(&mut slots).all(|(&(line, _), slot)| {
+                self.lookup(line + line_offset).map(|s| *slot = s).is_ok()
+            });
+        if resident {
+            for (&(_, last), &slot) in walk.lines.iter().zip(&slots) {
+                self.stamps[slot] = self.clock + last + 1;
+            }
+            self.clock += walk.len;
+            self.hits += walk.len;
+            self.last_line = last_line + line_offset;
+            self.last_slot = slots[walk.lines.len() - 1];
+            return walk.len;
+        }
+        let hits_before = self.hits;
+        for &(line, n) in &walk.runs {
+            self.access_line(line + line_offset);
+            let repeats = n - 1;
+            if repeats > 0 {
+                self.clock += repeats;
+                self.stamps[self.last_slot] = self.clock;
+                self.hits += repeats;
+            }
         }
         self.hits - hits_before
     }
@@ -252,7 +351,7 @@ mod tests {
         assert_eq!(c.line_bytes(), 128);
     }
 
-    /// A seeded stream mixing the shapes a row-folded lookup meets:
+    /// A seeded stream mixing the shapes a texture lookup meets:
     /// same-line runs, runs straddling a line boundary, and lines that
     /// come back after enough traffic to evict them — eight runs per cache
     /// line, over a span four times the cache.
@@ -280,13 +379,92 @@ mod tests {
         out
     }
 
-    /// `access_batch` over row-sized slices of a stream must leave the
-    /// cache exactly as per-address `access` does: same hit count, same
-    /// statistics, same tags, stamps and clock, and the same hit/miss
-    /// sequence for any later probe. The slices are cut at random, so runs
-    /// also straddle batch (ROI row) boundaries.
+    /// Addresses visiting `lines` in order, each in a run of one to four
+    /// accesses at random words of the line.
+    fn visit(rng: &mut simrng::Rng64, lines: &[u64], line_bytes: u64) -> Vec<u64> {
+        let mut out = Vec::new();
+        for &l in lines {
+            for _ in 0..rng.range_u64(1, 5) {
+                out.push(l * line_bytes + 4 * rng.range_u64(0, line_bytes / 4));
+            }
+        }
+        out
+    }
+
+    /// The line sequences of the walk shapes the replay must get right:
+    /// all lines resident, one line not resident, a line the walk itself
+    /// evicts, the MRU line first, an empty walk, more lines than the
+    /// replay's cap, and a slice of a mixed stream.
+    fn walk_lines(rng: &mut simrng::Rng64, c: &CacheSim, case: usize) -> Vec<u64> {
+        let resident: Vec<u64> = c.tags.iter().copied().filter(|&t| t != u64::MAX).collect();
+        let sets = c.sets as u64;
+        // Far above anything the warm-up touched: never resident.
+        let fresh = |rng: &mut simrng::Rng64| rng.range_u64(1 << 40, 1 << 41);
+        // One to eight resident lines, then a revisit of up to two.
+        let some_resident = |rng: &mut simrng::Rng64| -> Vec<u64> {
+            let n = rng.range_usize(1, 9);
+            let mut out: Vec<u64> = (0..n)
+                .map(|_| resident[rng.range_usize(0, resident.len())])
+                .collect();
+            for _ in 0..rng.range_usize(0, 3) {
+                out.push(out[rng.range_usize(0, n)]);
+            }
+            out
+        };
+        match case {
+            0 => some_resident(rng),
+            1 => {
+                let mut lines = some_resident(rng);
+                let at = rng.range_usize(0, lines.len() + 1);
+                lines.insert(at, fresh(rng));
+                lines
+            }
+            2 => {
+                // ways + 1 new lines of one set, then the first again: the
+                // walk evicts it itself before coming back to it.
+                let first = fresh(rng) / sets * sets + rng.range_u64(0, sets);
+                let mut lines: Vec<u64> = (0..=c.ways as u64).map(|k| first + k * sets).collect();
+                lines.push(first);
+                lines
+            }
+            3 => {
+                let mut lines = vec![c.last_line];
+                lines.extend(some_resident(rng));
+                lines
+            }
+            4 => Vec::new(),
+            5 => {
+                let n = WALK_REPLAY_LINES + rng.range_usize(1, 9);
+                if resident.len() >= n {
+                    resident[..n].to_vec()
+                } else {
+                    (0..n as u64).map(|k| k + fresh(rng)).collect()
+                }
+            }
+            _ => unreachable!(),
+        }
+    }
+
+    /// The whole replacement state, not just what the next accesses can
+    /// observe.
+    fn state(c: &CacheSim) -> (&[u64], &[u64], u64, u64, u64, u64, usize) {
+        (
+            &c.tags,
+            &c.stamps,
+            c.clock,
+            c.hits,
+            c.misses,
+            c.last_line,
+            c.last_slot,
+        )
+    }
+
+    /// `access_walk` must leave the cache exactly as per-address `access`
+    /// does — same hit count, tags, stamps, clock and statistics, and the
+    /// same hit/miss sequence for any later probe — for every walk shape,
+    /// replayed at a line offset or not, on a warm cache.
     #[test]
-    fn access_batch_is_per_address_access() {
+    fn access_walk_is_per_address_access() {
         let gtx480 = crate::device::DeviceSpec::gtx480();
         let geometries = [
             (
@@ -299,66 +477,76 @@ mod tests {
         for (capacity, line, ways) in geometries {
             for seed in 0..8 {
                 let mut rng = simrng::Rng64::new(seed);
-                let lines = (capacity / line) as u64;
-                let stream = mixed_stream(&mut rng, line as u64, lines);
-                let probe = mixed_stream(&mut rng, line as u64, lines);
-
-                let mut one = CacheSim::new(capacity, line, ways);
-                let mut batch = CacheSim::new(capacity, line, ways);
-                let mut hits_one = 0u64;
-                let mut hits_batch = 0u64;
-                // Misses on lines seen before: evicted lines coming back.
-                let mut seen = std::collections::HashSet::new();
-                let mut remisses = 0u64;
-                let mut rest = &stream[..];
-                while !rest.is_empty() {
-                    let (row, tail) = rest.split_at(rng.range_usize(1, 33).min(rest.len()));
-                    for &a in row {
-                        let hit = one.access(a);
-                        hits_one += u64::from(hit);
-                        remisses += u64::from(!seen.insert(a / line as u64) && !hit);
-                    }
-                    hits_batch += batch.access_batch(row);
-                    rest = tail;
-                }
                 let label = format!("{capacity} B / {line} B lines / {ways} ways, seed {seed}");
-                assert!(remisses > 0, "{label}: the stream must evict and revisit");
-                assert_eq!(hits_one, hits_batch, "{label}");
-                assert_eq!(one.hits(), batch.hits(), "{label}");
-                assert_eq!(one.misses(), batch.misses(), "{label}");
-                // The whole replacement state, not just what the next
-                // accesses can observe.
-                assert_eq!(
-                    (
-                        &one.tags,
-                        &one.stamps,
-                        one.clock,
-                        one.last_line,
-                        one.last_slot
-                    ),
-                    (
-                        &batch.tags,
-                        &batch.stamps,
-                        batch.clock,
-                        batch.last_line,
-                        batch.last_slot
-                    ),
-                    "{label}"
-                );
-                for &a in &probe {
-                    assert_eq!(one.access(a), batch.access(a), "{label}: probe {a:#x}");
+                let line = line as u64;
+                let lines = (capacity as u64) / line;
+                let mut one = CacheSim::new(capacity, line as usize, ways);
+                for &a in &mixed_stream(&mut rng, line, lines) {
+                    one.access(a);
+                }
+                let mut walked = one.clone();
+                let mut replays = 0;
+                for step in 0..64 {
+                    // Every shape eight times, then slices of a stream.
+                    let addrs = match step / 8 {
+                        case @ 0..=5 => {
+                            let lines = walk_lines(&mut rng, &one, case);
+                            visit(&mut rng, &lines, line)
+                        }
+                        _ => {
+                            let stream = mixed_stream(&mut rng, line, 4);
+                            let from = rng.range_usize(0, stream.len());
+                            stream[from..].to_vec()
+                        }
+                    };
+                    // Cut the walk as a template one or more lines below
+                    // the addresses it replays.
+                    let min_line = addrs.iter().map(|a| a / line).min().unwrap_or(0);
+                    let offset = rng.range_u64(0, min_line + 1);
+                    let walk =
+                        LineWalk::new(addrs.iter().map(|a| a - offset * line), line as usize);
+                    assert_eq!(walk.len, addrs.len() as u64);
+
+                    let hits_one = addrs.iter().filter(|&&a| one.access(a)).count() as u64;
+                    replays += u64::from(hits_one == walk.len && walk.len > 0);
+                    let hits_walk = walked.access_walk(&walk, offset);
+                    let label = format!("{label}, step {step}");
+                    assert_eq!(hits_one, hits_walk, "{label}");
+                    assert_eq!(state(&one), state(&walked), "{label}");
+                }
+                assert!(replays > 8, "{label}: too few all-hit walks");
+                for &a in &mixed_stream(&mut rng, line, lines) {
+                    assert_eq!(one.access(a), walked.access(a), "{label}: probe {a:#x}");
                 }
             }
         }
     }
 
     #[test]
-    fn access_batch_counts_repeats_as_hits() {
+    fn line_walk_keeps_runs_and_last_accesses() {
+        // Lines 0, 0, 1, 0, 2 (64-B lines): three distinct, last access of
+        // line 1 at index 2, of line 0 at 3, of line 2 at 4.
+        let walk = LineWalk::new([0, 4, 64, 8, 128], 64);
+        assert_eq!(walk.runs, [(0, 2), (1, 1), (0, 1), (2, 1)]);
+        assert_eq!(walk.lines, [(1, 2), (0, 3), (2, 4)]);
+        assert_eq!(walk.len, 5);
+        let empty = LineWalk::new([], 64);
+        assert_eq!((empty.len, empty.lines.len()), (0, 0));
+
         let mut c = CacheSim::new(256, 64, 2);
-        assert_eq!(c.access_batch(&[]), 0);
-        // Line 0 cold then three repeats; line 1 cold then one repeat.
-        assert_eq!(c.access_batch(&[0, 4, 8, 60, 64, 68]), 4);
-        assert_eq!((c.hits(), c.misses()), (4, 2));
+        assert_eq!(c.access_walk(&empty, 0), 0);
+        // Cold: misses on the three lines, hits on the two repeats.
+        assert_eq!(c.access_walk(&walk, 0), 2);
+        assert_eq!((c.hits(), c.misses()), (2, 3));
+        // One line up (lines 1, 1, 2, 1, 3): line 3 is not resident, so
+        // the walk runs access by access — four hits and one miss.
+        assert_eq!(c.access_walk(&walk, 1), 4);
+        assert_eq!((c.hits(), c.misses()), (6, 4));
+        // Now all three lines are resident: one replay, five hits, the
+        // clock five ticks on, and line 3 the MRU line.
+        assert_eq!(c.access_walk(&walk, 1), 5);
+        assert_eq!((c.hits(), c.misses(), c.clock), (11, 4, 15));
+        assert_eq!((c.last_line, c.tags[c.last_slot]), (3, 3));
     }
 
     #[test]

@@ -9,7 +9,10 @@
 //! we reproduce that with a Morton-order address swizzle, which the cache
 //! simulator then sees.
 
+use std::sync::OnceLock;
+
 use crate::error::GpuError;
+use crate::memory::cache::LineWalk;
 use crate::memory::global::AddressSpace;
 
 /// A layered 2-D texture of `f32` texels (a CUDA 2-D layered texture, or
@@ -26,11 +29,18 @@ pub struct Texture {
     /// Texel storage, layer-major, row-major inside a layer (the logical
     /// view; addresses are swizzled separately).
     data: Vec<f32>,
+    /// Texture-cache line size of the binding device.
+    line_bytes: usize,
+    /// Lazily built layer walks (see [`Self::walk`]): one per layer phase
+    /// within a cache line — a single template when layers are whole
+    /// lines.
+    walks: Box<[OnceLock<LineWalk>]>,
 }
 
 impl Texture {
     /// Binds `data` (layer-major, row-major) as a `layers × height × width`
-    /// texture inside `space`, enforcing the device's texture-memory budget.
+    /// texture inside `space`, enforcing the device's texture-memory budget,
+    /// for a device whose texture cache has `line_bytes` lines.
     ///
     /// `budget_bytes` is the remaining texture memory; binding fails with
     /// [`GpuError::OutOfMemory`] when exceeded (paper §IV-D: the lookup
@@ -42,6 +52,7 @@ impl Texture {
         layers: usize,
         data: Vec<f32>,
         budget_bytes: usize,
+        line_bytes: usize,
     ) -> Result<Self, GpuError> {
         if width == 0 || height == 0 || layers == 0 {
             return Err(GpuError::Other(format!(
@@ -66,7 +77,9 @@ impl Texture {
         let pitch_pow2 = width.max(height).next_power_of_two();
         // Reserve swizzled (padded) address range so Morton addresses of
         // distinct layers never collide.
-        let base_addr = space.alloc(layers * pitch_pow2 * pitch_pow2 * 4);
+        let layer_bytes = pitch_pow2 * pitch_pow2 * 4;
+        let base_addr = space.alloc(layers * layer_bytes);
+        let templates = (line_bytes / layer_bytes).clamp(1, layers);
         Ok(Texture {
             base_addr,
             width,
@@ -74,6 +87,8 @@ impl Texture {
             layers,
             pitch_pow2,
             data,
+            line_bytes,
+            walks: (0..templates).map(|_| OnceLock::new()).collect(),
         })
     }
 
@@ -107,35 +122,54 @@ impl Texture {
         let xi = x.clamp(0, self.width as i64 - 1) as usize;
         let yi = y.clamp(0, self.height as i64 - 1) as usize;
         let value = self.data[(l * self.height + yi) * self.width + xi];
-        let addr = self.base_addr
-            + ((l * self.pitch_pow2 * self.pitch_pow2 + morton2(xi as u32, yi as u32)) * 4) as u64;
-        (value, addr)
+        (value, self.addr(l, xi, yi))
     }
 
-    /// Row view: the stored texels `x = 0..addrs.len()` of row `y` in
-    /// `layer`, with the swizzled address of each written to `addrs` —
-    /// `(row[x], addrs[x]) == fetch(layer, x, y)` for every `x`. Layer and
-    /// row clamp like [`Self::fetch`].
-    ///
-    /// # Panics
-    /// Panics when `addrs` is longer than the texture width.
+    /// Swizzled device address of texel `(x, y)` of layer `l`.
     #[inline]
-    pub fn row(&self, layer: usize, y: i64, addrs: &mut [u64]) -> &[f32] {
+    fn addr(&self, l: usize, x: usize, y: usize) -> u64 {
+        self.base_addr
+            + ((l * self.pitch_pow2 * self.pitch_pow2 + morton2(x as u32, y as u32)) * 4) as u64
+    }
+
+    /// Row view: the stored texels of row `y` in `layer` —
+    /// `row(layer, y)[x] == fetch(layer, x, y).0` for every `x`. Layer and
+    /// row clamp like [`Self::fetch`].
+    #[inline]
+    pub fn row(&self, layer: usize, y: i64) -> &[f32] {
         let l = layer.min(self.layers - 1);
         let yi = y.clamp(0, self.height as i64 - 1) as usize;
         let start = (l * self.height + yi) * self.width;
-        let texels = &self.data[start..start + self.width][..addrs.len()];
-        let row_base = self.base_addr
-            + ((l * self.pitch_pow2 * self.pitch_pow2) as u64 + (spread_bits(yi as u32) << 1)) * 4;
-        // `sx` walks spread_bits(x) for x = 0, 1, …: setting the odd bits
-        // lets the +1 carry ripple through them to the next even bit (and
-        // wrap at x = 2^16, as spread_bits' 16-bit mask does).
-        let mut sx = 0u64;
-        for addr in addrs.iter_mut() {
-            *addr = row_base + sx * 4;
-            sx = (sx | !EVEN_BITS).wrapping_add(1) & EVEN_BITS;
+        &self.data[start..start + self.width]
+    }
+
+    /// The texture cache's view of fetching every texel of `layer` in
+    /// row-major order (`fetch(layer, x, y)` for `y` in `0..height`, `x`
+    /// in `0..width`): a walk plus the line offset to replay it at, for
+    /// [`crate::memory::cache::CacheSim::access_walk`]. `None` when
+    /// `line_bytes` is not the binding device's line size. The layer
+    /// clamps like [`Self::fetch`].
+    ///
+    /// Layers are `pitch² · 4` bytes apart, a power of two like the line
+    /// size. When layers are whole lines, layer `l` sits `l · pitch² · 4 /
+    /// line_bytes` lines past layer 0; when `k` layers share each line,
+    /// layer `l` sits `l / k` lines past layer `l mod k`, the same
+    /// (rounded-down) quotient. So one walk per layer phase within a line —
+    /// one per texture when layers are whole lines — serves every layer at
+    /// that line offset. Walks are built on first use, in O(width ·
+    /// height).
+    pub fn walk(&self, layer: usize, line_bytes: usize) -> Option<(&LineWalk, u64)> {
+        if line_bytes != self.line_bytes {
+            return None;
         }
-        texels
+        let l = layer.min(self.layers - 1);
+        let t = l % self.walks.len();
+        let walk = self.walks[t].get_or_init(|| {
+            let texels = (0..self.height).flat_map(|y| (0..self.width).map(move |x| (x, y)));
+            LineWalk::new(texels.map(|(x, y)| self.addr(t, x, y)), line_bytes)
+        });
+        let layer_bytes = self.pitch_pow2 * self.pitch_pow2 * 4;
+        Some((walk, (l * layer_bytes / line_bytes) as u64))
     }
 }
 
@@ -144,9 +178,6 @@ impl Texture {
 fn morton2(x: u32, y: u32) -> usize {
     (spread_bits(x) | (spread_bits(y) << 1)) as usize
 }
-
-/// The bit positions [`spread_bits`] spreads into.
-const EVEN_BITS: u64 = 0x5555_5555;
 
 /// Spreads the low 16 bits of `v` into the even bit positions.
 #[inline]
@@ -166,7 +197,7 @@ mod tests {
     fn tex(w: usize, h: usize, l: usize) -> Texture {
         let space = AddressSpace::new();
         let data: Vec<f32> = (0..w * h * l).map(|i| i as f32).collect();
-        Texture::bind(&space, w, h, l, data, usize::MAX).unwrap()
+        Texture::bind(&space, w, h, l, data, usize::MAX, 128).unwrap()
     }
 
     #[test]
@@ -192,29 +223,62 @@ mod tests {
     #[test]
     fn row_view_matches_per_texel_fetch() {
         let t = tex(37, 7, 3);
-        let mut addrs = [0u64; 37];
         for layer in 0..5 {
             for y in -2..9 {
-                for len in [0, 1, 8, 10, 37] {
-                    let row = t.row(layer, y, &mut addrs[..len]);
-                    assert_eq!(row.len(), len);
-                    for x in 0..len {
-                        assert_eq!(
-                            (row[x], addrs[x]),
-                            t.fetch(layer, x as i64, y),
-                            "layer {layer} row {y} texel {x}"
-                        );
-                    }
+                let row = t.row(layer, y);
+                assert_eq!(row.len(), 37);
+                for (x, &v) in row.iter().enumerate() {
+                    assert_eq!(
+                        v,
+                        t.fetch(layer, x as i64, y).0,
+                        "layer {layer} row {y} texel {x}"
+                    );
                 }
             }
         }
     }
 
+    /// A layer walk is the cache's view of `fetch`ing the layer in
+    /// row-major order, whether it is a layer's own walk or a template
+    /// shared with other layers: ROI 10 and 19 (whole-line layers, one
+    /// template), ROI 3 (two 16-texel layers share one 128-B line), ROI 1
+    /// (32 one-texel layers per line), a 32-B line (ROI 3 spans two), and
+    /// 512-B lines from a base half a line in, where layers 4–7 of each
+    /// eight start in the next line.
     #[test]
-    #[should_panic]
-    fn row_view_longer_than_the_texture_panics() {
-        let t = tex(4, 4, 1);
-        let _ = t.row(0, 0, &mut [0u64; 5]);
+    fn layer_walks_follow_fetch_in_row_major_order() {
+        let cases = [
+            (10, 5, 128, 0),
+            (19, 3, 128, 0),
+            (3, 5, 128, 0),
+            (1, 40, 128, 0),
+            (3, 5, 32, 0),
+            (3, 12, 512, 256),
+        ];
+        for (side, layers, line, skew) in cases {
+            let space = AddressSpace::new();
+            space.alloc(skew);
+            let data = vec![0.0; side * side * layers];
+            let t = Texture::bind(&space, side, side, layers, data, usize::MAX, line).unwrap();
+            let line = line as u64;
+            for layer in 0..layers + 2 {
+                let (walk, offset) = t.walk(layer, line as usize).unwrap();
+                let fetched = (0..side as i64)
+                    .flat_map(|y| (0..side as i64).map(move |x| (x, y)))
+                    .map(|(x, y)| t.fetch(layer, x, y).1 - offset * line);
+                assert_eq!(
+                    *walk,
+                    LineWalk::new(fetched, line as usize),
+                    "ROI {side}, {line}-B lines, layer {layer}"
+                );
+            }
+            assert!(
+                t.walk(0, 2 * line as usize).is_none(),
+                "another device's lines"
+            );
+        }
+        let roi3 = tex(3, 3, 2);
+        assert_eq!(roi3.fetch(0, 0, 0).1 / 128, roi3.fetch(1, 2, 2).1 / 128);
     }
 
     #[test]
@@ -262,7 +326,7 @@ mod tests {
     fn budget_enforced() {
         let space = AddressSpace::new();
         let data = vec![0.0f32; 1024];
-        let err = Texture::bind(&space, 32, 32, 1, data, 1024).unwrap_err();
+        let err = Texture::bind(&space, 32, 32, 1, data, 1024, 128).unwrap_err();
         match err {
             GpuError::OutOfMemory {
                 requested,
@@ -280,7 +344,7 @@ mod tests {
     #[test]
     fn dimension_validation() {
         let space = AddressSpace::new();
-        assert!(Texture::bind(&space, 0, 4, 1, vec![], usize::MAX).is_err());
-        assert!(Texture::bind(&space, 2, 2, 1, vec![0.0; 3], usize::MAX).is_err());
+        assert!(Texture::bind(&space, 0, 4, 1, vec![], usize::MAX, 128).is_err());
+        assert!(Texture::bind(&space, 2, 2, 1, vec![0.0; 3], usize::MAX, 128).is_err());
     }
 }

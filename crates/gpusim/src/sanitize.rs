@@ -925,7 +925,7 @@ mod tests {
     #[test]
     fn lut_validator_rejects_out_of_table_domains() {
         let space = crate::memory::global::AddressSpace::new();
-        let tex = Texture::bind(&space, 10, 10, 4, vec![0.0; 400], usize::MAX).unwrap();
+        let tex = Texture::bind(&space, 10, 10, 4, vec![0.0; 400], usize::MAX, 128).unwrap();
         assert!(validate_lut_domain(&tex, 3, 9, 9).is_ok());
         assert!(validate_lut_domain(&tex, 4, 9, 9).is_err());
         assert!(validate_lut_domain(&tex, 3, 10, 9).is_err());

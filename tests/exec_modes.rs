@@ -36,19 +36,23 @@ fn backend_under_test() -> KernelBackend {
     }
 }
 
-/// The shapes under test: (stars, roi_side, width, height).
-fn shape_grid() -> Vec<(usize, usize, usize, usize)> {
+/// The shapes under test: (stars, roi_side, width, height, lut_phases).
+fn shape_grid() -> Vec<(usize, usize, usize, usize, usize)> {
     vec![
-        (0, 10, 32, 32),   // empty catalog → one padding block
-        (1, 1, 32, 32),    // single-thread block
-        (7, 5, 48, 32),    // partial warp (25 threads), non-square image
-        (50, 10, 64, 64),  // the paper's ROI, partial tail warp
-        (300, 10, 64, 64), // more blocks than SMs
-        (40, 16, 128, 96), // full warps (256 threads = 8 warps)
-        (60, 3, 40, 40),   // two 16-texel LUT layers share one 128-B line
-        (80, 8, 64, 64),   // wide-sky's ROI
-        (40, 19, 96, 80),  // session-churn's largest ROI: Morton pitch 32
-        (12, 32, 96, 96),  // 1024-thread blocks, the block-size cap
+        (0, 10, 32, 32, 1),   // empty catalog → one padding block
+        (1, 1, 32, 32, 1),    // single-thread block
+        (7, 5, 48, 32, 1),    // partial warp (25 threads), non-square image
+        (50, 10, 64, 64, 1),  // the paper's ROI, partial tail warp
+        (300, 10, 64, 64, 1), // more blocks than SMs
+        (40, 16, 128, 96, 1), // full warps (256 threads = 8 warps)
+        (60, 3, 40, 40, 1),   // two 16-texel LUT layers share one 128-B line
+        (80, 8, 64, 64, 1),   // wide-sky's ROI
+        (40, 19, 96, 80, 1),  // session-churn's largest ROI: Morton pitch 32
+        (12, 32, 96, 96, 1),  // 1024-thread blocks, the block-size cap
+        // 2,048 LUT layers: each SM's blocks touch about twice the lines
+        // its 400-line texture cache holds, so layer walks miss into full
+        // sets and evict lines earlier blocks fetched (hit ratio ~0.94).
+        (2000, 10, 256, 256, 4),
     ]
 }
 
@@ -86,10 +90,13 @@ fn image_bits(r: &SimulationReport) -> Vec<u32> {
 #[test]
 fn batched_equals_reference_bit_for_bit() {
     for sim_kind in ["parallel", "adaptive"] {
-        for &(stars, roi, w, h) in &shape_grid() {
+        for &(stars, roi, w, h, phases) in &shape_grid() {
             let cat = catalog(stars, w, h);
-            let cfg = SimConfig::new(w, h, roi);
-            let label = format!("{sim_kind} stars={stars} roi={roi} {w}x{h}");
+            let cfg = SimConfig {
+                lut_phases: phases,
+                ..SimConfig::new(w, h, roi)
+            };
+            let label = format!("{sim_kind} stars={stars} roi={roi} {w}x{h} phases={phases}");
 
             let reference = run(sim_kind, &cat, &cfg, ExecMode::Reference, 1);
             let batched = run(sim_kind, &cat, &cfg, ExecMode::Batched, 1);
@@ -138,10 +145,13 @@ fn batched_equals_reference_bit_for_bit() {
 #[test]
 fn backends_agree_on_counters_and_times_bit_for_bit() {
     for sim_kind in ["parallel", "adaptive"] {
-        for &(stars, roi, w, h) in &shape_grid() {
+        for &(stars, roi, w, h, phases) in &shape_grid() {
             let cat = catalog(stars, w, h);
-            let cfg = SimConfig::new(w, h, roi);
-            let label = format!("{sim_kind} stars={stars} roi={roi} {w}x{h}");
+            let cfg = SimConfig {
+                lut_phases: phases,
+                ..SimConfig::new(w, h, roi)
+            };
+            let label = format!("{sim_kind} stars={stars} roi={roi} {w}x{h} phases={phases}");
 
             let mut cfg_scalar = cfg.clone();
             cfg_scalar.backend = KernelBackend::Scalar;
