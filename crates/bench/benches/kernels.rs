@@ -7,8 +7,9 @@
 
 include!("common/harness.rs");
 
+use gpusim::DeviceSpec;
 use starfield::FieldGenerator;
-use starsim_core::{AdaptiveSimulator, ParallelSimulator, SimConfig, Simulator};
+use starsim_core::{build_lut, AdaptiveSimulator, ParallelSimulator, SimConfig, Simulator};
 
 fn bench_star_centric_kernel() {
     for &stars in &[256usize, 1024, 4096] {
@@ -36,9 +37,9 @@ fn bench_lut_build() {
     for &(bins, roi) in &[(128usize, 10usize), (512, 10), (128, 32)] {
         let mut config = SimConfig::new(64, 64, roi);
         config.lut_mag_bins = bins;
-        let sim = AdaptiveSimulator::new();
+        let device = DeviceSpec::gtx480();
         bench(&format!("lut_build/{bins}bins_roi{roi}"), || {
-            sim.build_lut(&config).unwrap()
+            build_lut(&config, &device).unwrap()
         });
     }
 }

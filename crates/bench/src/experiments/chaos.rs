@@ -19,7 +19,7 @@ use std::time::{Duration, Instant};
 use gpusim::{DeviceSpec, FaultPlan, VirtualGpu};
 use starfield::catalog::StarCatalog;
 use starfield::FieldGenerator;
-use starsim_core::{AdaptiveSession, RetryPolicy};
+use starsim_core::{AdaptiveSession, RetryPolicy, SessionSetup};
 
 use super::format::{write_json_object, Json, Table};
 use super::Context;
@@ -52,19 +52,16 @@ fn catalog(frame: u64, seed: u64) -> StarCatalog {
 fn session(ctx: &Context, workers: usize, plan: Option<Arc<FaultPlan>>) -> AdaptiveSession {
     let mut config = ctx.sim_config(IMAGE_SIZE, IMAGE_SIZE, ROI_SIDE);
     config.workers = Some(workers);
-    match plan {
-        None => AdaptiveSession::on(VirtualGpu::gtx480(), config).expect("session"),
-        Some(plan) => {
-            let gpu = VirtualGpu::gtx480()
-                .with_fault_plan(plan)
-                .with_watchdog(WATCHDOG);
-            let policy = RetryPolicy {
-                backoff: Duration::ZERO,
-                ..RetryPolicy::default()
-            };
-            AdaptiveSession::on_resilient(gpu, config, policy).expect("resilient session")
-        }
+    let mut gpu = VirtualGpu::gtx480();
+    let mut setup = SessionSetup::default();
+    if let Some(plan) = plan {
+        gpu = gpu.with_fault_plan(plan).with_watchdog(WATCHDOG);
+        setup.retry = Some(RetryPolicy {
+            backoff: Duration::ZERO,
+            ..RetryPolicy::default()
+        });
     }
+    AdaptiveSession::open(gpu, config, setup).expect("session")
 }
 
 /// Best-of-`reps` sustained fps over `frames` identical frames.

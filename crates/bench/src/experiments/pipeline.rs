@@ -14,7 +14,7 @@
 use gpusim::{DeviceSpec, KernelBackend, VirtualGpu};
 use starfield::dynamics::AttitudeDynamics;
 use starfield::{Attitude, Camera, SkyCatalog, SkyStar};
-use starsim_core::{CancelToken, FrameSequencer, SimConfig, ThroughputReport};
+use starsim_core::{CancelToken, FrameSequencer, SessionSetup, SimConfig, ThroughputReport};
 
 use super::format::{write_json_object, Json, Table};
 use super::Context;
@@ -59,8 +59,9 @@ pub(super) fn sequencer(
 ) -> Result<FrameSequencer, starsim_core::SimError> {
     let fov_rad = 10.0f64.to_radians();
     let camera = Camera::from_fov(fov_rad, config.width, config.height).expect("valid camera");
-    FrameSequencer::on_device(
+    FrameSequencer::open(
         gpu,
+        SessionSetup::default(),
         dense_sky(stars, fov_rad, seed),
         camera,
         AttitudeDynamics::new(Attitude::pointing(0.0, 0.0, 0.0), [5e-4, 0.0, 0.0]),

@@ -22,7 +22,8 @@ use gpusim::{ExecMode, Kernel, LaunchConfig, SanitizeConfig, VirtualGpu};
 use starfield::catalog::StarCatalog;
 use starfield::FieldGenerator;
 use starsim_core::{
-    AdaptiveSession, AdaptiveSimulator, ParallelSimulator, SequentialSimulator, Simulator,
+    AdaptiveSession, AdaptiveSimulator, ParallelSimulator, SequentialSimulator, SessionSetup,
+    Simulator,
 };
 
 use super::format::{write_json_object, Json, Table};
@@ -46,7 +47,7 @@ fn session(ctx: &Context, workers: usize, gpu: VirtualGpu) -> AdaptiveSession {
     let mut config = ctx.sim_config(IMAGE_SIZE, IMAGE_SIZE, ROI_SIDE);
     config.exec_mode = ExecMode::Batched;
     config.workers = Some(workers);
-    AdaptiveSession::on(gpu, config).expect("session")
+    AdaptiveSession::open(gpu, config, SessionSetup::default()).expect("session")
 }
 
 /// Best-of-`reps` sustained fps over `frames` identical frames.

@@ -20,7 +20,7 @@ use gpusim::{DeviceSpec, VirtualGpu};
 use starfield::catalog::StarCatalog;
 use starfield::FieldGenerator;
 use starsim_core::telemetry::{parse_json, write_chrome_trace, JsonValue};
-use starsim_core::{AdaptiveSession, LutCache, Telemetry};
+use starsim_core::{AdaptiveSession, LutCache, LutSource, SessionSetup, Telemetry};
 
 use super::format::{write_json_object, Json, Table};
 use super::Context;
@@ -46,19 +46,13 @@ fn session(
 ) -> AdaptiveSession {
     let mut config = ctx.sim_config(IMAGE_SIZE, IMAGE_SIZE, ROI_SIDE);
     config.workers = Some(workers);
-    match telemetry {
-        None => AdaptiveSession::on(VirtualGpu::gtx480(), config).expect("session"),
-        Some(t) => {
-            let cache = LutCache::new();
-            AdaptiveSession::on_telemetry(
-                VirtualGpu::gtx480(),
-                config,
-                Some(&cache),
-                std::sync::Arc::clone(t),
-            )
-            .expect("telemetry session")
-        }
-    }
+    let cache = LutCache::new();
+    let setup = SessionSetup {
+        lut: LutSource::Cached(&cache),
+        telemetry: telemetry.cloned(),
+        ..SessionSetup::default()
+    };
+    AdaptiveSession::open(VirtualGpu::gtx480(), config, setup).expect("session")
 }
 
 /// Best-of-`reps` sustained fps over `frames` identical frames. With a

@@ -14,21 +14,25 @@
 //! x/y, served by Morton-swizzled cache lines) and cache reuse across
 //! blocks whose stars share a magnitude bin.
 
+use std::sync::Arc;
 use std::time::Instant;
 
 use gpusim::memory::global::{GlobalAtomicF32, GlobalBuffer};
 use gpusim::{
-    AppProfile, BlockCtx, FlopClass, Kernel, LaunchConfig, Texture, ThreadCtx, VirtualGpu,
+    AppProfile, BlockCtx, DeviceSpec, FlopClass, Kernel, LaunchConfig, Texture, ThreadCtx,
+    VirtualGpu,
 };
 use psf::lut::{LookupTable, LutParams};
 use psf::roi::Roi;
 use starfield::{Star, StarCatalog};
-use starimage::ImageF32;
 
 use crate::config::SimConfig;
 use crate::error::SimError;
 use crate::report::SimulationReport;
-use crate::star_record::{to_device_stars, DeviceStar};
+use crate::resilience::ResilienceReport;
+use crate::session::SessionSetup;
+use crate::star_record::{render_once, DeviceStar};
+use crate::telemetry::maybe_span;
 use crate::Simulator;
 
 /// Modeled CPU cost per lookup-table entry (one `g(m)·μ` evaluation —
@@ -42,7 +46,7 @@ pub const LUT_BUILD_S_PER_ENTRY: f64 = 10e-9;
 /// Shared-memory layout: `[lut layer, posX, posY]` — "the content of shared
 /// memory ... is also changed by storing star magnitude instead" (§III-C);
 /// we stage the resolved table layer, which is the binned magnitude.
-pub(crate) const SMEM_WORDS: usize = 3;
+const SMEM_WORDS: usize = 3;
 const SMEM_LAYER: usize = 0;
 const SMEM_POS_X: usize = 1;
 const SMEM_POS_Y: usize = 2;
@@ -66,6 +70,36 @@ pub struct AdaptiveKernel<'a> {
     pub height: usize,
     /// ROI geometry.
     pub roi: Roi,
+}
+
+impl<'a> AdaptiveKernel<'a> {
+    /// The kernel every adaptive launch runs — over the first `star_count`
+    /// stars of `stars`, fetching from `lut` into `image` — and its launch
+    /// shape: one ROI-sized block per star with the 3-word shared-memory
+    /// staging.
+    pub(crate) fn build(
+        config: &SimConfig,
+        device: &DeviceSpec,
+        lut: &'a BoundLut,
+        stars: &'a GlobalBuffer<DeviceStar>,
+        star_count: usize,
+        image: &'a GlobalAtomicF32,
+    ) -> (Self, LaunchConfig) {
+        let kernel = AdaptiveKernel {
+            stars,
+            image,
+            lut_tex: &lut.tex,
+            lut: &lut.lut,
+            star_count,
+            width: config.width,
+            height: config.height,
+            roi: Roi::new(config.roi_side),
+        };
+        let cfg = LaunchConfig::star_centric(star_count.max(1), config.roi_side, device)
+            .with_shared_mem(SMEM_WORDS * 4)
+            .with_backend(config.backend);
+        (kernel, cfg)
+    }
 }
 
 impl Kernel for AdaptiveKernel<'_> {
@@ -244,6 +278,105 @@ impl Kernel for AdaptiveKernel<'_> {
     }
 }
 
+/// Builds the lookup table `config` implies, bounded by `device`'s
+/// texture memory (paper §IV-D builds it on the host). The table is really
+/// built; its time charge is modeled ([`LUT_BUILD_S_PER_ENTRY`]).
+pub fn build_lut(config: &SimConfig, device: &DeviceSpec) -> Result<LookupTable, SimError> {
+    let params = LutParams {
+        mag_bins: config.lut_mag_bins,
+        phases: config.lut_phases,
+        mag_range: config.mag_range,
+    };
+    let lut = LookupTable::build(
+        &config.psf_model(),
+        config.a_factor,
+        Roi::new(config.roi_side),
+        params,
+        Some(device.texture_mem_bytes),
+    )?;
+    // The kernel stages the layer index through a shared-memory f32
+    // (the paper's 3-word shared layout); indices above 2^24 would
+    // silently lose precision there.
+    if lut.layers() >= (1 << 24) {
+        return Err(SimError::InvalidConfig(format!(
+            "lookup table has {} layers; the shared-memory staging is \
+             exact only below 2^24 — reduce lut_mag_bins or lut_phases",
+            lut.layers()
+        )));
+    }
+    Ok(lut)
+}
+
+/// A lookup table bound to a device's texture memory ([`bind_lut`]).
+pub(crate) struct BoundLut {
+    pub(crate) lut: Arc<LookupTable>,
+    pub(crate) tex: Texture,
+    /// The table came from a cache, so its build was not paid here.
+    pub(crate) cached: bool,
+    /// Modeled table build, seconds: zero for a table from a cache.
+    pub(crate) build_s: f64,
+    /// Modeled table upload, seconds.
+    pub(crate) upload_s: f64,
+    /// Modeled bind call, seconds.
+    pub(crate) bind_s: f64,
+    /// The failed bind attempts before the one that took.
+    pub(crate) bind_faults: ResilienceReport,
+}
+
+/// The adaptive setup, shared by the one-shot simulator, sessions and the
+/// audit. It rejects an ROI that overruns the image before any table is
+/// built or looked up, so a rejected setup leaves a shared cache as it
+/// was. It then fetches the table from `setup.lut` under a `lut-build`
+/// span and binds it to `gpu`'s texture memory under a `texture-bind`
+/// span, retrying a failed bind under `setup.retry` (one attempt without
+/// one; every failure is recorded in `bind_faults`). Last, it checks that every
+/// index the kernel can fetch (magnitude layer, ROI row and column) lies
+/// inside the bound table: texture clamping would mask a shape mismatch.
+pub(crate) fn bind_lut(
+    gpu: &VirtualGpu,
+    config: &SimConfig,
+    setup: &SessionSetup<'_>,
+) -> Result<BoundLut, SimError> {
+    let side = config.roi_side;
+    gpusim::sanitize::validate_roi(side, config.width, config.height)?;
+    let (lut, cached) = {
+        let _span = maybe_span(setup.telemetry.as_ref(), "lut-build");
+        setup.lut.fetch(gpu, config, setup.telemetry.as_deref())?
+    };
+    let _span = maybe_span(setup.telemetry.as_ref(), "texture-bind");
+    let attempts = setup.retry.map_or(1, |p| u64::from(p.max_attempts.max(1)));
+    let mut bind_faults = ResilienceReport::default();
+    let (tex, upload_s, bind_s) = loop {
+        match gpu.bind_texture(side, side, lut.layers(), lut.data().to_vec()) {
+            Ok(bound) => break bound,
+            Err(e) => {
+                let err = SimError::from(e);
+                bind_faults.record_error(&err);
+                // Attempts so far: the failed one and every retry before it.
+                if bind_faults.retries + 1 >= attempts {
+                    return Err(err);
+                }
+                bind_faults.retries += 1;
+            }
+        }
+    };
+    gpusim::sanitize::validate_lut_domain(&tex, lut.layers() - 1, side - 1, side - 1)?;
+    let build_s = if cached {
+        0.0
+    } else {
+        lut.len() as f64 * LUT_BUILD_S_PER_ENTRY
+    };
+    Ok(BoundLut {
+        lut,
+        tex,
+        cached,
+        build_s,
+        upload_s,
+        bind_s,
+        bind_faults,
+    })
+}
+
 /// The adaptive (lookup-table / texture-memory) simulator.
 pub struct AdaptiveSimulator {
     gpu: VirtualGpu,
@@ -266,34 +399,6 @@ impl AdaptiveSimulator {
     pub fn gpu(&self) -> &VirtualGpu {
         &self.gpu
     }
-
-    /// Builds the lookup table this config implies (exposed so callers can
-    /// inspect table size against the device's texture budget).
-    pub fn build_lut(&self, config: &SimConfig) -> Result<LookupTable, SimError> {
-        let params = LutParams {
-            mag_bins: config.lut_mag_bins,
-            phases: config.lut_phases,
-            mag_range: config.mag_range,
-        };
-        let lut = LookupTable::build(
-            &config.psf_model(),
-            config.a_factor,
-            Roi::new(config.roi_side),
-            params,
-            Some(self.gpu.spec().texture_mem_bytes),
-        )?;
-        // The kernel stages the layer index through a shared-memory f32
-        // (the paper's 3-word shared layout); indices above 2^24 would
-        // silently lose precision there.
-        if lut.layers() >= (1 << 24) {
-            return Err(SimError::InvalidConfig(format!(
-                "lookup table has {} layers; the shared-memory staging is \
-                 exact only below 2^24 — reduce lut_mag_bins or lut_phases",
-                lut.layers()
-            )));
-        }
-        Ok(lut)
-    }
 }
 
 impl Default for AdaptiveSimulator {
@@ -313,66 +418,21 @@ impl Simulator for AdaptiveSimulator {
         config: &SimConfig,
     ) -> Result<SimulationReport, SimError> {
         config.validate()?;
-        // Static pre-launch validation: the ROI must fit the image before
-        // any launch is dispatched.
-        gpusim::sanitize::validate_roi(config.roi_side, config.width, config.height)?;
         let wall_start = Instant::now();
+        let gpu = &self.gpu;
+        let lut = bind_lut(gpu, config, &SessionSetup::default())?;
+        let (image, kp, transfer_s) = render_once(gpu, config, catalog, |stars, image| {
+            let (kernel, cfg) =
+                AdaptiveKernel::build(config, gpu.spec(), &lut, stars, catalog.len(), image);
+            Ok(gpu.launch_mode("adaptive-lut", &kernel, cfg, config.exec_mode)?)
+        })?;
         let mut profile = AppProfile::new();
-
-        // Lookup table build on the CPU (paper §IV-D builds it host-side).
-        // The table is really built; its time charge is modeled per entry
-        // so profiles are reproducible across hosts and build profiles.
-        let lut = self.build_lut(config)?;
-        profile.push_overhead(
-            "lookup table build",
-            lut.len() as f64 * LUT_BUILD_S_PER_ENTRY,
-        );
-
-        // Bind the table into texture memory: modeled upload + bind call.
-        let side = config.roi_side;
-        let (lut_tex, t_lut_up, t_bind) =
-            self.gpu
-                .bind_texture(side, side, lut.layers(), lut.data().to_vec())?;
-        profile.push_overhead("texture memory binding", t_bind);
-        // Static LUT-domain validation: every index the kernel can fetch —
-        // magnitude layer, ROI row/column — must lie inside the bound
-        // table (clamp addressing would silently mask a shape mismatch).
-        gpusim::sanitize::validate_lut_domain(&lut_tex, lut.layers() - 1, side - 1, side - 1)?;
-
-        // Host → device transfers.
-        let (stars, t_stars) = self.gpu.upload(to_device_stars(catalog.stars()));
-        let image_dev = self.gpu.alloc_atomic_f32(config.pixels());
-        let t_img_up = self
-            .gpu
-            .transfer_model()
-            .time(gpusim::MemcpyKind::HostToDevice, config.pixels() * 4);
-
-        let star_count = catalog.len();
-        let kernel = AdaptiveKernel {
-            stars: &stars,
-            image: &image_dev,
-            lut_tex: &lut_tex,
-            lut: &lut,
-            star_count,
-            width: config.width,
-            height: config.height,
-            roi: Roi::new(side),
-        };
-        let cfg = LaunchConfig::star_centric(star_count.max(1), side, self.gpu.spec())
-            .with_shared_mem(SMEM_WORDS * 4)
-            .with_backend(config.backend);
-        let kp = self
-            .gpu
-            .launch_mode("adaptive-lut", &kernel, cfg, config.exec_mode)?;
+        profile.push_overhead("lookup table build", lut.build_s);
+        profile.push_overhead("texture memory binding", lut.bind_s);
         profile.kernels.push(kp);
-
-        let (host_pixels, t_down) = self.gpu.download(&image_dev);
-        profile.push_overhead(
-            "CPU-GPU transmission",
-            t_stars + t_img_up + t_down + t_lut_up,
-        );
-
-        let image = ImageF32::from_data(config.width, config.height, host_pixels);
+        // The table upload rides in the one transmission item, after the
+        // frame's own transfers.
+        profile.push_overhead("CPU-GPU transmission", transfer_s + lut.upload_s);
         let app_time_s = profile.app_time();
         Ok(SimulationReport {
             simulator: self.name(),
@@ -380,8 +440,8 @@ impl Simulator for AdaptiveSimulator {
             profile,
             app_time_s,
             wall_time_s: wall_start.elapsed().as_secs_f64(),
-            stars: star_count,
-            roi_side: side,
+            stars: catalog.len(),
+            roi_side: config.roi_side,
         })
     }
 }
@@ -433,7 +493,7 @@ mod tests {
             .generate(150, 11);
         let seq = SequentialSimulator::new().simulate(&cat, &cfg).unwrap();
         let ada = AdaptiveSimulator::new().simulate(&cat, &cfg).unwrap();
-        let lut = AdaptiveSimulator::new().build_lut(&cfg).unwrap();
+        let lut = build_lut(&cfg, &DeviceSpec::gtx480()).unwrap();
         let bound = lut.brightness().max_relative_error() * 1.5;
         let d = compare(&seq.image, &ada.image, 0.0);
         assert!(
@@ -529,7 +589,7 @@ mod tests {
         // The shared-memory f32 staging is exact only below 2^24 layers.
         let mut cfg = SimConfig::new(64, 64, 1);
         cfg.lut_mag_bins = (1 << 24) + 1;
-        match AdaptiveSimulator::new().build_lut(&cfg) {
+        match build_lut(&cfg, &DeviceSpec::gtx480()) {
             Err(SimError::InvalidConfig(m)) => assert!(m.contains("2^24")),
             other => panic!("expected InvalidConfig, got {:?}", other.map(|_| ())),
         }

@@ -6,24 +6,22 @@
 //! This is the substrate of the `bench --analyze` consistency gate: the
 //! static pass must agree with the dynamic counters within the documented
 //! tolerances ([`gpusim::analyze::COALESCE_TOL`] and friends) on all three
-//! production kernels, or the gate fails. Keeping the kernel/launch
-//! construction here — one function per simulator, mirroring the
-//! simulator's own `simulate` body — guarantees the audit vets the real
-//! production configuration, not a lookalike.
-
-use std::sync::Arc;
+//! production kernels, or the gate fails. Each audit stages its frame and
+//! builds its (kernel, launch) pair through the same code its simulator
+//! runs, so the audit vets the real production configuration, not a
+//! lookalike.
 
 use gpusim::analyze::{analyze_kernel, KernelReport};
-use gpusim::{Dim3, KernelProfile, LaunchConfig, VirtualGpu};
-use psf::roi::Roi;
+use gpusim::{ExecMode, Kernel, KernelProfile, LaunchConfig, VirtualGpu};
 use starfield::StarCatalog;
 
-use crate::adaptive::{AdaptiveKernel, AdaptiveSimulator, SMEM_WORDS as ADAPTIVE_SMEM_WORDS};
+use crate::adaptive::{bind_lut, AdaptiveKernel};
 use crate::config::SimConfig;
 use crate::error::SimError;
-use crate::parallel::{StarCentricKernel, SMEM_WORDS as STAR_SMEM_WORDS};
-use crate::pixel_centric::{PixelCentricKernel, TILE};
-use crate::star_record::to_device_stars;
+use crate::parallel::StarCentricKernel;
+use crate::pixel_centric::PixelCentricKernel;
+use crate::session::SessionSetup;
+use crate::star_record::render_once;
 
 /// One production kernel's static prediction next to its dynamic
 /// measurement, from the same (kernel, launch, device) triple.
@@ -64,12 +62,31 @@ impl KernelAudit {
     }
 }
 
-fn device(config: &SimConfig) -> VirtualGpu {
+/// The audit's device, once `config` is known to be valid.
+fn device(config: &SimConfig) -> Result<VirtualGpu, SimError> {
+    config.validate()?;
     let gpu = VirtualGpu::gtx480();
-    match config.workers {
+    Ok(match config.workers {
         Some(w) => gpu.with_workers(w),
         None => gpu,
-    }
+    })
+}
+
+/// Analyzes `kernel` under `cfg`, then launches the same pair.
+fn audit<K: Kernel>(
+    gpu: &VirtualGpu,
+    name: &str,
+    kernel: &K,
+    cfg: LaunchConfig,
+    mode: ExecMode,
+) -> Result<KernelAudit, SimError> {
+    let report = analyze_kernel(name, kernel, &cfg, gpu.spec())?;
+    let profile = gpu.launch_mode(name, kernel, cfg, mode)?;
+    Ok(KernelAudit {
+        name: name.into(),
+        report,
+        profile,
+    })
 }
 
 /// Audits the paper's Fig. 6 star-centric kernel under `config` over
@@ -78,65 +95,27 @@ pub fn audit_star_centric(
     config: &SimConfig,
     catalog: &StarCatalog,
 ) -> Result<KernelAudit, SimError> {
-    config.validate()?;
-    let gpu = device(config);
-    let (stars, _t) = gpu.upload(to_device_stars(catalog.stars()));
-    let image_dev = gpu.alloc_atomic_f32(config.pixels());
-    let star_count = catalog.len();
-    let kernel = StarCentricKernel {
-        stars: &stars,
-        image: &image_dev,
-        star_count,
-        width: config.width,
-        height: config.height,
-        roi: Roi::new(config.roi_side),
-        psf: config.psf_model(),
-        a_factor: config.a_factor,
-    };
-    let cfg = LaunchConfig::star_centric(star_count.max(1), config.roi_side, gpu.spec())
-        .with_shared_mem(STAR_SMEM_WORDS * 4)
-        .with_backend(config.backend);
-    let report = analyze_kernel("star-centric", &kernel, &cfg, gpu.spec())?;
-    let profile = gpu.launch_mode("star-centric", &kernel, cfg, config.exec_mode)?;
-    Ok(KernelAudit {
-        name: "star-centric".into(),
-        report,
-        profile,
-    })
+    let gpu = device(config)?;
+    let (_, audited, _) = render_once(&gpu, config, catalog, |stars, image| {
+        let (kernel, cfg) =
+            StarCentricKernel::build(config, gpu.spec(), stars, catalog.len(), image);
+        audit(&gpu, "star-centric", &kernel, cfg, config.exec_mode)
+    })?;
+    Ok(audited)
 }
 
 /// Audits the adaptive lookup-table kernel under `config` over `catalog`,
 /// exactly as `AdaptiveSimulator::simulate` launches it (lookup table
 /// built and bound to texture memory first).
 pub fn audit_adaptive(config: &SimConfig, catalog: &StarCatalog) -> Result<KernelAudit, SimError> {
-    config.validate()?;
-    let gpu = device(config);
-    let lut = Arc::new(AdaptiveSimulator::new().build_lut(config)?);
-    let side = config.roi_side;
-    let (lut_tex, _tu, _tb) = gpu.bind_texture(side, side, lut.layers(), lut.data().to_vec())?;
-    let (stars, _t) = gpu.upload(to_device_stars(catalog.stars()));
-    let image_dev = gpu.alloc_atomic_f32(config.pixels());
-    let star_count = catalog.len();
-    let kernel = AdaptiveKernel {
-        stars: &stars,
-        image: &image_dev,
-        lut_tex: &lut_tex,
-        lut: &lut,
-        star_count,
-        width: config.width,
-        height: config.height,
-        roi: Roi::new(side),
-    };
-    let cfg = LaunchConfig::star_centric(star_count.max(1), side, gpu.spec())
-        .with_shared_mem(ADAPTIVE_SMEM_WORDS * 4)
-        .with_backend(config.backend);
-    let report = analyze_kernel("adaptive-lut", &kernel, &cfg, gpu.spec())?;
-    let profile = gpu.launch_mode("adaptive-lut", &kernel, cfg, config.exec_mode)?;
-    Ok(KernelAudit {
-        name: "adaptive-lut".into(),
-        report,
-        profile,
-    })
+    let gpu = device(config)?;
+    let lut = bind_lut(&gpu, config, &SessionSetup::default())?;
+    let (_, audited, _) = render_once(&gpu, config, catalog, |stars, image| {
+        let (kernel, cfg) =
+            AdaptiveKernel::build(config, gpu.spec(), &lut, stars, catalog.len(), image);
+        audit(&gpu, "adaptive-lut", &kernel, cfg, config.exec_mode)
+    })?;
+    Ok(audited)
 }
 
 /// Audits the pixel-centric baseline kernel under `config` over `catalog`,
@@ -145,32 +124,12 @@ pub fn audit_pixel_centric(
     config: &SimConfig,
     catalog: &StarCatalog,
 ) -> Result<KernelAudit, SimError> {
-    config.validate()?;
-    let gpu = device(config);
-    let (stars, _t) = gpu.upload(to_device_stars(catalog.stars()));
-    let image_dev = gpu.alloc_atomic_f32(config.pixels());
-    let kernel = PixelCentricKernel {
-        stars: &stars,
-        image: &image_dev,
-        star_count: catalog.len(),
-        width: config.width,
-        height: config.height,
-        roi: Roi::new(config.roi_side),
-        psf: config.psf_model(),
-        a_factor: config.a_factor,
-    };
-    let grid = Dim3::d2(
-        (config.width as u32).div_ceil(TILE),
-        (config.height as u32).div_ceil(TILE),
-    );
-    let cfg = LaunchConfig::new(grid, Dim3::d2(TILE, TILE));
-    let report = analyze_kernel("pixel-centric", &kernel, &cfg, gpu.spec())?;
-    let profile = gpu.launch("pixel-centric", &kernel, cfg)?;
-    Ok(KernelAudit {
-        name: "pixel-centric".into(),
-        report,
-        profile,
-    })
+    let gpu = device(config)?;
+    let (_, audited, _) = render_once(&gpu, config, catalog, |stars, image| {
+        let (kernel, cfg) = PixelCentricKernel::build(config, stars, catalog.len(), image);
+        audit(&gpu, "pixel-centric", &kernel, cfg, config.exec_mode)
+    })?;
+    Ok(audited)
 }
 
 /// Audits all three production kernels under one config/catalog —

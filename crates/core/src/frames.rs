@@ -30,8 +30,8 @@ use starfield::StarCatalog;
 use crate::config::{PsfKind, SimConfig};
 use crate::error::SimError;
 use crate::report::SimulationReport;
-use crate::resilience::{CancelToken, ResilienceReport, RetryPolicy};
-use crate::session::{AdaptiveSession, FrameTiming};
+use crate::resilience::{CancelToken, ResilienceReport};
+use crate::session::{AdaptiveSession, FrameTiming, SessionSetup};
 use crate::streams::{frame_overlap_estimate, StreamedEstimate};
 use crate::telemetry::{maybe_span, FrameTelemetry, Telemetry};
 
@@ -40,21 +40,28 @@ pub struct FrameSequencer {
     sky: SkyCatalog,
     camera: Camera,
     dynamics: AttitudeDynamics,
-    base_config: SimConfig,
-    /// Exposure time per frame, seconds (sets the smear length).
-    exposure_s: f64,
     /// Frame period, seconds.
     frame_dt: f64,
+    /// Opened on the per-frame config (the smear is fixed by the constant
+    /// body rate), so its config is [`Self::config`].
     session: AdaptiveSession,
     time_s: f64,
 }
 
 impl FrameSequencer {
-    /// Creates a sequencer. `config.width/height` must match the camera.
+    /// Opens a sequencer on `gpu` — the injection point for fault plans,
+    /// watchdog deadlines, and worker counts — with its session set up by
+    /// `setup` (table source, retry policy, telemetry; see
+    /// [`AdaptiveSession::open`]). `config.width/height` must match the
+    /// camera, and both are checked before the lookup table is built.
     ///
     /// The smear PSF is engaged automatically whenever the commanded rate
-    /// streaks stars by more than half a pixel over the exposure.
-    pub fn new(
+    /// streaks stars by more than half a pixel over the exposure; the
+    /// session's table is built for the smeared optics.
+    #[allow(clippy::too_many_arguments)]
+    pub fn open(
+        gpu: VirtualGpu,
+        setup: SessionSetup<'_>,
         sky: SkyCatalog,
         camera: Camera,
         dynamics: AttitudeDynamics,
@@ -62,19 +69,21 @@ impl FrameSequencer {
         exposure_s: f64,
         frame_dt: f64,
     ) -> Result<Self, SimError> {
-        Self::on_device(
-            VirtualGpu::gtx480(),
+        Self::check(&camera, &config, exposure_s, frame_dt)?;
+        let frame_config = Self::frame_config(&config, &camera, &dynamics, exposure_s);
+        let session = AdaptiveSession::open(gpu, frame_config, setup)?;
+        Ok(FrameSequencer {
             sky,
             camera,
             dynamics,
-            config,
-            exposure_s,
             frame_dt,
-        )
+            session,
+            time_s: 0.0,
+        })
     }
 
-    /// Creates a sequencer on a caller-provided device — the injection
-    /// point for fault plans, watchdog deadlines, and worker counts.
+    /// [`Self::open`] with the default setup. Kept only because perfbench
+    /// calls it.
     pub fn on_device(
         gpu: VirtualGpu,
         sky: SkyCatalog,
@@ -84,39 +93,24 @@ impl FrameSequencer {
         exposure_s: f64,
         frame_dt: f64,
     ) -> Result<Self, SimError> {
-        if (camera.width, camera.height) != (config.width, config.height) {
-            return Err(SimError::InvalidConfig(format!(
-                "camera {}x{} does not match config {}x{}",
-                camera.width, camera.height, config.width, config.height
-            )));
-        }
-        if !(exposure_s > 0.0 && frame_dt > 0.0 && exposure_s <= frame_dt) {
-            return Err(SimError::InvalidConfig(format!(
-                "need 0 < exposure ({exposure_s}) ≤ frame period ({frame_dt})"
-            )));
-        }
-        let session = AdaptiveSession::on(
+        Self::open(
             gpu,
-            Self::frame_config(&config, &camera, &dynamics, exposure_s),
-        )?;
-        Ok(FrameSequencer {
+            SessionSetup::default(),
             sky,
             camera,
             dynamics,
-            base_config: config,
+            config,
             exposure_s,
             frame_dt,
-            session,
-            time_s: 0.0,
-        })
+        )
     }
 
     /// Wraps an already-open session — the server path, where the session
     /// was opened through a shared tenant-attributed [`crate::LutCache`]
-    /// ([`AdaptiveSession::on_cached_tenant`]) before the sequencer
-    /// exists. The session's config becomes the base config; the attitude
-    /// rate must not engage the smear PSF (the session's lookup table was
-    /// built for the base optics), or construction fails.
+    /// before the sequencer exists. The session's config is every frame's
+    /// config, so the attitude rate must not engage the smear PSF (the
+    /// session's lookup table was built for the unsmeared optics), or
+    /// construction fails.
     pub fn on_session(
         session: AdaptiveSession,
         sky: SkyCatalog,
@@ -125,19 +119,9 @@ impl FrameSequencer {
         exposure_s: f64,
         frame_dt: f64,
     ) -> Result<Self, SimError> {
-        let base_config = session.config().clone();
-        if (camera.width, camera.height) != (base_config.width, base_config.height) {
-            return Err(SimError::InvalidConfig(format!(
-                "camera {}x{} does not match session config {}x{}",
-                camera.width, camera.height, base_config.width, base_config.height
-            )));
-        }
-        if !(exposure_s > 0.0 && frame_dt > 0.0 && exposure_s <= frame_dt) {
-            return Err(SimError::InvalidConfig(format!(
-                "need 0 < exposure ({exposure_s}) ≤ frame period ({frame_dt})"
-            )));
-        }
-        if Self::frame_config(&base_config, &camera, &dynamics, exposure_s) != base_config {
+        let config = session.config();
+        Self::check(&camera, config, exposure_s, frame_dt)?;
+        if Self::frame_config(config, &camera, &dynamics, exposure_s) != *config {
             return Err(SimError::InvalidConfig(
                 "attitude rate engages the smear PSF, but the session's lookup \
                  table was built for the unsmeared optics; open the session on \
@@ -149,12 +133,32 @@ impl FrameSequencer {
             sky,
             camera,
             dynamics,
-            base_config,
-            exposure_s,
             frame_dt,
             session,
             time_s: 0.0,
         })
+    }
+
+    /// The checks both constructors share: the camera matches the config,
+    /// and the exposure fits inside the frame period.
+    fn check(
+        camera: &Camera,
+        config: &SimConfig,
+        exposure_s: f64,
+        frame_dt: f64,
+    ) -> Result<(), SimError> {
+        if (camera.width, camera.height) != (config.width, config.height) {
+            return Err(SimError::InvalidConfig(format!(
+                "camera {}x{} does not match config {}x{}",
+                camera.width, camera.height, config.width, config.height
+            )));
+        }
+        if !(exposure_s > 0.0 && frame_dt > 0.0 && exposure_s <= frame_dt) {
+            return Err(SimError::InvalidConfig(format!(
+                "need 0 < exposure ({exposure_s}) ≤ frame period ({frame_dt})"
+            )));
+        }
+        Ok(())
     }
 
     /// The per-frame config: the base config plus the rate-derived smear.
@@ -181,21 +185,6 @@ impl FrameSequencer {
             config.roi_side = (2 * margin + 1).clamp(config.roi_side, 32);
         }
         config
-    }
-
-    /// Enables the bounded-retry degradation ladder for every frame,
-    /// [`Self::next_frame`] and bursts alike.
-    pub fn with_retry_policy(mut self, policy: RetryPolicy) -> Self {
-        self.session.set_retry_policy(Some(policy));
-        self
-    }
-
-    /// Attaches a telemetry sink: every frame records spans, metrics and
-    /// device launch traces, and [`Self::run_frames`] reports carry a
-    /// [`FrameTelemetry`] rollup.
-    pub fn with_telemetry(mut self, telemetry: Arc<Telemetry>) -> Self {
-        self.session.set_telemetry(Some(telemetry));
-        self
     }
 
     /// The attached telemetry sink, if any.
@@ -233,12 +222,7 @@ impl FrameSequencer {
 
     /// The active per-frame configuration.
     pub fn config(&self) -> SimConfig {
-        Self::frame_config(
-            &self.base_config,
-            &self.camera,
-            &self.dynamics,
-            self.exposure_s,
-        )
+        self.session.config().clone()
     }
 
     /// Renders the next frame and advances the clock and attitude.
@@ -259,7 +243,7 @@ impl FrameSequencer {
 
     /// The current frame's FOV retrieval, under the `star-gen` span.
     fn view(&self) -> StarCatalog {
-        let roi_side = self.config().roi_side;
+        let roi_side = self.session.config().roi_side;
         let _star_gen = maybe_span(self.session.telemetry(), "star-gen");
         self.sky
             .view(self.dynamics.attitude, &self.camera, roi_side as f32)
@@ -474,7 +458,7 @@ pub struct ThroughputReport {
     /// the kernel, next to the host stages' busy times. Always `Some`.
     pub overlap: Option<OverlapReport>,
     /// Telemetry rollup (span stages, launch counts, metrics) when a sink
-    /// is attached ([`FrameSequencer::with_telemetry`]); `None` otherwise.
+    /// is attached ([`SessionSetup::telemetry`]); `None` otherwise.
     /// Boxed: the rollup is much larger than the scalar fields.
     pub telemetry: Option<Box<FrameTelemetry>>,
 }
@@ -547,6 +531,8 @@ pub struct Frame {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::resilience::RetryPolicy;
+    use gpusim::{FaultKind, FaultPlan, FaultSpec};
     use starfield::generator::synthetic_sky;
     use starfield::Attitude;
 
@@ -555,7 +541,9 @@ mod tests {
     }
 
     fn sequencer(omega: [f64; 3]) -> FrameSequencer {
-        FrameSequencer::new(
+        FrameSequencer::open(
+            VirtualGpu::gtx480(),
+            SessionSetup::default(),
             synthetic_sky(30_000, 0.0, 6.0, 3),
             camera(),
             AttitudeDynamics::new(Attitude::pointing(1.0, 0.2, 0.0), omega),
@@ -665,69 +653,70 @@ mod tests {
     }
 
     #[test]
-    fn run_frames_recovers_from_faults_with_a_retry_policy() {
-        use crate::resilience::RetryPolicy;
-        use gpusim::{FaultKind, FaultPlan};
-        use std::sync::Arc;
-        use std::time::Duration;
-
-        let mut clean = sequencer([0.002, 0.0, 0.0]);
-        let baseline = clean.run_frames(4).unwrap();
-        assert_eq!(baseline.resilience, ResilienceReport::default());
-
-        let gpu = VirtualGpu::gtx480().with_fault_plan(Arc::new(FaultPlan::single(
-            FaultKind::WorkerPanic,
-            1,
-            2,
-        )));
-        let mut seq = FrameSequencer::on_device(
-            gpu,
+    fn a_smeared_sequencer_retries_its_bind_and_frames() {
+        // 1°/s engages the smear PSF, so the session's table is built for
+        // the smeared optics; its open and frames run under the policy.
+        let omega = [1.0f64.to_radians(), 0.0, 0.0];
+        let spec = |launch, lane, kind| FaultSpec { launch, lane, kind };
+        let plan = FaultPlan::from_specs(vec![
+            spec(0, 0, FaultKind::TextureBindFail),
+            spec(1, 2, FaultKind::WorkerPanic),
+        ]);
+        let setup = SessionSetup {
+            retry: Some(RetryPolicy {
+                backoff: std::time::Duration::ZERO,
+                ..RetryPolicy::default()
+            }),
+            ..SessionSetup::default()
+        };
+        let mut seq = FrameSequencer::open(
+            VirtualGpu::gtx480().with_fault_plan(Arc::new(plan)),
+            setup,
             synthetic_sky(30_000, 0.0, 6.0, 3),
             camera(),
-            AttitudeDynamics::new(Attitude::pointing(1.0, 0.2, 0.0), [0.002, 0.0, 0.0]),
+            AttitudeDynamics::new(Attitude::pointing(1.0, 0.2, 0.0), omega),
             SimConfig::new(256, 256, 10),
             0.1,
             0.5,
         )
-        .unwrap()
-        .with_retry_policy(RetryPolicy {
-            backoff: Duration::ZERO,
-            ..RetryPolicy::default()
-        });
-        let report = seq.run_frames(4).unwrap();
-        assert_eq!(report.frames, 4);
-        assert_eq!(report.resilience.panics, 1);
-        assert_eq!(report.resilience.retries, 1);
-        assert_eq!(
-            report.resilience.rung_frames,
-            [3, 1, 0, 0],
-            "one frame degraded to spawn dispatch, the rest stayed configured"
-        );
+        .unwrap();
+        assert!(matches!(seq.config().psf, PsfKind::Smeared { .. }));
+        let mut clean = sequencer(omega);
+        // Pixels and modeled time, bit for bit.
+        let bits = |f: Frame| {
+            let pixels: Vec<u32> = f.report.image.data().iter().map(|v| v.to_bits()).collect();
+            (pixels, f.report.app_time_s.to_bits())
+        };
+        for _ in 0..3 {
+            assert_eq!(
+                bits(seq.next_frame().unwrap()),
+                bits(clean.next_frame().unwrap())
+            );
+        }
+        assert_eq!(clean.resilience_report(), ResilienceReport::default());
+        let r = seq.resilience_report();
+        assert_eq!((r.bind_failures, r.panics, r.retries), (1, 1, 2));
+        assert_eq!(r.rung_frames, [2, 1, 0, 0]);
     }
 
     #[test]
     fn construction_validation() {
         let sky = synthetic_sky(100, 0.0, 6.0, 1);
         let dynamics = AttitudeDynamics::new(Attitude::IDENTITY, [0.0; 3]);
+        let open = |config, exposure_s| {
+            FrameSequencer::on_device(
+                VirtualGpu::gtx480(),
+                sky.clone(),
+                camera(),
+                dynamics,
+                config,
+                exposure_s,
+                0.5,
+            )
+        };
         // Camera/config mismatch.
-        assert!(FrameSequencer::new(
-            sky.clone(),
-            camera(),
-            dynamics,
-            SimConfig::new(128, 128, 10),
-            0.1,
-            0.5,
-        )
-        .is_err());
+        assert!(open(SimConfig::new(128, 128, 10), 0.1).is_err());
         // Exposure longer than the frame period.
-        assert!(FrameSequencer::new(
-            sky,
-            camera(),
-            dynamics,
-            SimConfig::new(256, 256, 10),
-            1.0,
-            0.5,
-        )
-        .is_err());
+        assert!(open(SimConfig::new(256, 256, 10), 1.0).is_err());
     }
 }

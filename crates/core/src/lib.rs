@@ -46,7 +46,7 @@ pub mod streams;
 pub mod telemetry;
 pub mod validate;
 
-pub use adaptive::{AdaptiveKernel, AdaptiveSimulator};
+pub use adaptive::{build_lut, AdaptiveKernel, AdaptiveSimulator};
 pub use admission::{
     AdmissionConfig, AdmissionController, AdmissionStats, Permit, Rejected, ShedLevel,
 };
@@ -71,7 +71,9 @@ pub use resilience::{CancelToken, ResilienceReport, RetryPolicy, Rung};
 pub use selection::{Choice, InflectionPoint};
 pub use sequential::SequentialSimulator;
 pub use server::{Client, ServerConfig, ServerHandle, StarServer};
-pub use session::{AdaptiveSession, FrameTiming, LutCache, LutCacheStats, PreparedStars};
+pub use session::{
+    AdaptiveSession, FrameTiming, LutCache, LutCacheStats, LutSource, PreparedStars, SessionSetup,
+};
 pub use star_record::{to_device_stars, DeviceStar};
 pub use telemetry::{FrameTelemetry, MetricsRegistry, SpanRecord, StageStats, Telemetry};
 

@@ -13,11 +13,10 @@
 use gpusim::memory::global::{GlobalAtomicF32, GlobalBuffer};
 use gpusim::{FlopClass, Kernel, LaunchConfig, ThreadCtx, VirtualGpu};
 use psf::integrated::PsfModel;
-use psf::lut::{LookupTable, LutParams};
 use psf::roi::Roi;
 use starfield::magnitude::BrightnessTable;
 
-use crate::adaptive::LUT_BUILD_S_PER_ENTRY;
+use crate::adaptive::{build_lut, LUT_BUILD_S_PER_ENTRY};
 use crate::config::SimConfig;
 use crate::error::SimError;
 
@@ -88,20 +87,16 @@ pub fn compare_builds(config: &SimConfig) -> Result<(LutBuildComparison, Vec<f32
     config.validate()?;
     let gpu = VirtualGpu::gtx480();
     let roi = Roi::new(config.roi_side);
-    let params = LutParams {
-        mag_bins: config.lut_mag_bins,
-        phases: 1,
-        mag_range: config.mag_range,
-    };
     let entries = config.lut_mag_bins * roi.area();
 
-    // Host reference build (also the functional source of truth).
-    let host_lut = LookupTable::build(
-        &config.psf_model(),
-        config.a_factor,
-        roi,
-        params,
-        Some(gpu.spec().texture_mem_bytes),
+    // Host reference build (also the functional source of truth), without
+    // sub-pixel phases: the GPU build computes one layer per magnitude bin.
+    let host_lut = build_lut(
+        &SimConfig {
+            lut_phases: 1,
+            ..config.clone()
+        },
+        gpu.spec(),
     )?;
     let cpu_build_s = entries as f64 * LUT_BUILD_S_PER_ENTRY;
 
@@ -146,13 +141,13 @@ pub fn compare_builds(config: &SimConfig) -> Result<(LutBuildComparison, Vec<f32
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::adaptive::AdaptiveSimulator;
+    use crate::adaptive::build_lut;
 
     #[test]
     fn gpu_build_computes_the_same_table() {
         let config = SimConfig::new(64, 64, 10);
         let (_, gpu_data) = compare_builds(&config).unwrap();
-        let host = AdaptiveSimulator::new().build_lut(&config).unwrap();
+        let host = build_lut(&config, &gpusim::DeviceSpec::gtx480()).unwrap();
         assert_eq!(gpu_data.len(), host.data().len());
         for (k, (&a, &b)) in gpu_data.iter().zip(host.data()).enumerate() {
             assert!(

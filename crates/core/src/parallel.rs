@@ -18,22 +18,22 @@ use std::time::Instant;
 
 use gpusim::memory::global::{GlobalAtomicF32, GlobalBuffer};
 use gpusim::{
-    AppProfile, BlockCtx, FlopClass, Kernel, KernelBackend, LaunchConfig, ThreadCtx, VirtualGpu,
+    AppProfile, BlockCtx, DeviceSpec, FlopClass, Kernel, KernelBackend, LaunchConfig, ThreadCtx,
+    VirtualGpu,
 };
 use psf::integrated::PsfModel;
 use psf::roi::Roi;
 use starfield::StarCatalog;
-use starimage::ImageF32;
 
 use crate::config::SimConfig;
 use crate::error::SimError;
 use crate::report::SimulationReport;
-use crate::star_record::{to_device_stars, DeviceStar};
+use crate::star_record::{render_once, DeviceStar};
 use crate::Simulator;
 
 /// Shared-memory layout of the kernel: `[brightness, posX, posY]`
 /// (the paper's `__shared__ float shareMem[3]`).
-pub(crate) const SMEM_WORDS: usize = 3;
+const SMEM_WORDS: usize = 3;
 const SMEM_BRIGHTNESS: usize = 0;
 const SMEM_POS_X: usize = 1;
 const SMEM_POS_Y: usize = 2;
@@ -56,6 +56,34 @@ pub struct StarCentricKernel<'a> {
     pub psf: PsfModel,
     /// Brightness proportionality factor.
     pub a_factor: f32,
+}
+
+impl<'a> StarCentricKernel<'a> {
+    /// The kernel every star-centric launch runs — over the first
+    /// `star_count` stars of `stars` into `image` — and its launch shape:
+    /// one ROI-sized block per star with the 3-word shared-memory staging.
+    pub(crate) fn build(
+        config: &SimConfig,
+        device: &DeviceSpec,
+        stars: &'a GlobalBuffer<DeviceStar>,
+        star_count: usize,
+        image: &'a GlobalAtomicF32,
+    ) -> (Self, LaunchConfig) {
+        let kernel = StarCentricKernel {
+            stars,
+            image,
+            star_count,
+            width: config.width,
+            height: config.height,
+            roi: Roi::new(config.roi_side),
+            psf: config.psf_model(),
+            a_factor: config.a_factor,
+        };
+        let cfg = LaunchConfig::star_centric(star_count.max(1), config.roi_side, device)
+            .with_shared_mem(SMEM_WORDS * 4)
+            .with_backend(config.backend);
+        (kernel, cfg)
+    }
 }
 
 impl Kernel for StarCentricKernel<'_> {
@@ -342,43 +370,15 @@ impl Simulator for ParallelSimulator {
         // typed error before anything is dispatched.
         gpusim::sanitize::validate_roi(config.roi_side, config.width, config.height)?;
         let wall_start = Instant::now();
+        let gpu = &self.gpu;
+        let (image, kp, transfer_s) = render_once(gpu, config, catalog, |stars, image| {
+            let (kernel, cfg) =
+                StarCentricKernel::build(config, gpu.spec(), stars, catalog.len(), image);
+            Ok(gpu.launch_mode("star-centric", &kernel, cfg, config.exec_mode)?)
+        })?;
         let mut profile = AppProfile::new();
-
-        // Host → device: star array and the zeroed image.
-        let (stars, t_stars) = self.gpu.try_upload(to_device_stars(catalog.stars()))?;
-        let image_dev = self.gpu.alloc_atomic_f32(config.pixels());
-        // The paper transfers the pixel array to the device before the
-        // kernel (its CUDA 3.2 flow); model that upload as an image-sized
-        // host→device copy.
-        let t_img_up = self
-            .gpu
-            .transfer_model()
-            .time(gpusim::MemcpyKind::HostToDevice, config.pixels() * 4);
-
-        let star_count = catalog.len();
-        let kernel = StarCentricKernel {
-            stars: &stars,
-            image: &image_dev,
-            star_count,
-            width: config.width,
-            height: config.height,
-            roi: Roi::new(config.roi_side),
-            psf: config.psf_model(),
-            a_factor: config.a_factor,
-        };
-        let cfg = LaunchConfig::star_centric(star_count.max(1), config.roi_side, self.gpu.spec())
-            .with_shared_mem(SMEM_WORDS * 4)
-            .with_backend(config.backend);
-        let kp = self
-            .gpu
-            .launch_mode("star-centric", &kernel, cfg, config.exec_mode)?;
         profile.kernels.push(kp);
-
-        // Device → host: the finished image.
-        let (host_pixels, t_down) = self.gpu.try_download(&image_dev)?;
-        profile.push_overhead("CPU-GPU transmission", t_stars + t_img_up + t_down);
-
-        let image = ImageF32::from_data(config.width, config.height, host_pixels);
+        profile.push_overhead("CPU-GPU transmission", transfer_s);
         let app_time_s = profile.app_time();
         Ok(SimulationReport {
             simulator: self.name(),
@@ -386,7 +386,7 @@ impl Simulator for ParallelSimulator {
             profile,
             app_time_s,
             wall_time_s: wall_start.elapsed().as_secs_f64(),
-            stars: star_count,
+            stars: catalog.len(),
             roi_side: config.roi_side,
         })
     }

@@ -18,16 +18,15 @@ use gpusim::{AppProfile, Dim3, FlopClass, Kernel, LaunchConfig, ThreadCtx, Virtu
 use psf::integrated::PsfModel;
 use psf::roi::Roi;
 use starfield::StarCatalog;
-use starimage::ImageF32;
 
 use crate::config::SimConfig;
 use crate::error::SimError;
 use crate::report::SimulationReport;
-use crate::star_record::{to_device_stars, DeviceStar};
+use crate::star_record::{render_once, DeviceStar};
 use crate::Simulator;
 
 /// Image tile side per thread block.
-pub(crate) const TILE: u32 = 16;
+const TILE: u32 = 16;
 
 /// The pixel-centric kernel (paper Fig. 3a).
 pub struct PixelCentricKernel<'a> {
@@ -47,6 +46,34 @@ pub struct PixelCentricKernel<'a> {
     pub psf: PsfModel,
     /// Brightness factor.
     pub a_factor: f32,
+}
+
+impl<'a> PixelCentricKernel<'a> {
+    /// The kernel every pixel-centric launch runs — over the first
+    /// `star_count` stars of `stars` into `image` — and its launch shape:
+    /// one thread per pixel in `TILE × TILE` blocks.
+    pub(crate) fn build(
+        config: &SimConfig,
+        stars: &'a GlobalBuffer<DeviceStar>,
+        star_count: usize,
+        image: &'a GlobalAtomicF32,
+    ) -> (Self, LaunchConfig) {
+        let kernel = PixelCentricKernel {
+            stars,
+            image,
+            star_count,
+            width: config.width,
+            height: config.height,
+            roi: Roi::new(config.roi_side),
+            psf: config.psf_model(),
+            a_factor: config.a_factor,
+        };
+        let grid = Dim3::d2(
+            (config.width as u32).div_ceil(TILE),
+            (config.height as u32).div_ceil(TILE),
+        );
+        (kernel, LaunchConfig::new(grid, Dim3::d2(TILE, TILE)))
+    }
 }
 
 impl Kernel for PixelCentricKernel<'_> {
@@ -126,37 +153,14 @@ impl Simulator for PixelCentricSimulator {
     ) -> Result<SimulationReport, SimError> {
         config.validate()?;
         let wall_start = Instant::now();
+        let gpu = &self.gpu;
+        let (image, kp, transfer_s) = render_once(gpu, config, catalog, |stars, image| {
+            let (kernel, cfg) = PixelCentricKernel::build(config, stars, catalog.len(), image);
+            Ok(gpu.launch_mode("pixel-centric", &kernel, cfg, config.exec_mode)?)
+        })?;
         let mut profile = AppProfile::new();
-
-        let (stars, t_stars) = self.gpu.upload(to_device_stars(catalog.stars()));
-        let image_dev = self.gpu.alloc_atomic_f32(config.pixels());
-        let t_img_up = self
-            .gpu
-            .transfer_model()
-            .time(gpusim::MemcpyKind::HostToDevice, config.pixels() * 4);
-
-        let kernel = PixelCentricKernel {
-            stars: &stars,
-            image: &image_dev,
-            star_count: catalog.len(),
-            width: config.width,
-            height: config.height,
-            roi: Roi::new(config.roi_side),
-            psf: config.psf_model(),
-            a_factor: config.a_factor,
-        };
-        let grid = Dim3::d2(
-            (config.width as u32).div_ceil(TILE),
-            (config.height as u32).div_ceil(TILE),
-        );
-        let cfg = LaunchConfig::new(grid, Dim3::d2(TILE, TILE));
-        let kp = self.gpu.launch("pixel-centric", &kernel, cfg)?;
         profile.kernels.push(kp);
-
-        let (host_pixels, t_down) = self.gpu.download(&image_dev);
-        profile.push_overhead("CPU-GPU transmission", t_stars + t_img_up + t_down);
-
-        let image = ImageF32::from_data(config.width, config.height, host_pixels);
+        profile.push_overhead("CPU-GPU transmission", transfer_s);
         let app_time_s = profile.app_time();
         Ok(SimulationReport {
             simulator: self.name(),

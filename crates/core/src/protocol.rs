@@ -36,9 +36,6 @@ pub const MAX_PAYLOAD: usize = 1 << 20;
 /// pre-launch validator (`gpusim::sanitize::validate_roi`) share one
 /// source of truth, so the caps cannot drift apart.
 pub const MAX_DIM: usize = gpusim::device::MAX_IMAGE_DIM;
-/// Hard cap on a session's ROI side, pixels (aliases
-/// [`gpusim::device::MAX_ROI_SIDE`], shared like [`MAX_DIM`]).
-pub const MAX_ROI: usize = gpusim::device::MAX_ROI_SIDE;
 /// Hard cap on a session's synthetic-sky star count.
 pub const MAX_STARS: usize = 1 << 20;
 /// Hard cap on frames per render request.
@@ -172,8 +169,10 @@ pub struct SessionSpec {
 
 impl SessionSpec {
     /// Validates the spec's caps and derives the session's [`SimConfig`]
-    /// (which is itself validated) — the single choke point every
-    /// deserialized open-session request passes through.
+    /// (which is itself validated, ROI against image included) — the
+    /// single choke point every deserialized open-session request passes
+    /// through, so a bad spec is answered `bad request` before the server
+    /// looks up or builds a table for it.
     pub fn validate(&self) -> Result<SimConfig, ProtoError> {
         let bad = |m: String| Err(ProtoError::Malformed(m));
         if self.width as usize > MAX_DIM || self.height as usize > MAX_DIM {
@@ -207,15 +206,11 @@ impl SessionSpec {
         config
             .validate()
             .map_err(|e| ProtoError::Malformed(e.to_string()))?;
-        if config.roi_side > MAX_ROI {
-            // The device's thread-block cap; SimConfig::validate leaves
-            // this to the launch validator, but the boundary rejects it
-            // eagerly so a worker never sees it.
-            return bad(format!(
-                "roi_side {} exceeds the {MAX_ROI}px cap",
-                self.roi_side
-            ));
-        }
+        // The ROI must fit the image and the device's thread-block cap;
+        // SimConfig::validate leaves both to the launch validator, but the
+        // boundary rejects them eagerly so a worker never sees them.
+        gpusim::sanitize::validate_roi(config.roi_side, config.width, config.height)
+            .map_err(|e| ProtoError::Malformed(e.to_string()))?;
         Ok(config)
     }
 }

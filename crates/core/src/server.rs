@@ -49,7 +49,7 @@ use crate::protocol::{
     SessionSpec, SloState, MAX_FRAMES_PER_REQUEST, PROTOCOL_VERSION,
 };
 use crate::resilience::{CancelToken, Rung};
-use crate::session::{AdaptiveSession, LutCache};
+use crate::session::{AdaptiveSession, LutCache, LutSource, SessionSetup};
 use crate::telemetry::Telemetry;
 
 /// FNV-1a offset basis — the seed of every session's cumulative digest.
@@ -99,9 +99,10 @@ pub struct ServerConfig {
     /// Watchdog budget attached to every session's device (pairs with
     /// stalling fault plans). `None` leaves the device default.
     pub watchdog: Option<Duration>,
-    /// Retry policy for every session's render ladder; faults injected by
-    /// `fault_plan` retry/degrade through it exactly as in-process frame
-    /// loops do.
+    /// Retry policy every session opens with ([`SessionSetup::retry`]): it
+    /// retries the open's texture bind and runs every frame under the
+    /// degradation ladder, so faults injected by `fault_plan` retry and
+    /// degrade through it exactly as in process.
     pub retry: Option<crate::resilience::RetryPolicy>,
     /// Directory the flight recorder dumps post-mortems into. `None`
     /// counts dump triggers without writing files.
@@ -554,11 +555,16 @@ fn handle_open(
     if let Some(watchdog) = shared.config.watchdog {
         gpu = gpu.with_watchdog(watchdog);
     }
-    let (session, lut_cache_hit) =
-        match AdaptiveSession::on_cached_tenant(gpu, config, &shared.cache, &spec.tenant) {
-            Ok(pair) => pair,
-            Err(e) => return reject(shared, RejectCode::Internal, 0, e.to_string()),
-        };
+    let setup = SessionSetup {
+        lut: LutSource::Tenant(&shared.cache, &spec.tenant),
+        retry: shared.config.retry,
+        telemetry: None,
+    };
+    let session = match AdaptiveSession::open(gpu, config, setup) {
+        Ok(session) => session,
+        Err(e) => return reject(shared, RejectCode::Internal, 0, e.to_string()),
+    };
+    let lut_cache_hit = session.lut_cache_hit();
     // The server's deterministic scene: spec.seed fixes the sky, the
     // camera spans a 10° FOV, and the platform drifts gently enough that
     // the smear PSF stays disengaged (a requirement of on_session).
@@ -582,10 +588,6 @@ fn handle_open(
     ) {
         Ok(seq) => seq,
         Err(e) => return reject(shared, RejectCode::Internal, 0, e.to_string()),
-    };
-    let seq = match shared.config.retry {
-        Some(policy) => seq.with_retry_policy(policy),
-        None => seq,
     };
     let id = conn.next_id;
     conn.next_id += 1;

@@ -17,13 +17,12 @@ use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-use gpusim::{AppProfile, ExecMode, GlobalBuffer, LaunchConfig, MemcpyKind, Texture, VirtualGpu};
+use gpusim::{AppProfile, ExecMode, GlobalBuffer, MemcpyKind, VirtualGpu};
 use psf::lut::LookupTable;
-use psf::roi::Roi;
 use starfield::StarCatalog;
 use starimage::ImageF32;
 
-use crate::adaptive::{AdaptiveKernel, AdaptiveSimulator, LUT_BUILD_S_PER_ENTRY, SMEM_WORDS};
+use crate::adaptive::{bind_lut, build_lut, AdaptiveKernel, BoundLut};
 use crate::config::{PsfKind, SimConfig};
 use crate::error::SimError;
 use crate::parallel::StarCentricKernel;
@@ -34,7 +33,7 @@ use crate::telemetry::{maybe_span, Telemetry};
 
 /// Everything the lookup-table build depends on, hashable. Floats are
 /// compared by bit pattern: two configs share a table exactly when every
-/// input to [`AdaptiveSimulator::build_lut`] is bit-identical.
+/// input to [`build_lut`] is bit-identical.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 struct LutKey {
     roi_side: usize,
@@ -91,9 +90,10 @@ struct TenantCounters {
 /// A large-scale simulator often runs many sessions over the same optics —
 /// sweeping star counts, re-opening sessions per camera, re-rendering with
 /// a different executor. The table depends only on the optics (σ, ROI,
-/// magnitude range, PSF, binning), so [`AdaptiveSession::on_cached`] can
-/// skip both the host-side build *and* the modeled build time on a hit;
-/// only the per-device texture upload/bind is re-paid.
+/// magnitude range, PSF, binning), so a session opened through the cache
+/// ([`LutSource::Cached`]) skips both the host-side build *and* the
+/// modeled build time on a hit; only the per-device texture upload/bind
+/// is re-paid.
 ///
 /// The cache holds at most [`Self::capacity`] tables (default
 /// [`LutCache::DEFAULT_CAPACITY`]); inserting past the bound evicts the
@@ -230,22 +230,15 @@ impl LutCache {
         }
     }
 
-    /// Returns the cached table for `config`, building (and caching) it on
-    /// a miss. The boolean is `true` on a hit.
-    fn get_or_build(
-        &self,
-        gpu: &VirtualGpu,
-        config: &SimConfig,
-    ) -> Result<(Arc<LookupTable>, bool), SimError> {
-        self.get_or_build_for(gpu, config, None)
-    }
-
-    /// [`get_or_build`](Self::get_or_build) with tenant attribution: the
-    /// lookup is charged to `tenant`'s hit/miss counters, a built table is
-    /// owned by (and counts against the quota of) `tenant`, and quota
-    /// evictions displace the tenant's **own** LRU table before the global
-    /// LRU bound runs — so one tenant's churn never evicts another's
-    /// tables through the quota path.
+    /// Returns the cached table for `config`, building it for `gpu`'s
+    /// texture memory (and caching it) on a miss. The boolean is `true` on
+    /// a hit.
+    ///
+    /// With a `tenant`, the lookup is charged to that tenant's hit/miss
+    /// counters, a built table is owned by (and counts against the quota
+    /// of) the tenant, and quota evictions displace the tenant's **own**
+    /// LRU table before the global LRU bound runs — so one tenant's churn
+    /// never evicts another's tables through the quota path.
     pub fn get_or_build_for(
         &self,
         gpu: &VirtualGpu,
@@ -269,8 +262,7 @@ impl LutCache {
         // Build outside the lock: a miss takes milliseconds and other
         // sessions may be hitting concurrently. Racing builders produce
         // bit-identical tables, so last-writer-wins is harmless.
-        let builder = AdaptiveSimulator::on(VirtualGpu::new(gpu.spec().clone()));
-        let lut = Arc::new(builder.build_lut(config)?);
+        let lut = Arc::new(build_lut(config, gpu.spec())?);
         self.misses.fetch_add(1, Ordering::Relaxed);
         if let Some(tenant) = tenant {
             self.tenant_counters(tenant, |c| c.misses += 1);
@@ -279,40 +271,13 @@ impl LutCache {
         if let (Some(tenant), Some(quota)) = (tenant, self.tenant_quota) {
             // Quota bound first: the inserting tenant pays for its own
             // churn before any shared-capacity pressure is applied.
-            while !map.contains_key(&key)
-                && map
-                    .values()
-                    .filter(|e| e.owner.as_deref() == Some(tenant))
-                    .count()
-                    >= quota
-            {
-                let Some(victim) = map
-                    .iter()
-                    .filter(|(_, e)| e.owner.as_deref() == Some(tenant))
-                    .min_by_key(|(_, e)| e.last_use)
-                    .map(|(k, _)| k.clone())
-                else {
-                    break; // unreachable: the filter found ≥ quota ≥ 1 above
-                };
-                map.remove(&victim);
-                self.evictions.fetch_add(1, Ordering::Relaxed);
-                self.tenant_counters(tenant, |c| c.evictions += 1);
+            let own = |e: &LutEntry| e.owner.as_deref() == Some(tenant);
+            while !map.contains_key(&key) && map.values().filter(|e| own(e)).count() >= quota {
+                self.evict_lru(&mut map, own);
             }
         }
         while map.len() >= self.capacity && !map.contains_key(&key) {
-            // Evict the least-recently-used entry. Linear scan: the cache
-            // is small by construction (that is its purpose).
-            let Some(victim) = map
-                .iter()
-                .min_by_key(|(_, e)| e.last_use)
-                .map(|(k, _)| k.clone())
-            else {
-                break; // unreachable: map is non-empty above capacity ≥ 1
-            };
-            if let Some(owner) = map.remove(&victim).and_then(|e| e.owner) {
-                self.tenant_counters(&owner, |c| c.evictions += 1);
-            }
-            self.evictions.fetch_add(1, Ordering::Relaxed);
+            self.evict_lru(&mut map, |_| true);
         }
         map.insert(
             key,
@@ -323,6 +288,26 @@ impl LutCache {
             },
         );
         Ok((lut, false))
+    }
+
+    /// Evicts the least-recently-used table among those `eligible` selects,
+    /// charging the eviction to its owner. Both callers' loop conditions
+    /// guarantee one is eligible (a quota or capacity of at least 1 is
+    /// reached). Linear scan: the cache is small by construction (that is
+    /// its purpose).
+    fn evict_lru(&self, map: &mut HashMap<LutKey, LutEntry>, eligible: impl Fn(&LutEntry) -> bool) {
+        let Some(victim) = map
+            .iter()
+            .filter(|(_, e)| eligible(e))
+            .min_by_key(|(_, e)| e.last_use)
+            .map(|(k, _)| k.clone())
+        else {
+            return;
+        };
+        if let Some(owner) = map.remove(&victim).and_then(|e| e.owner) {
+            self.tenant_counters(&owner, |c| c.evictions += 1);
+        }
+        self.evictions.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Applies `update` to `tenant`'s counters, creating them on first use.
@@ -378,14 +363,67 @@ impl LutCache {
     }
 }
 
-/// Modeled build cost of `lut` (what the one-shot profile charges).
-fn lut_build_time_s(lut: &LookupTable) -> f64 {
-    lut.len() as f64 * LUT_BUILD_S_PER_ENTRY
+/// Where [`AdaptiveSession::open`] gets its lookup table.
+#[derive(Clone, Copy, Default)]
+pub enum LutSource<'a> {
+    /// Build the table for this session alone.
+    #[default]
+    Fresh,
+    /// Share tables through a cache: a hit skips the build and its modeled
+    /// time; a miss builds the table and inserts it.
+    Cached(&'a LutCache),
+    /// [`Self::Cached`], with the lookup charged to a tenant's counters and
+    /// quota ([`LutCache::get_or_build_for`]).
+    Tenant(&'a LutCache, &'a str),
 }
 
-/// Build cost of a cache hit: the table already exists.
-fn zero_build_time(_: &LookupTable) -> f64 {
-    0.0
+impl LutSource<'_> {
+    /// The table for `config` on `gpu`, and whether it came from a cache.
+    /// A cache lookup records `lut_cache.*` metrics into `telemetry`.
+    pub(crate) fn fetch(
+        self,
+        gpu: &VirtualGpu,
+        config: &SimConfig,
+        telemetry: Option<&Telemetry>,
+    ) -> Result<(Arc<LookupTable>, bool), SimError> {
+        let (cache, tenant) = match self {
+            LutSource::Fresh => return Ok((Arc::new(build_lut(config, gpu.spec())?), false)),
+            LutSource::Cached(cache) => (cache, None),
+            LutSource::Tenant(cache, tenant) => (cache, Some(tenant)),
+        };
+        let (lut, hit) = cache.get_or_build_for(gpu, config, tenant)?;
+        if let Some(t) = telemetry {
+            let stats = cache.stats();
+            let metrics = t.metrics();
+            metrics.counter_add(
+                if hit {
+                    "lut_cache.hits"
+                } else {
+                    "lut_cache.misses"
+                },
+                1,
+            );
+            metrics.gauge_set("lut_cache.len", stats.len as f64);
+            metrics.gauge_set("lut_cache.evictions", stats.evictions as f64);
+        }
+        Ok((lut, hit))
+    }
+}
+
+/// How [`AdaptiveSession::open`] sets a session up, beside its device and
+/// config. The default builds a fresh table, makes one attempt at every
+/// bind and frame, and records no telemetry.
+#[derive(Clone, Default)]
+pub struct SessionSetup<'a> {
+    /// Where the lookup table comes from.
+    pub lut: LutSource<'a>,
+    /// Retries a failed texture bind, and runs every frame under the
+    /// bounded-retry degradation ladder.
+    pub retry: Option<RetryPolicy>,
+    /// Records the setup spans (`session-setup > {lut-build,
+    /// texture-bind}`), the `lut_cache.*` metrics of a cache lookup, and
+    /// every frame's spans, metrics and device launch traces.
+    pub telemetry: Option<Arc<Telemetry>>,
 }
 
 /// Timings of one frame rendered through the zero-allocation path
@@ -478,10 +516,9 @@ impl Rendered {
 pub struct AdaptiveSession {
     gpu: VirtualGpu,
     config: SimConfig,
-    lut: Arc<LookupTable>,
-    lut_tex: Texture,
+    lut: BoundLut,
     /// Persistent device image: each frame's download zeroes it in the
-    /// same pass (`download_take`), and a failed frame zeroes it too, so
+    /// same pass (`try_download_take`), and a failed frame zeroes it too, so
     /// it is reused — never reallocated — across the session's lifetime.
     image_dev: gpusim::GlobalAtomicF32,
     /// One-time setup cost (LUT build + upload + bind), seconds.
@@ -514,194 +551,37 @@ pub struct AdaptiveSession {
 }
 
 impl AdaptiveSession {
-    /// Opens a session on the paper's GTX480: builds the lookup table and
-    /// binds it to texture memory once.
-    pub fn new(config: SimConfig) -> Result<Self, SimError> {
-        Self::on(VirtualGpu::gtx480(), config)
-    }
-
-    /// Opens a session on a caller-provided device.
-    pub fn on(gpu: VirtualGpu, config: SimConfig) -> Result<Self, SimError> {
-        config.validate()?;
-        // Reuse the simulator's builder so table parameters stay in sync.
-        let builder = AdaptiveSimulator::on(VirtualGpu::new(gpu.spec().clone()));
-        let lut = Arc::new(builder.build_lut(&config)?);
-        Self::with_lut(gpu, config, lut, lut_build_time_s)
-    }
-
-    /// Opens a session reusing `cache` for the lookup table: on a cache hit
-    /// neither the host-side build nor the modeled build time is paid —
-    /// setup shrinks to the texture upload + bind of *this* device.
-    pub fn on_cached(
+    /// Opens a session: gets the lookup table from `setup.lut`, binds it to
+    /// `gpu`'s texture memory once, and allocates the persistent device
+    /// image. The ROI is checked against the image before any table is
+    /// built or looked up, so a rejected open leaves a shared cache as it
+    /// was. `config.workers` sets the device's worker count.
+    pub fn open(
         gpu: VirtualGpu,
         config: SimConfig,
-        cache: &LutCache,
+        setup: SessionSetup<'_>,
     ) -> Result<Self, SimError> {
         config.validate()?;
-        let (lut, hit) = cache.get_or_build(&gpu, &config)?;
-        let charge = if hit {
-            zero_build_time
-        } else {
-            lut_build_time_s
-        };
-        Self::with_lut(gpu, config, lut, charge)
-    }
-
-    /// [`Self::on_cached`] with tenant attribution: the lookup is charged
-    /// to `tenant`'s cache counters and quota
-    /// ([`LutCache::get_or_build_for`]). Returns the session plus whether
-    /// the table came from cache, so servers can report per-session cache
-    /// behavior to the client.
-    pub fn on_cached_tenant(
-        gpu: VirtualGpu,
-        config: SimConfig,
-        cache: &LutCache,
-        tenant: &str,
-    ) -> Result<(Self, bool), SimError> {
-        config.validate()?;
-        let (lut, hit) = cache.get_or_build_for(&gpu, &config, Some(tenant))?;
-        let charge = if hit {
-            zero_build_time
-        } else {
-            lut_build_time_s
-        };
-        Ok((Self::with_lut(gpu, config, lut, charge)?, hit))
-    }
-
-    /// Opens a session with the resilient frame loop enabled: texture
-    /// binding retries under `policy`, and every frame runs under the
-    /// bounded-retry degradation ladder.
-    pub fn on_resilient(
-        gpu: VirtualGpu,
-        config: SimConfig,
-        policy: RetryPolicy,
-    ) -> Result<Self, SimError> {
-        config.validate()?;
-        let builder = AdaptiveSimulator::on(VirtualGpu::new(gpu.spec().clone()));
-        let lut = Arc::new(builder.build_lut(&config)?);
-        let mut session =
-            Self::with_lut_retry(gpu, config, lut, lut_build_time_s, Some(policy), None)?;
-        session.retry = Some(policy);
-        Ok(session)
-    }
-
-    /// Opens a fully observable session: spans for every setup and render
-    /// stage, cache and frame metrics, and device launch traces all land
-    /// in `telemetry`. With a `cache`, the lookup table goes through it
-    /// (recording `lut_cache.*` counters); without one it is built fresh.
-    pub fn on_telemetry(
-        gpu: VirtualGpu,
-        config: SimConfig,
-        cache: Option<&LutCache>,
-        telemetry: Arc<Telemetry>,
-    ) -> Result<Self, SimError> {
-        config.validate()?;
-        let setup_span = telemetry.span("session-setup");
-        let (lut, charge): (Arc<LookupTable>, fn(&LookupTable) -> f64) = {
-            let _build = telemetry.span("lut-build");
-            match cache {
-                Some(cache) => {
-                    let (lut, hit) = cache.get_or_build(&gpu, &config)?;
-                    let stats = cache.stats();
-                    let metrics = telemetry.metrics();
-                    metrics.counter_add(
-                        if hit {
-                            "lut_cache.hits"
-                        } else {
-                            "lut_cache.misses"
-                        },
-                        1,
-                    );
-                    metrics.gauge_set("lut_cache.len", stats.len as f64);
-                    metrics.gauge_set("lut_cache.evictions", stats.evictions as f64);
-                    let charge: fn(&LookupTable) -> f64 = if hit {
-                        zero_build_time
-                    } else {
-                        lut_build_time_s
-                    };
-                    (lut, charge)
-                }
-                None => {
-                    let builder = AdaptiveSimulator::on(VirtualGpu::new(gpu.spec().clone()));
-                    (Arc::new(builder.build_lut(&config)?), lut_build_time_s)
-                }
-            }
-        };
-        let session = Self::with_lut_retry(gpu, config, lut, charge, None, Some(telemetry))?;
-        drop(setup_span);
-        Ok(session)
-    }
-
-    /// Shared constructor tail: binds `lut` on `gpu`, allocates the
-    /// persistent device image, applies `config.workers`, and charges
-    /// `build_charge(&lut)` seconds of setup on top of upload + bind.
-    fn with_lut(
-        gpu: VirtualGpu,
-        config: SimConfig,
-        lut: Arc<LookupTable>,
-        build_charge: fn(&LookupTable) -> f64,
-    ) -> Result<Self, SimError> {
-        Self::with_lut_retry(gpu, config, lut, build_charge, None, None)
-    }
-
-    /// Constructor tail with an optional bind-retry policy: a transient
-    /// texture-bind failure is retried up to `retry.max_attempts` times
-    /// (each failure recorded in the session's resilience stats) before
-    /// surfacing as an error.
-    fn with_lut_retry(
-        gpu: VirtualGpu,
-        config: SimConfig,
-        lut: Arc<LookupTable>,
-        build_charge: fn(&LookupTable) -> f64,
-        retry: Option<RetryPolicy>,
-        telemetry: Option<Arc<Telemetry>>,
-    ) -> Result<Self, SimError> {
         let mut gpu = match config.workers {
             Some(w) => gpu.with_workers(w),
             None => gpu,
         };
-        if let Some(t) = &telemetry {
+        if let Some(t) = &setup.telemetry {
             gpu.set_telemetry(Some(t.gpu_sink()));
         }
-        let _bind_span = maybe_span(telemetry.as_ref(), "texture-bind");
-        let build_time = build_charge(&lut);
-        let side = config.roi_side;
-        // Static pre-launch validation: the ROI must fit the image, or
-        // every frame of this session would index out of bounds.
-        gpusim::sanitize::validate_roi(side, config.width, config.height)?;
-        let mut stats = ResilienceReport::default();
-        let max_attempts = retry.map_or(1, |p| p.max_attempts.max(1));
-        let mut attempt = 1u32;
-        let (lut_tex, t_upload, t_bind) = loop {
-            match gpu.bind_texture(side, side, lut.layers(), lut.data().to_vec()) {
-                Ok(bound) => break bound,
-                Err(e) => {
-                    let err = SimError::from(e);
-                    stats.record_error(&err);
-                    if attempt >= max_attempts {
-                        return Err(err);
-                    }
-                    stats.retries += 1;
-                    attempt += 1;
-                }
-            }
-        };
-        // Static LUT-domain validation: the fetch domain of every future
-        // frame (magnitude layers × ROI texels) must lie inside the table
-        // just bound — texture clamping would mask a shape mismatch.
-        gpusim::sanitize::validate_lut_domain(&lut_tex, lut.layers() - 1, side - 1, side - 1)?;
+        let setup_span = maybe_span(setup.telemetry.as_ref(), "session-setup");
+        let lut = bind_lut(&gpu, &config, &setup)?;
         let image_dev = gpu.alloc_atomic_f32(config.pixels());
         let mut session = AdaptiveSession {
             gpu,
             config,
+            setup_time_s: lut.build_s + lut.upload_s + lut.bind_s,
+            stats: Mutex::new(lut.bind_faults),
             lut,
-            lut_tex,
             image_dev,
-            setup_time_s: build_time + t_upload + t_bind,
             frames_rendered: AtomicU64::new(0),
-            retry: None,
-            stats: Mutex::new(stats),
-            telemetry,
+            retry: setup.retry,
+            telemetry: setup.telemetry,
             shed_floor: AtomicU8::new(Rung::Configured.index() as u8),
             cancel_token: None,
             analysis: None,
@@ -709,7 +589,36 @@ impl AdaptiveSession {
         if session.config.analyze {
             session.run_advisor()?;
         }
+        drop(setup_span);
         Ok(session)
+    }
+
+    /// Opens a session on the paper's GTX480 with a freshly built table.
+    pub fn new(config: SimConfig) -> Result<Self, SimError> {
+        Self::open(VirtualGpu::gtx480(), config, SessionSetup::default())
+    }
+
+    /// [`Self::open`] with the default setup. Kept only because perfbench
+    /// calls it.
+    pub fn on(gpu: VirtualGpu, config: SimConfig) -> Result<Self, SimError> {
+        Self::open(gpu, config, SessionSetup::default())
+    }
+
+    /// [`Self::open`] through `tenant`'s share of `cache`, with whether the
+    /// table came from it. Kept only because perfbench calls it.
+    pub fn on_cached_tenant(
+        gpu: VirtualGpu,
+        config: SimConfig,
+        cache: &LutCache,
+        tenant: &str,
+    ) -> Result<(Self, bool), SimError> {
+        let setup = SessionSetup {
+            lut: LutSource::Tenant(cache, tenant),
+            ..SessionSetup::default()
+        };
+        let session = Self::open(gpu, config, setup)?;
+        let hit = session.lut_cache_hit();
+        Ok((session, hit))
     }
 
     /// Runs the pre-launch advisor once over this session's production
@@ -722,7 +631,6 @@ impl AdaptiveSession {
     /// attached.
     fn run_advisor(&mut self) -> Result<(), SimError> {
         let _span = maybe_span(self.telemetry.as_ref(), "static-analysis");
-        let side = self.config.roi_side;
         let (lo, hi) = self.config.mag_range;
         let probe = DeviceStar {
             mag: 0.5 * (lo + hi),
@@ -731,19 +639,14 @@ impl AdaptiveSession {
         };
         let (stars, _t) = self.gpu.upload(vec![probe]);
         let scratch = self.gpu.alloc_atomic_f32(self.config.pixels());
-        let kernel = AdaptiveKernel {
-            stars: &stars,
-            image: &scratch,
-            lut_tex: &self.lut_tex,
-            lut: &self.lut,
-            star_count: 1,
-            width: self.config.width,
-            height: self.config.height,
-            roi: Roi::new(side),
-        };
-        let cfg = LaunchConfig::star_centric(1, side, self.gpu.spec())
-            .with_shared_mem(SMEM_WORDS * 4)
-            .with_backend(self.config.backend);
+        let (kernel, cfg) = AdaptiveKernel::build(
+            &self.config,
+            self.gpu.spec(),
+            &self.lut,
+            &stars,
+            1,
+            &scratch,
+        );
         let report = self.gpu.advise_launch("adaptive-lut", &kernel, &cfg)?;
         // The probe pins Reference mode: counters are bit-equal across exec
         // modes, and inheriting Sanitized here would append a setup-time
@@ -796,22 +699,6 @@ impl AdaptiveSession {
         self.gpu.advise_count()
     }
 
-    /// Enables the bounded-retry degradation ladder for every frame.
-    pub fn with_retry_policy(mut self, policy: RetryPolicy) -> Self {
-        self.retry = Some(policy);
-        self
-    }
-
-    /// Sets (or clears) the frame retry policy in place.
-    pub fn set_retry_policy(&mut self, policy: Option<RetryPolicy>) {
-        self.retry = policy;
-    }
-
-    /// The active frame retry policy, if any.
-    pub fn retry_policy(&self) -> Option<RetryPolicy> {
-        self.retry
-    }
-
     /// Sets the load-shedding floor: subsequent render attempts start the
     /// degradation ladder at `floor` instead of [`Rung::Configured`].
     /// [`Rung::DirectPsf`] is the server's heaviest shed — the adaptive
@@ -846,8 +733,9 @@ impl AdaptiveSession {
         report
     }
 
-    /// Attaches a telemetry sink after construction: subsequent renders
-    /// record spans/metrics and the device records launch traces.
+    /// [`Self::set_telemetry`] on an open session: later renders record
+    /// spans and metrics, and the device records launch traces. Kept only
+    /// because perfbench calls it.
     pub fn with_telemetry(mut self, telemetry: Arc<Telemetry>) -> Self {
         self.set_telemetry(Some(telemetry));
         self
@@ -881,9 +769,15 @@ impl AdaptiveSession {
         &self.config
     }
 
-    /// One-time setup cost paid at [`Self::new`], seconds.
+    /// One-time setup cost paid at [`Self::open`], seconds: the modeled
+    /// table build (zero for a table from a cache), upload and bind.
     pub fn setup_time_s(&self) -> f64 {
         self.setup_time_s
+    }
+
+    /// Whether the lookup table came from a cache.
+    pub fn lut_cache_hit(&self) -> bool {
+        self.lut.cached
     }
 
     /// Frames rendered so far.
@@ -891,7 +785,7 @@ impl AdaptiveSession {
         self.frames_rendered.load(Ordering::Relaxed)
     }
 
-    /// Launches the fetch kernel over `star_count` staged stars against
+    /// Launches the fetch kernel over the `prepared` stars against
     /// `image_dev` and returns its profile.
     ///
     /// `rung` selects the degradation level: [`Rung::ReferenceExec`] and
@@ -900,8 +794,7 @@ impl AdaptiveSession {
     /// last-resort fallback — numerically close, not bit-identical).
     fn launch_kernel(
         &self,
-        stars: &GlobalBuffer<DeviceStar>,
-        star_count: usize,
+        prepared: &PreparedStars,
         image_dev: &gpusim::GlobalAtomicF32,
         rung: Rung,
     ) -> Result<gpusim::KernelProfile, SimError> {
@@ -917,40 +810,21 @@ impl AdaptiveSession {
         } else {
             config.exec_mode
         };
-        let cfg = LaunchConfig::star_centric(star_count.max(1), config.roi_side, self.gpu.spec())
-            .with_shared_mem(3 * 4)
-            .with_backend(config.backend);
-        let profile = if rung == Rung::DirectPsf {
-            let kernel = StarCentricKernel {
-                stars,
-                image: image_dev,
-                star_count,
-                width: config.width,
-                height: config.height,
-                roi: Roi::new(config.roi_side),
-                psf: config.psf_model(),
-                a_factor: config.a_factor,
-            };
-            self.gpu
-                .launch_mode("star-centric-fallback", &kernel, cfg, mode)?
+        let (device, stars, n) = (self.gpu.spec(), &prepared.stars, prepared.star_count);
+        if rung == Rung::DirectPsf {
+            let (kernel, cfg) = StarCentricKernel::build(config, device, stars, n, image_dev);
+            Ok(self
+                .gpu
+                .launch_mode("star-centric-fallback", &kernel, cfg, mode)?)
         } else {
-            let kernel = AdaptiveKernel {
-                stars,
-                image: image_dev,
-                lut_tex: &self.lut_tex,
-                lut: self.lut.as_ref(),
-                star_count,
-                width: config.width,
-                height: config.height,
-                roi: Roi::new(config.roi_side),
-            };
-            self.gpu.launch_mode("adaptive-lut", &kernel, cfg, mode)?
-        };
-        Ok(profile)
+            let (kernel, cfg) =
+                AdaptiveKernel::build(config, device, &self.lut, stars, n, image_dev);
+            Ok(self.gpu.launch_mode("adaptive-lut", &kernel, cfg, mode)?)
+        }
     }
 
-    /// Renders one frame. Unlike [`AdaptiveSimulator::simulate`], the
-    /// profile carries **no** lookup-table build or texture-binding items —
+    /// Renders one frame. Unlike the one-shot [`crate::AdaptiveSimulator`],
+    /// the profile carries **no** lookup-table build or texture-binding items —
     /// they were paid at session setup. The frame runs through the same
     /// body as [`Self::render_into`]: it starts at the shed floor and
     /// retries under the session's [`RetryPolicy`], if one is set.
@@ -981,8 +855,8 @@ impl AdaptiveSession {
     /// image is allocated once the loop is warm. Pixels and modeled times
     /// are bit-identical to [`Self::render`].
     ///
-    /// With a [`RetryPolicy`] installed ([`Self::with_retry_policy`] /
-    /// [`Self::on_resilient`]), a failed frame is retried under the
+    /// With a [`RetryPolicy`] installed ([`SessionSetup::retry`]), a failed
+    /// frame is retried under the
     /// degradation ladder: spawn dispatch (bit-identical to the configured
     /// path), then the reference executor, then the direct-PSF fallback
     /// kernel (both numerically equivalent, not bit-equal — see
@@ -1105,9 +979,7 @@ impl AdaptiveSession {
             .gpu
             .take_upload_fault(prepared.star_bytes)
             .map_err(SimError::from)
-            .and_then(|()| {
-                self.launch_kernel(&prepared.stars, prepared.star_count, image_dev, rung)
-            });
+            .and_then(|()| self.launch_kernel(prepared, image_dev, rung));
         if spawn {
             self.gpu.set_dispatch_override(false);
         }
@@ -1147,13 +1019,24 @@ impl AdaptiveSession {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::adaptive::AdaptiveSimulator;
     use crate::parallel::ParallelSimulator;
     use crate::Simulator;
+    use gpusim::{FaultKind, FaultPlan};
     use starfield::FieldGenerator;
     use starimage::diff::images_close;
 
     fn cfg() -> SimConfig {
         SimConfig::new(128, 128, 10)
+    }
+
+    /// A GTX480 session whose table goes through `cache`.
+    fn cached(cache: &LutCache, config: SimConfig) -> Result<AdaptiveSession, SimError> {
+        let setup = SessionSetup {
+            lut: LutSource::Cached(cache),
+            ..SessionSetup::default()
+        };
+        AdaptiveSession::open(VirtualGpu::gtx480(), config, setup)
     }
 
     #[test]
@@ -1222,47 +1105,6 @@ mod tests {
     }
 
     #[test]
-    fn lut_cache_hits_share_one_table_and_skip_build_time() {
-        let cache = LutCache::new();
-        let cold = AdaptiveSession::on_cached(VirtualGpu::gtx480(), cfg(), &cache).unwrap();
-        assert_eq!((cache.hits(), cache.misses(), cache.len()), (0, 1, 1));
-
-        let warm = AdaptiveSession::on_cached(VirtualGpu::gtx480(), cfg(), &cache).unwrap();
-        assert_eq!((cache.hits(), cache.misses(), cache.len()), (1, 1, 1));
-        // The warm session skips the modeled build: exactly the build time
-        // cheaper (upload + bind are identical on identical devices).
-        let build = cold.lut.len() as f64 * LUT_BUILD_S_PER_ENTRY;
-        assert!((cold.setup_time_s() - warm.setup_time_s() - build).abs() < 1e-12);
-        // Both sessions hold the *same* table allocation.
-        assert!(Arc::ptr_eq(&cold.lut, &warm.lut));
-
-        // A different optics key builds its own table.
-        let mut other = cfg();
-        other.sigma = 3.0;
-        let _ = AdaptiveSession::on_cached(VirtualGpu::gtx480(), other, &cache).unwrap();
-        assert_eq!((cache.hits(), cache.misses(), cache.len()), (1, 2, 2));
-    }
-
-    #[test]
-    fn cached_session_renders_identically_to_uncached() {
-        let cat = FieldGenerator::new(128, 128).generate(200, 9);
-        let cache = LutCache::new();
-        let plain = AdaptiveSession::new(cfg()).unwrap();
-        let cached = AdaptiveSession::on_cached(VirtualGpu::gtx480(), cfg(), &cache).unwrap();
-        let warm = AdaptiveSession::on_cached(VirtualGpu::gtx480(), cfg(), &cache).unwrap();
-        let a = plain.render(&cat).unwrap();
-        let b = cached.render(&cat).unwrap();
-        let c = warm.render(&cat).unwrap();
-        let bits = |r: &SimulationReport| -> Vec<u32> {
-            r.image.data().iter().map(|v| v.to_bits()).collect()
-        };
-        assert_eq!(bits(&a), bits(&b));
-        assert_eq!(bits(&a), bits(&c));
-        assert_eq!(a.app_time_s, b.app_time_s);
-        assert_eq!(a.app_time_s, c.app_time_s);
-    }
-
-    #[test]
     fn render_into_matches_render_bitwise() {
         let cat = FieldGenerator::new(128, 128).generate(250, 11);
         let by_report = AdaptiveSession::new(cfg()).unwrap();
@@ -1278,7 +1120,7 @@ mod tests {
             timing = by_buffer.render_into(&cat, &mut host).unwrap();
         }
         assert_eq!(host.capacity(), cap, "no host reallocation when warm");
-        // Frame 4 equals a fresh session's frame 1: `download_take`
+        // Frame 4 equals a fresh session's frame 1: `try_download_take`
         // re-zeroed the persistent image and the per-SM caches reset cold.
         assert_eq!(report.image.data(), host.as_slice());
         assert_eq!(report.app_time_s, timing.app_time_s);
@@ -1354,19 +1196,18 @@ mod tests {
         let mut sigma4 = cfg();
         sigma4.sigma = 4.0;
 
-        let gpu = VirtualGpu::gtx480;
         // Fill: [base, sigma3], then touch base so sigma3 becomes LRU.
-        let _ = AdaptiveSession::on_cached(gpu(), cfg(), &cache).unwrap();
-        let _ = AdaptiveSession::on_cached(gpu(), sigma3.clone(), &cache).unwrap();
-        let _ = AdaptiveSession::on_cached(gpu(), cfg(), &cache).unwrap();
+        let _ = cached(&cache, cfg()).unwrap();
+        let _ = cached(&cache, sigma3.clone()).unwrap();
+        let _ = cached(&cache, cfg()).unwrap();
         assert_eq!((cache.hits(), cache.misses(), cache.len()), (1, 2, 2));
 
         // Inserting sigma4 must evict sigma3 (LRU), not base (recently used).
-        let _ = AdaptiveSession::on_cached(gpu(), sigma4, &cache).unwrap();
+        let _ = cached(&cache, sigma4).unwrap();
         assert_eq!(cache.len(), 2, "capacity bound holds");
-        let _ = AdaptiveSession::on_cached(gpu(), cfg(), &cache).unwrap();
+        let _ = cached(&cache, cfg()).unwrap();
         assert_eq!(cache.hits(), 2, "base survived the eviction");
-        let _ = AdaptiveSession::on_cached(gpu(), sigma3, &cache).unwrap();
+        let _ = cached(&cache, sigma3).unwrap();
         assert_eq!(cache.misses(), 4, "sigma3 was evicted and rebuilt");
     }
 
@@ -1429,35 +1270,28 @@ mod tests {
         );
     }
 
-    #[test]
-    fn tenant_hits_share_tables_across_tenants() {
-        let cache = LutCache::new().with_tenant_quota(2);
-        let gpu = VirtualGpu::gtx480;
-        let (lut_a, hit_a) = cache.get_or_build_for(&gpu(), &cfg(), Some("a")).unwrap();
-        let (lut_b, hit_b) = cache.get_or_build_for(&gpu(), &cfg(), Some("b")).unwrap();
-        assert!(!hit_a && hit_b, "same optics: b hits a's table");
-        assert!(Arc::ptr_eq(&lut_a, &lut_b));
-        // The table stays owned by (and counted against) its builder.
-        assert_eq!(cache.stats_for("a").len, 1);
-        assert_eq!(cache.stats_for("b").len, 0);
-        assert_eq!(cache.stats_for("b").hits, 1);
-    }
-
+    /// Tenants with the same optics share one table, owned by (and
+    /// counted against) the tenant that built it.
     #[test]
     fn on_cached_tenant_reports_the_hit_and_renders_identically() {
         let cat = FieldGenerator::new(128, 128).generate(200, 9);
         let cache = LutCache::new().with_tenant_quota(2);
-        let plain = AdaptiveSession::new(cfg()).unwrap();
-        let (cold, cold_hit) =
-            AdaptiveSession::on_cached_tenant(VirtualGpu::gtx480(), cfg(), &cache, "a").unwrap();
-        let (warm, warm_hit) =
-            AdaptiveSession::on_cached_tenant(VirtualGpu::gtx480(), cfg(), &cache, "b").unwrap();
-        assert!(!cold_hit && warm_hit);
-        let a = plain.render(&cat).unwrap();
-        let b = cold.render(&cat).unwrap();
-        let c = warm.render(&cat).unwrap();
-        assert_eq!(a.image, b.image);
-        assert_eq!(a.image, c.image);
+        let open = |tenant| {
+            AdaptiveSession::on_cached_tenant(VirtualGpu::gtx480(), cfg(), &cache, tenant).unwrap()
+        };
+        let ((a, hit_a), (b, hit_b)) = (open("a"), open("b"));
+        assert!(!hit_a && hit_b, "same optics: b hits a's table");
+        assert_eq!((hit_a, hit_b), (a.lut_cache_hit(), b.lut_cache_hit()));
+        assert!(Arc::ptr_eq(&a.lut.lut, &b.lut.lut));
+        assert_eq!((cache.stats_for("a").len, cache.stats_for("b").len), (1, 0));
+        assert_eq!(cache.stats_for("b").hits, 1);
+        let want = AdaptiveSession::new(cfg())
+            .unwrap()
+            .render(&cat)
+            .unwrap()
+            .image;
+        assert_eq!(a.render(&cat).unwrap().image, want);
+        assert_eq!(b.render(&cat).unwrap().image, want);
     }
 
     #[test]
@@ -1488,12 +1322,119 @@ mod tests {
         );
     }
 
+    /// Every setup `open` takes (table source × retry × telemetry) renders
+    /// the default session's frame bit for bit; only a cache hit's setup
+    /// time differs, by the build it skipped.
+    #[test]
+    fn every_setup_renders_the_default_sessions_frame() {
+        let cat = FieldGenerator::new(128, 128).generate(200, 9);
+        let frame = |s: &AdaptiveSession| {
+            let r = s.render(&cat).unwrap();
+            let pixels: Vec<u32> = r.image.data().iter().map(|v| v.to_bits()).collect();
+            (
+                pixels,
+                r.profile.kernels[0].counters,
+                r.app_time_s.to_bits(),
+            )
+        };
+        let base = AdaptiveSession::new(cfg()).unwrap();
+        let want = frame(&base);
+        let policy = RetryPolicy {
+            backoff: std::time::Duration::ZERO,
+            ..RetryPolicy::default()
+        };
+        for source in ["fresh", "cache", "tenant"] {
+            for (retry, traced) in [None, Some(policy)]
+                .into_iter()
+                .flat_map(|r| [(r, false), (r, true)])
+            {
+                let cache = LutCache::new();
+                let lut = match source {
+                    "fresh" => LutSource::Fresh,
+                    "cache" => LutSource::Cached(&cache),
+                    _ => LutSource::Tenant(&cache, "t"),
+                };
+                let uses_cache = source != "fresh";
+                // Cold, then warm: a cache serves the second open.
+                let mut opened = Vec::new();
+                for warm in [false, true] {
+                    let case = format!("{source}, {retry:?}, traced {traced}, warm {warm}");
+                    let telemetry = traced.then(Telemetry::new);
+                    let setup = SessionSetup {
+                        lut,
+                        retry,
+                        telemetry: telemetry.clone(),
+                    };
+                    // Under a policy, the open's first bind fails and is
+                    // retried, and the frame runs on the retry ladder.
+                    let mut gpu = VirtualGpu::gtx480();
+                    if retry.is_some() {
+                        let plan = FaultPlan::single(FaultKind::TextureBindFail, 0, 0);
+                        gpu = gpu.with_fault_plan(Arc::new(plan));
+                    }
+                    let session = AdaptiveSession::open(gpu, cfg(), setup).unwrap();
+                    assert_eq!(frame(&session), want, "{case}");
+                    let r = session.resilience_report();
+                    let n = u64::from(retry.is_some());
+                    assert_eq!((r.bind_failures, r.retries, r.frames), (n, n, n), "{case}");
+                    let hit = uses_cache && warm;
+                    assert_eq!(session.lut_cache_hit(), hit, "{case}");
+                    let counts = if uses_cache {
+                        (u64::from(warm), 1, 1)
+                    } else {
+                        (0, 0, 0)
+                    };
+                    assert_eq!(
+                        (cache.hits(), cache.misses(), cache.len()),
+                        counts,
+                        "{case}"
+                    );
+                    let skipped = base.setup_time_s() - session.setup_time_s();
+                    let build = if hit { base.lut.build_s } else { 0.0 };
+                    assert!((skipped - build).abs() < 1e-12, "{case}");
+                    opened.push(session);
+                    let Some(t) = telemetry else { continue };
+                    let sig = t.span_tree_signature();
+                    for edge in [
+                        ("", "session-setup", 1),
+                        ("session-setup", "lut-build", 1),
+                        ("session-setup", "texture-bind", 1),
+                    ] {
+                        assert!(sig.contains(&edge), "{case}: {sig:?}");
+                    }
+                    let m = t.metrics();
+                    let lookups = m.counter("lut_cache.hits") + m.counter("lut_cache.misses");
+                    assert_eq!(lookups, u64::from(uses_cache), "{case}");
+                    assert_eq!(m.gauge("lut_cache.len").is_some(), uses_cache, "{case}");
+                }
+                // The warm session holds the cold one's table allocation.
+                let shared = Arc::ptr_eq(&opened[0].lut.lut, &opened[1].lut.lut);
+                assert_eq!(shared, uses_cache, "{source}, {retry:?}, traced {traced}");
+            }
+        }
+    }
+
+    /// The ROI is checked before the table lookup: a rejected open neither
+    /// counts a miss nor inserts a table that evicts a good one.
+    #[test]
+    fn a_rejected_open_leaves_the_cache_as_it_was() {
+        let cache = LutCache::with_capacity(1);
+        cached(&cache, cfg()).unwrap();
+        let before = cache.stats();
+        let err = cached(&cache, SimConfig::new(16, 16, 20))
+            .map(|_| ())
+            .unwrap_err();
+        assert!(err.to_string().contains("exceeds the 16×16 image"), "{err}");
+        assert_eq!(cache.stats(), before);
+        assert!(cached(&cache, cfg()).unwrap().lut_cache_hit());
+    }
+
     #[test]
     fn lut_cache_propagates_build_errors() {
         let cache = LutCache::new();
         let mut bad = cfg();
         bad.lut_mag_bins = usize::MAX / 1024; // blows the texture budget
-        assert!(AdaptiveSession::on_cached(VirtualGpu::gtx480(), bad, &cache).is_err());
+        assert!(cached(&cache, bad).is_err());
         assert!(cache.is_empty());
     }
 
@@ -1512,14 +1453,17 @@ mod tests {
     mod resilience {
         use super::*;
         use crate::resilience::RetryPolicy;
-        use gpusim::{FaultKind, FaultPlan};
         use std::time::Duration;
 
-        fn fast_retry() -> RetryPolicy {
-            RetryPolicy {
-                backoff: Duration::ZERO,
-                ..RetryPolicy::default()
-            }
+        fn resilient(gpu: VirtualGpu) -> AdaptiveSession {
+            let setup = SessionSetup {
+                retry: Some(RetryPolicy {
+                    backoff: Duration::ZERO,
+                    ..RetryPolicy::default()
+                }),
+                ..SessionSetup::default()
+            };
+            AdaptiveSession::open(gpu, cfg(), setup).unwrap()
         }
 
         #[test]
@@ -1534,9 +1478,7 @@ mod tests {
                 0,
                 3,
             )));
-            let session = AdaptiveSession::on(gpu, cfg())
-                .unwrap()
-                .with_retry_policy(fast_retry());
+            let session = resilient(gpu);
             let mut host = Vec::new();
             session.render_into(&cat, &mut host).unwrap();
             assert_eq!(
@@ -1560,7 +1502,7 @@ mod tests {
                 0,
                 1,
             )));
-            let session = AdaptiveSession::on(gpu, cfg()).unwrap();
+            let session = AdaptiveSession::open(gpu, cfg(), SessionSetup::default()).unwrap();
             let mut host = Vec::new();
             let err = session.render_into(&cat, &mut host).unwrap_err();
             assert!(matches!(
@@ -1568,23 +1510,6 @@ mod tests {
                 SimError::Gpu(gpusim::GpuError::WorkerPanic(_))
             ));
             assert_eq!(session.frames_rendered(), 0);
-        }
-
-        #[test]
-        fn on_resilient_retries_the_texture_bind() {
-            let gpu = VirtualGpu::gtx480().with_fault_plan(Arc::new(FaultPlan::single(
-                FaultKind::TextureBindFail,
-                0,
-                0,
-            )));
-            let session = AdaptiveSession::on_resilient(gpu, cfg(), fast_retry()).unwrap();
-            let report = session.resilience_report();
-            assert_eq!(report.bind_failures, 1);
-            assert_eq!(report.retries, 1);
-            // And the session renders normally afterwards.
-            let cat = FieldGenerator::new(128, 128).generate(50, 2);
-            let mut host = Vec::new();
-            assert!(session.render_into(&cat, &mut host).is_ok());
         }
 
         #[test]
@@ -1599,10 +1524,7 @@ mod tests {
                     })
                     .collect(),
             );
-            let gpu = VirtualGpu::gtx480().with_fault_plan(Arc::new(plan));
-            let session = AdaptiveSession::on(gpu, cfg())
-                .unwrap()
-                .with_retry_policy(fast_retry());
+            let session = resilient(VirtualGpu::gtx480().with_fault_plan(Arc::new(plan)));
             let cat = FieldGenerator::new(128, 128).generate(50, 2);
             let mut host = Vec::new();
             let err = session.render_into(&cat, &mut host).unwrap_err();

@@ -7,10 +7,11 @@
 //! for the parallel path, the lookup-table quantization bound for the
 //! adaptive path. The CLI exposes this as `starsim validate`.
 
+use gpusim::DeviceSpec;
 use starfield::StarCatalog;
 use starimage::diff::{compare, ImageDiff};
 
-use crate::adaptive::AdaptiveSimulator;
+use crate::adaptive::build_lut;
 use crate::config::SimConfig;
 use crate::error::SimError;
 use crate::report::SimulationReport;
@@ -68,7 +69,7 @@ pub fn criterion_for(simulator: &str, config: &SimConfig) -> Result<Criterion, S
             Ok(Criterion::MaxRelative(1e-4))
         }
         "adaptive" | "adaptive-session" => {
-            let lut = AdaptiveSimulator::new().build_lut(config)?;
+            let lut = build_lut(config, &DeviceSpec::gtx480())?;
             let mag_bound = lut.brightness().max_relative_error() * 1.5;
             // The lookup table snaps the star to the nearest phase centre:
             // an offset of ≤ 0.5/phases px, whose worst per-pixel effect is
@@ -119,7 +120,7 @@ pub fn validate<S: Simulator>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{MultiGpuSimulator, ParallelSimulator, PixelCentricSimulator};
+    use crate::{AdaptiveSimulator, MultiGpuSimulator, ParallelSimulator, PixelCentricSimulator};
     use starfield::FieldGenerator;
 
     fn field() -> (StarCatalog, SimConfig) {

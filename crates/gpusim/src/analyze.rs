@@ -1124,7 +1124,7 @@ mod tests {
         let site = &report.sites[0];
         assert_eq!(site.pattern, AccessPattern::Coalesced);
         // Probe interpretation must not have touched the output image.
-        let host = gpu.download(&dst).0;
+        let host = gpu.try_download(&dst).unwrap().0;
         assert!(host.iter().all(|&v| v == 0.0), "probe mutated memory");
     }
 

@@ -540,7 +540,8 @@ impl VirtualGpu {
     }
 
     /// Consults the fault plan for an [`FaultKind::AllocOom`] spec bound
-    /// to the upcoming launch, as [`Self::try_upload`] would before
+    /// to the upcoming launch or an earlier one
+    /// ([`FaultPlan::take_due`]), as [`Self::try_upload`] would before
     /// copying `requested` bytes. A caller that stages its upload ahead of
     /// the launch (and retries the launch from the staged buffer) calls
     /// this just before each launch instead, so the fault keeps its launch
@@ -548,7 +549,7 @@ impl VirtualGpu {
     pub fn take_upload_fault(&self, requested: usize) -> Result<(), GpuError> {
         if let Some(plan) = &self.fault {
             if plan
-                .take(FaultKind::AllocOom, plan.upcoming_launch())
+                .take_due(FaultKind::AllocOom, plan.upcoming_launch())
                 .is_some()
             {
                 return Err(GpuError::OutOfMemory {
@@ -574,47 +575,22 @@ impl VirtualGpu {
         (GlobalAtomicF32::from_host(&self.space, host), t)
     }
 
-    /// Downloads an atomic device buffer to the host; returns the data and
-    /// the modeled device→host copy time.
-    pub fn download(&self, buf: &GlobalAtomicF32) -> (Vec<f32>, f64) {
-        let t = self
-            .transfer
-            .time(MemcpyKind::DeviceToHost, buf.size_bytes());
-        (buf.to_host(), t)
-    }
-
-    /// Downloads an atomic device buffer into a caller-owned vector
-    /// (resized, not reallocated when capacity suffices); returns the
-    /// modeled device→host copy time. The frame loop's allocation-free
-    /// download path.
-    pub fn download_into(&self, buf: &GlobalAtomicF32, out: &mut Vec<f32>) -> f64 {
-        buf.to_host_into(out);
-        self.transfer
-            .time(MemcpyKind::DeviceToHost, buf.size_bytes())
-    }
-
-    /// Downloads an atomic device buffer into `out` and zeroes the device
-    /// buffer in the same pass, so a persistent device image can serve the
-    /// next frame without reallocating (`cudaMemset` is modeled as free, so
-    /// the modeled copy time equals [`Self::download_into`]).
-    pub fn download_take(&self, buf: &GlobalAtomicF32, out: &mut Vec<f32>) -> f64 {
-        buf.take_to_host(out);
-        self.transfer
-            .time(MemcpyKind::DeviceToHost, buf.size_bytes())
-    }
-
-    /// [`Self::download`] through the fault plan and (when the plan demands
-    /// it) per-chunk checksum verification.
+    /// Downloads an atomic device buffer to the host through the fault plan
+    /// and (when the plan demands it) per-chunk checksum verification;
+    /// returns the data and the modeled device→host copy time.
     pub fn try_download(&self, buf: &GlobalAtomicF32) -> Result<(Vec<f32>, f64), GpuError> {
         let mut out = Vec::new();
         let t = self.verified_download(buf, &mut out, false)?;
         Ok((out, t))
     }
 
-    /// [`Self::download_take`] with verification. Unlike the infallible
-    /// path, the device buffer is zeroed only *after* the checksums pass —
-    /// a corrupted transfer must leave the device data intact for the
-    /// retry.
+    /// Downloads an atomic device buffer into `out` (resized, not
+    /// reallocated when capacity suffices) and zeroes the device buffer, so
+    /// a persistent device image serves the next frame without
+    /// reallocating (`cudaMemset` is modeled as free, so the modeled copy
+    /// time equals [`Self::try_download`]'s). The device buffer is zeroed
+    /// only *after* the checksums pass — a corrupted transfer must leave
+    /// the device data intact for the retry.
     pub fn try_download_take(
         &self,
         buf: &GlobalAtomicF32,
@@ -681,7 +657,12 @@ impl VirtualGpu {
         data: Vec<f32>,
     ) -> Result<(Texture, f64, f64), GpuError> {
         if let Some(plan) = &self.fault {
-            if plan.take_any(FaultKind::TextureBindFail).is_some() {
+            // Binds happen at setup, before any launch exists: the first
+            // bind fault fires whatever its launch coordinate.
+            if plan
+                .take_due(FaultKind::TextureBindFail, u64::MAX)
+                .is_some()
+            {
                 return Err(GpuError::TextureBind("injected bind failure".into()));
             }
         }
@@ -1508,7 +1489,7 @@ mod tests {
         let cfg = LaunchConfig::new(n.div_ceil(128) as u32, 128u32);
         let profile = gpu.launch("saxpy", &k, cfg).unwrap();
 
-        let (host, _) = gpu.download(&y);
+        let (host, _) = gpu.try_download(&y).unwrap();
         for (i, &v) in host.iter().enumerate() {
             assert_eq!(v, 2.0 * i as f32 + 1.0, "element {i}");
         }
@@ -1583,7 +1564,7 @@ mod tests {
         };
         let cfg = LaunchConfig::new(blocks as u32, tpb as u32).with_shared_mem(4);
         let profile = gpu.launch("staged", &k, cfg).unwrap();
-        let (host, _) = gpu.download(&dst);
+        let (host, _) = gpu.try_download(&dst).unwrap();
         for b in 0..blocks {
             for t in 0..tpb {
                 assert_eq!(host[b * tpb + t], b as f32 * 10.0);
@@ -1680,7 +1661,7 @@ mod tests {
             let p = gpu
                 .launch("saxpy", &k, LaunchConfig::new(32u32, 128u32))
                 .unwrap();
-            (p.counters, p.time_s, gpu.download(&y).0)
+            (p.counters, p.time_s, gpu.try_download(&y).unwrap().0)
         };
         let (ca, ta, ia) = run(ExecMode::Reference);
         let (cb, tb, ib) = run(ExecMode::Batched);
@@ -1783,29 +1764,23 @@ mod tests {
     fn upload_download_roundtrip_with_times() {
         let gpu = VirtualGpu::gtx480();
         let (buf, t_up) = gpu.upload_atomic_f32(&[1.0, 2.0, 3.0]);
-        let (back, t_down) = gpu.download(&buf);
+        let (back, t_down) = gpu.try_download(&buf).unwrap();
         assert_eq!(back, vec![1.0, 2.0, 3.0]);
         assert!(t_up > 0.0 && t_down > 0.0);
     }
 
     #[test]
-    fn download_into_and_take_reuse_host_buffer() {
+    fn download_take_reuses_the_host_buffer() {
         let gpu = VirtualGpu::gtx480();
         let (buf, _) = gpu.upload_atomic_f32(&[1.0, 2.0, 3.0]);
-        let mut host = Vec::new();
-        let t = gpu.download_into(&buf, &mut host);
-        assert_eq!(host, vec![1.0, 2.0, 3.0]);
-        assert_eq!(t, gpu.download(&buf).1);
+        let mut host = vec![9.0; 3];
         let cap = host.capacity();
-        let t = gpu.download_take(&buf, &mut host);
+        let t = gpu.try_download_take(&buf, &mut host).unwrap();
         assert_eq!(host, vec![1.0, 2.0, 3.0]);
         assert_eq!(host.capacity(), cap, "no reallocation on reuse");
-        assert!(t > 0.0);
-        assert_eq!(
-            gpu.download(&buf).0,
-            vec![0.0; 3],
-            "take must zero the device buffer"
-        );
+        let (zeroed, t_plain) = gpu.try_download(&buf).unwrap();
+        assert_eq!(zeroed, vec![0.0; 3], "take must zero the device buffer");
+        assert_eq!(t, t_plain);
     }
 
     #[test]
@@ -1820,7 +1795,7 @@ mod tests {
     // Fault injection and recovery.
     // ------------------------------------------------------------------
 
-    use crate::fault::{FaultKind, FaultPlan};
+    use crate::fault::{FaultKind, FaultPlan, FaultSpec};
     use std::time::Duration;
 
     /// Launches saxpy (a=2, x=i, y0=0) on `gpu`, returning the profile and
@@ -1924,29 +1899,53 @@ mod tests {
     }
 
     /// Devices sharing one plan (every `starsimd` session under a server
-    /// fault plan) each bind their downloads to their own last launch: a
-    /// launch on B between A's launch and A's download must not steal the
-    /// coordinate of A's transfer fault.
+    /// fault plan) interleave: here both consult the plan for their
+    /// uploads before either launches. A download binds to its own
+    /// device's last launch, so B's launch between A's launch and A's
+    /// download cannot steal the coordinate of A's transfer fault; an
+    /// upload fault fires at the first consult at or after its launch, so
+    /// one bound to B's launch is not skipped.
     #[test]
-    fn download_faults_bind_to_the_devices_own_launch_under_a_shared_plan() {
-        let plan = Arc::new(FaultPlan::single(FaultKind::TransferCorrupt, 0, 1));
-        let a = VirtualGpu::gtx480()
-            .with_workers(2)
-            .with_fault_plan(Arc::clone(&plan));
-        let b = VirtualGpu::gtx480()
-            .with_workers(2)
-            .with_fault_plan(Arc::clone(&plan));
-        let (_, ya) = saxpy_launch(&a, 8192).unwrap(); // plan launch 0
-        let (_, yb) = saxpy_launch(&b, 8192).unwrap(); // plan launch 1
+    fn shared_plan_faults_survive_interleaved_devices() {
+        let spec = |launch, lane, kind| FaultSpec { launch, lane, kind };
+        let plan = Arc::new(FaultPlan::from_specs(vec![
+            spec(0, 1, FaultKind::TransferCorrupt),
+            spec(1, 0, FaultKind::AllocOom),
+        ]));
+        let [a, b] = [(); 2].map(|()| {
+            VirtualGpu::gtx480()
+                .with_workers(2)
+                .with_fault_plan(Arc::clone(&plan))
+        });
+        let n = 8192;
+        let staged = [&a, &b].map(|gpu| {
+            let (x, _) = gpu
+                .try_upload(vec![1.0f32; n])
+                .expect("consult at launch 0");
+            (x, gpu.alloc_atomic_f32(n))
+        });
+        for (gpu, (x, y)) in [&a, &b].into_iter().zip(&staged) {
+            let k = Saxpy { a: 2.0, x, y, n };
+            gpu.launch(
+                "saxpy",
+                &k,
+                LaunchConfig::new(n.div_ceil(128) as u32, 128u32),
+            )
+            .expect("plan launches 0 and 1");
+        }
         let err = a
-            .try_download(&ya)
+            .try_download(&staged[0].1)
             .expect_err("A's download follows plan launch 0");
         assert!(
             matches!(err, GpuError::TransferCorrupted { chunk: 1 }),
             "got {err:?}"
         );
-        assert_eq!(plan.remaining(), 0, "the fault fired exactly once");
-        assert!(b.try_download(&yb).is_ok());
+        assert!(b.try_download(&staged[1].1).is_ok());
+        let err = a
+            .try_upload(vec![1.0f32; n])
+            .expect_err("the launch-1 spec is due at upcoming launch 2");
+        assert!(matches!(err, GpuError::OutOfMemory { .. }), "got {err:?}");
+        assert_eq!(plan.remaining(), 0, "each fault fired exactly once");
     }
 
     #[test]

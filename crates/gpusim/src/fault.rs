@@ -17,8 +17,12 @@
 //!
 //! * in-launch faults (panics, stuck lanes, shadow corruption) fire during
 //!   the launch whose index equals `spec.launch`;
-//! * allocation faults fire during the uploads *preceding* that launch
-//!   (the counter has not advanced yet — [`FaultPlan::upcoming_launch`]);
+//! * allocation faults fire during the first upload consult at or after
+//!   that launch (the counter has not advanced yet —
+//!   [`FaultPlan::upcoming_launch`]; on a lone device that consults
+//!   before every launch, this is the upload *preceding* the launch), so
+//!   devices sharing one plan that both consult before either launches
+//!   cannot carry the counter past the spec ([`FaultPlan::take_due`]);
 //! * transfer faults fire during the downloads *following* it on the
 //!   device that armed it (each device remembers the launch it last
 //!   armed, so devices sharing one plan cannot move each other's
@@ -234,20 +238,19 @@ impl FaultPlan {
 
     /// Consumes the first spec matching `(kind, launch)`, if any.
     pub fn take(&self, kind: FaultKind, launch: u64) -> Option<FaultSpec> {
-        let mut faults = self.faults.lock().unwrap_or_else(|e| e.into_inner());
-        let pos = faults
-            .iter()
-            .position(|f| f.kind == kind && f.launch == launch)?;
-        let spec = faults.remove(pos);
-        self.injected.fetch_add(1, Ordering::Relaxed);
-        Some(spec)
+        self.take_first(|f| f.kind == kind && f.launch == launch)
     }
 
-    /// Consumes the first spec of `kind` regardless of launch coordinate
-    /// (texture binds happen before any launch exists).
-    pub fn take_any(&self, kind: FaultKind) -> Option<FaultSpec> {
+    /// Consumes the first spec of `kind` bound to `launch` or earlier. A
+    /// consult that comes after launches on other devices sharing the plan
+    /// still fires the spec those launches passed over.
+    pub fn take_due(&self, kind: FaultKind, launch: u64) -> Option<FaultSpec> {
+        self.take_first(|f| f.kind == kind && f.launch <= launch)
+    }
+
+    fn take_first(&self, matches: impl Fn(&FaultSpec) -> bool) -> Option<FaultSpec> {
         let mut faults = self.faults.lock().unwrap_or_else(|e| e.into_inner());
-        let pos = faults.iter().position(|f| f.kind == kind)?;
+        let pos = faults.iter().position(matches)?;
         let spec = faults.remove(pos);
         self.injected.fetch_add(1, Ordering::Relaxed);
         Some(spec)
@@ -326,13 +329,6 @@ mod tests {
             .take(FaultKind::TransferCorrupt, plan.completed_launch().unwrap())
             .is_some());
         assert_eq!(plan.injected(), 2);
-    }
-
-    #[test]
-    fn take_any_serves_bind_faults_before_any_launch() {
-        let plan = FaultPlan::single(FaultKind::TextureBindFail, 7, 0);
-        assert!(plan.take_any(FaultKind::TextureBindFail).is_some());
-        assert!(plan.take_any(FaultKind::TextureBindFail).is_none());
     }
 
     #[test]

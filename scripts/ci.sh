@@ -45,10 +45,13 @@ fi
 # Determinism soak: the bit-identity suites rerun unpinned, so a result
 # that depends on thread scheduling fails CI here instead of in 1 run in
 # k. Each rerun is time-boxed so a wedged run fails loudly, not hangs.
-echo "== determinism soak: sanitizer + exec_modes + pipeline + chaos suites, 10 unpinned reruns"
+# The server suite's chaos matrix has two tenants sharing one fault plan;
+# the telemetry suite pins the setup span tree.
+echo "== determinism soak: sanitizer + exec_modes + pipeline + chaos + server + telemetry suites, 10 unpinned reruns"
 for i in $(seq 1 10); do
   echo "-- soak run $i/10"
-  timeout 300 cargo test -q --test sanitizer --test exec_modes --test pipeline --test chaos
+  timeout 300 cargo test -q --test sanitizer --test exec_modes --test pipeline --test chaos \
+    --test server --test telemetry
 done
 
 # The benchmark's own self-test: every workload once at a tiny size,

@@ -8,11 +8,11 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use starsim::field::{FieldGenerator, StarCatalog};
-use starsim::gpu::{FaultKind, FaultPlan, VirtualGpu};
+use starsim::gpu::{FaultKind, FaultPlan, GpuError, VirtualGpu};
 use starsim::sim::resilience::run_with_retry;
 use starsim::sim::{
-    AdaptiveSession, ExecMode, ParallelSimulator, ResilienceReport, RetryPolicy, Rung, SimConfig,
-    Simulator,
+    AdaptiveSession, AdaptiveSimulator, ExecMode, ParallelSimulator, PixelCentricSimulator,
+    ResilienceReport, RetryPolicy, Rung, SessionSetup, SimConfig, SimError, Simulator,
 };
 
 const WORKERS: usize = 4;
@@ -33,6 +33,15 @@ fn fast_retry() -> RetryPolicy {
         backoff: Duration::ZERO,
         ..RetryPolicy::default()
     }
+}
+
+/// A session on `gpu` that retries its texture bind and every frame.
+fn resilient(gpu: VirtualGpu, config: SimConfig) -> AdaptiveSession {
+    let setup = SessionSetup {
+        retry: Some(fast_retry()),
+        ..SessionSetup::default()
+    };
+    AdaptiveSession::open(gpu, config, setup).expect("resilient session")
 }
 
 fn bits(v: &[f32]) -> Vec<u32> {
@@ -64,13 +73,12 @@ fn chaos_gpu(kind: FaultKind) -> (Arc<FaultPlan>, VirtualGpu) {
 
 #[test]
 fn chaos_matrix_adaptive_session_recovers_bit_identically() {
-    let clean = AdaptiveSession::on(VirtualGpu::gtx480(), cfg()).expect("clean session");
+    let clean = AdaptiveSession::new(cfg()).expect("clean session");
     let expected = session_frames(&clean);
 
     for kind in FaultKind::ALL {
         let (plan, gpu) = chaos_gpu(kind);
-        let session =
-            AdaptiveSession::on_resilient(gpu, cfg(), fast_retry()).expect("resilient session");
+        let session = resilient(gpu, cfg());
         let got = session_frames(&session);
         assert_eq!(
             expected, got,
@@ -129,13 +137,12 @@ fn chaos_matrix_simd_backend_recovers_bit_identically() {
     let mut simd_cfg = cfg();
     simd_cfg.backend = starsim::sim::KernelBackend::Simd;
 
-    let clean = AdaptiveSession::on(VirtualGpu::gtx480(), cfg()).expect("clean scalar session");
+    let clean = AdaptiveSession::new(cfg()).expect("clean scalar session");
     let expected = session_frames(&clean);
 
     for kind in FaultKind::ALL {
         let (plan, gpu) = chaos_gpu(kind);
-        let session = AdaptiveSession::on_resilient(gpu, simd_cfg.clone(), fast_retry())
-            .expect("resilient simd session");
+        let session = resilient(gpu, simd_cfg.clone());
         let got = session_frames(&session);
         assert_eq!(
             expected, got,
@@ -213,13 +220,42 @@ fn chaos_matrix_parallel_simulator_recovers_bit_identically() {
     }
 }
 
+/// The one-shot GPU simulators upload and download through the device's
+/// fault plan: an allocation or transfer fault is a typed error, never a
+/// frame that silently skipped the plan.
+#[test]
+fn one_shot_simulators_surface_transfer_faults_as_typed_errors() {
+    let cat = FieldGenerator::new(64, 64).generate(100, 3);
+    let simulators: [fn(VirtualGpu) -> Box<dyn Simulator>; 3] = [
+        |gpu| Box::new(ParallelSimulator::on(gpu)),
+        |gpu| Box::new(AdaptiveSimulator::on(gpu)),
+        |gpu| Box::new(PixelCentricSimulator::on(gpu)),
+    ];
+    for kind in [FaultKind::AllocOom, FaultKind::TransferCorrupt] {
+        for on in simulators {
+            let plan = Arc::new(FaultPlan::single(kind, 0, 0));
+            let sim = on(VirtualGpu::gtx480().with_fault_plan(Arc::clone(&plan)));
+            let err = sim.simulate(&cat, &SimConfig::new(64, 64, 10)).map(|_| ());
+            let typed = match err {
+                Err(SimError::Gpu(GpuError::OutOfMemory { .. })) => kind == FaultKind::AllocOom,
+                Err(SimError::Gpu(GpuError::TransferCorrupted { .. })) => {
+                    kind != FaultKind::AllocOom
+                }
+                _ => false,
+            };
+            assert!(typed, "{} under {kind:?}: {err:?}", sim.name());
+            assert_eq!(plan.remaining(), 0, "{} under {kind:?}", sim.name());
+        }
+    }
+}
+
 #[test]
 fn seeded_fault_plan_completes_all_frames_bit_identically() {
     // ≥ 24 frames: every fault of the seeded plan gets its own stride-4
     // slot (six kinds × stride 4), so each costs exactly one retry and
     // recovery stays on the bit-identical rungs (≤ SpawnDispatch).
     const N: usize = 24;
-    let clean = AdaptiveSession::on(VirtualGpu::gtx480(), cfg()).unwrap();
+    let clean = AdaptiveSession::new(cfg()).unwrap();
     let mut host = Vec::new();
     let expected: Vec<Vec<u32>> = (0..N)
         .map(|i| {
@@ -232,7 +268,7 @@ fn seeded_fault_plan_completes_all_frames_bit_identically() {
     let gpu = VirtualGpu::gtx480()
         .with_fault_plan(Arc::clone(&plan))
         .with_watchdog(Duration::from_millis(30));
-    let session = AdaptiveSession::on_resilient(gpu, cfg(), fast_retry()).unwrap();
+    let session = resilient(gpu, cfg());
     let mut host = Vec::new();
     for (i, want) in expected.iter().enumerate() {
         session
@@ -260,7 +296,7 @@ fn no_panic_crosses_the_public_boundary() {
         // No retry policy: the fault surfaces as an Err — but it must be an
         // Err, never an unwinding panic.
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let session = AdaptiveSession::on(gpu, cfg())?;
+            let session = AdaptiveSession::open(gpu, cfg(), SessionSetup::default())?;
             let mut host = Vec::new();
             for i in 0..FRAMES {
                 session.render_into(&catalog(i as u64), &mut host)?;
@@ -284,13 +320,13 @@ fn a_failed_frame_leaves_no_pixels_for_the_next_frame() {
         for mode in [ExecMode::Batched, ExecMode::Reference] {
             let mut config = cfg();
             config.exec_mode = mode;
-            let clean = AdaptiveSession::on(VirtualGpu::gtx480(), config.clone()).unwrap();
+            let clean = AdaptiveSession::new(config.clone()).unwrap();
             let mut expected = Vec::new();
             clean.render_into(&catalog(1), &mut expected).unwrap();
 
             let plan = Arc::new(FaultPlan::single(kind, 0, 2));
             let gpu = VirtualGpu::gtx480().with_fault_plan(Arc::clone(&plan));
-            let session = AdaptiveSession::on(gpu, config).unwrap();
+            let session = AdaptiveSession::open(gpu, config, SessionSetup::default()).unwrap();
             let mut host = Vec::new();
             assert!(
                 session.render_into(&catalog(0), &mut host).is_err(),
@@ -315,7 +351,7 @@ fn watchdog_converts_a_stuck_lane_within_the_deadline() {
         .with_workers(WORKERS)
         .with_fault_plan(plan)
         .with_watchdog(Duration::from_millis(30));
-    let session = AdaptiveSession::on(gpu, cfg()).unwrap();
+    let session = AdaptiveSession::open(gpu, cfg(), SessionSetup::default()).unwrap();
     let mut host = Vec::new();
     let start = std::time::Instant::now();
     let err = session.render_into(&catalog(0), &mut host).unwrap_err();

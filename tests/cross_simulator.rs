@@ -46,7 +46,7 @@ fn adaptive_error_is_bounded_by_lut_quantization() {
     let cfg = config(128, 10);
     let seq = SequentialSimulator::new().simulate(&cat, &cfg).unwrap();
     let ada = AdaptiveSimulator::new().simulate(&cat, &cfg).unwrap();
-    let lut = AdaptiveSimulator::new().build_lut(&cfg).unwrap();
+    let lut = starsim::sim::build_lut(&cfg, &DeviceSpec::gtx480()).unwrap();
     let bound = lut.brightness().max_relative_error() * 1.5;
     let d = compare(&seq.image, &ada.image, 0.0);
     assert!(

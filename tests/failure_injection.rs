@@ -44,9 +44,9 @@ fn max_magnitude_range_for_texture_budget_is_computable() {
     // A table at exactly that resolution must bind; one bin more must not.
     let mut cfg = SimConfig::new(64, 64, 32);
     cfg.lut_mag_bins = bins;
-    assert!(AdaptiveSimulator::new().build_lut(&cfg).is_ok());
+    assert!(starsim::sim::build_lut(&cfg, gpu.spec()).is_ok());
     cfg.lut_mag_bins = bins + 1;
-    assert!(AdaptiveSimulator::new().build_lut(&cfg).is_err());
+    assert!(starsim::sim::build_lut(&cfg, gpu.spec()).is_err());
 }
 
 #[test]

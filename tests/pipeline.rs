@@ -23,7 +23,7 @@ use starsim::field::{Attitude, Camera};
 use starsim::gpu::{FaultKind, FaultPlan, KernelBackend, VirtualGpu};
 use starsim::sim::telemetry::Telemetry;
 use starsim::sim::{
-    CancelToken, FrameSequencer, RetryPolicy, SimConfig, SimError, ThroughputReport,
+    CancelToken, FrameSequencer, RetryPolicy, SessionSetup, SimConfig, SimError, ThroughputReport,
 };
 
 const FRAMES: usize = 4;
@@ -43,10 +43,26 @@ fn config(workers: usize, backend: KernelBackend) -> SimConfig {
     c
 }
 
-/// A drifting-field sequencer (gentle slew: the frames differ, no smear).
-fn sequencer(gpu: VirtualGpu, seed: u64, workers: usize, backend: KernelBackend) -> FrameSequencer {
-    FrameSequencer::on_device(
+/// A drifting-field sequencer (gentle slew: the frames differ, no smear)
+/// opened under a fast retry policy when `retry` is set; the policy covers
+/// the open's texture bind as well as every frame.
+fn sequencer(
+    gpu: VirtualGpu,
+    seed: u64,
+    workers: usize,
+    backend: KernelBackend,
+    retry: bool,
+) -> FrameSequencer {
+    let setup = SessionSetup {
+        retry: retry.then_some(RetryPolicy {
+            backoff: Duration::ZERO,
+            ..RetryPolicy::default()
+        }),
+        ..SessionSetup::default()
+    };
+    FrameSequencer::open(
         gpu,
+        setup,
         synthetic_sky(30_000, 0.0, 6.0, seed),
         Camera::from_fov(10.0f64.to_radians(), 128, 128).unwrap(),
         AttitudeDynamics::new(Attitude::pointing(1.0, 0.2, 0.0), [0.002, 0.0, 0.0]),
@@ -109,9 +125,9 @@ fn pipelined_matches_sequential_bit_identically() {
     for &seed in &[3u64, 11] {
         for &workers in &worker_counts {
             for backend in [KernelBackend::Scalar, KernelBackend::Simd] {
-                let mut reference = sequencer(VirtualGpu::gtx480(), seed, workers, backend);
+                let mut reference = sequencer(VirtualGpu::gtx480(), seed, workers, backend, false);
                 let expected = sequential_digests(&mut reference, FRAMES);
-                let mut bursts = sequencer(VirtualGpu::gtx480(), seed, workers, backend);
+                let mut bursts = sequencer(VirtualGpu::gtx480(), seed, workers, backend, false);
                 let (got, report) = burst_digests(&mut bursts, FRAMES);
                 assert_eq!(
                     expected, got,
@@ -133,9 +149,9 @@ fn pipelined_matches_sequential_bit_identically() {
 fn pipelined_bursts_compose_with_next_frame() {
     // Burst, single frame, burst again: the interleaved calls see the
     // same sky as one long sequential run.
-    let mut reference = sequencer(VirtualGpu::gtx480(), 5, 4, backend_under_test());
+    let mut reference = sequencer(VirtualGpu::gtx480(), 5, 4, backend_under_test(), false);
     let expected = sequential_digests(&mut reference, 5);
-    let mut seq = sequencer(VirtualGpu::gtx480(), 5, 4, backend_under_test());
+    let mut seq = sequencer(VirtualGpu::gtx480(), 5, 4, backend_under_test(), false);
     let (first, _) = burst_digests(&mut seq, 2);
     let middle = sequential_digests(&mut seq, 1);
     let (rest, _) = burst_digests(&mut seq, 2);
@@ -147,8 +163,8 @@ fn pipelined_bursts_compose_with_next_frame() {
 fn pipelined_span_tree_is_deterministic_and_two_staged() {
     let run = || {
         let telemetry = Telemetry::new();
-        let mut seq = sequencer(VirtualGpu::gtx480(), 7, 2, backend_under_test())
-            .with_telemetry(Arc::clone(&telemetry));
+        let mut seq = sequencer(VirtualGpu::gtx480(), 7, 2, backend_under_test(), false);
+        seq.set_telemetry(Some(Arc::clone(&telemetry)));
         seq.run_frames(FRAMES).unwrap();
         telemetry
     };
@@ -175,26 +191,19 @@ fn pipelined_span_tree_is_deterministic_and_two_staged() {
 #[test]
 fn chaos_matrix_pipelined_recovers_bit_identically() {
     let backend = backend_under_test();
-    let mut clean = sequencer(VirtualGpu::gtx480(), 13, 4, backend);
+    let mut clean = sequencer(VirtualGpu::gtx480(), 13, 4, backend, false);
     let expected = sequential_digests(&mut clean, FRAMES)
         .into_iter()
         .map(|d| d.image)
         .collect::<Vec<_>>();
 
+    // A bind fault fires at the open, which the retry policy covers.
     for kind in FaultKind::ALL {
-        if kind == FaultKind::TextureBindFail {
-            // Fires at session setup (the one texture bind), never
-            // mid-burst — covered by the session chaos matrix.
-            continue;
-        }
         let plan = Arc::new(FaultPlan::single(kind, 1, 2).with_stall(Duration::from_millis(150)));
         let gpu = VirtualGpu::gtx480()
             .with_fault_plan(Arc::clone(&plan))
             .with_watchdog(Duration::from_millis(40));
-        let mut seq = sequencer(gpu, 13, 4, backend).with_retry_policy(RetryPolicy {
-            backoff: Duration::ZERO,
-            ..RetryPolicy::default()
-        });
+        let mut seq = sequencer(gpu, 13, 4, backend, true);
         let (got, _report) = burst_digests(&mut seq, FRAMES);
         let got = got.into_iter().map(|d| d.image).collect::<Vec<_>>();
         assert_eq!(
@@ -207,18 +216,14 @@ fn chaos_matrix_pipelined_recovers_bit_identically() {
 
 #[test]
 fn pipelined_fault_accounting_matches_the_sequential_ladder() {
-    // The exact scenario frames.rs tests sequentially: one worker panic at
-    // launch 1 degrades that frame to spawn dispatch, later frames are
-    // unaffected.
+    // One worker panic at launch 1 degrades that frame to spawn dispatch;
+    // later frames are unaffected.
     let gpu = VirtualGpu::gtx480().with_fault_plan(Arc::new(FaultPlan::single(
         FaultKind::WorkerPanic,
         1,
         2,
     )));
-    let mut seq = sequencer(gpu, 17, 4, backend_under_test()).with_retry_policy(RetryPolicy {
-        backoff: Duration::ZERO,
-        ..RetryPolicy::default()
-    });
+    let mut seq = sequencer(gpu, 17, 4, backend_under_test(), true);
     let report = seq.run_frames(FRAMES).unwrap();
     assert_eq!(report.frames, FRAMES);
     assert_eq!(report.resilience.panics, 1);
@@ -233,10 +238,10 @@ fn pipelined_fault_accounting_matches_the_sequential_ladder() {
 #[test]
 fn cancellation_drains_in_flight_frames_and_resumes_bit_identically() {
     let backend = backend_under_test();
-    let mut reference = sequencer(VirtualGpu::gtx480(), 23, 2, backend);
+    let mut reference = sequencer(VirtualGpu::gtx480(), 23, 2, backend, false);
     let expected = sequential_digests(&mut reference, 6);
 
-    let mut seq = sequencer(VirtualGpu::gtx480(), 23, 2, backend);
+    let mut seq = sequencer(VirtualGpu::gtx480(), 23, 2, backend, false);
     let token = CancelToken::new();
     let mut digests = Vec::new();
     let err = seq
@@ -275,7 +280,7 @@ fn cancellation_drains_in_flight_frames_and_resumes_bit_identically() {
 
 #[test]
 fn immediate_cancellation_completes_no_frames() {
-    let mut seq = sequencer(VirtualGpu::gtx480(), 29, 2, backend_under_test());
+    let mut seq = sequencer(VirtualGpu::gtx480(), 29, 2, backend_under_test(), false);
     let token = CancelToken::new();
     token.cancel();
     let err = seq
@@ -287,7 +292,7 @@ fn immediate_cancellation_completes_no_frames() {
 
 #[test]
 fn overlap_and_lut_stats_surface_on_the_report() {
-    let mut seq = sequencer(VirtualGpu::gtx480(), 31, 2, backend_under_test());
+    let mut seq = sequencer(VirtualGpu::gtx480(), 31, 2, backend_under_test(), false);
     let report = seq.run_frames(FRAMES).unwrap();
     let overlap = report.overlap.expect("bursts report overlap");
     assert!(overlap.modeled.app_time_s > 0.0);

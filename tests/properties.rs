@@ -124,7 +124,7 @@ fn pixels_non_negative_and_finite() {
 fn adaptive_quantization_bound() {
     let mut rng = Rng64::new(0x16);
     let cfg = small_cfg(10);
-    let lut = AdaptiveSimulator::new().build_lut(&cfg).unwrap();
+    let lut = starsim::sim::build_lut(&cfg, &DeviceSpec::gtx480()).unwrap();
     let bound = lut.brightness().max_relative_error() * 1.5;
     for _ in 0..8 {
         let seed = rng.range_u64(0, 1000);

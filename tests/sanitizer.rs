@@ -329,7 +329,7 @@ fn sanitized_session_stays_clean_across_frames() {
     let mut config = sim_config(64, 64, 10);
     config.exec_mode = ExecMode::Sanitized;
     config.workers = Some(2);
-    let session = AdaptiveSession::on(VirtualGpu::gtx480(), config).expect("session");
+    let session = AdaptiveSession::new(config).expect("session");
     let cat = FieldGenerator::new(64, 64).generate(128, 3);
     let mut host = Vec::new();
     for _ in 0..3 {
@@ -394,7 +394,7 @@ fn static_validator_rejects_oversized_roi_before_dispatch() {
         .simulate(&cat, &config)
         .unwrap_err();
     assert!(err.to_string().contains("80"), "typed rejection: {err}");
-    let err = match AdaptiveSession::on(VirtualGpu::gtx480(), config) {
+    let err = match AdaptiveSession::new(config) {
         Err(e) => e,
         Ok(_) => panic!("session setup must reject an oversized ROI"),
     };

@@ -130,18 +130,25 @@ fn malformed_oversized_and_wrong_version_frames_are_rejected() {
     assert_eq!(oversized.len(), HEADER_LEN);
     expect_framing_reject(addr, &oversized, RejectCode::BadRequest);
 
-    // A structurally valid frame with nonsense content: rejected without
-    // killing the connection.
+    // Structurally valid frames with nonsense content (an image over the
+    // cap, an ROI larger than the image): rejected without killing the
+    // connection, and before the server looks up or builds a table.
     let mut client = Client::connect(addr).expect("connect");
-    let mut bad_spec = spec("ok");
-    bad_spec.width = 1 << 20;
-    match client
-        .request(&Message::OpenSession(bad_spec))
-        .expect("reply")
-    {
-        Message::Reject { code, .. } => assert_eq!(code, RejectCode::BadRequest),
-        other => panic!("expected BadRequest, got {other:?}"),
+    let mut huge = spec("ok");
+    huge.width = 1 << 20;
+    let mut small = spec("ok");
+    (small.width, small.height, small.roi_side) = (16, 16, 20);
+    for bad_spec in [huge, small] {
+        match client
+            .request(&Message::OpenSession(bad_spec))
+            .expect("reply")
+        {
+            Message::Reject { code, .. } => assert_eq!(code, RejectCode::BadRequest),
+            other => panic!("expected BadRequest, got {other:?}"),
+        }
     }
+    let stats = handle.lut_cache().stats();
+    assert_eq!((stats.misses, stats.len), (0, 0), "{stats:?}");
     // Hello with an unsupported payload version negotiates down to a
     // versioned reject, also without killing the connection.
     match client
@@ -500,12 +507,9 @@ fn chaos_matrix_recovers_bit_identically_through_the_server_with_concurrent_tena
     };
     clean.shutdown();
 
+    // A bind fault fires at the first open's texture bind, which the
+    // retry policy covers like any frame.
     for kind in FaultKind::ALL {
-        if kind == FaultKind::TextureBindFail {
-            // Fires at session setup (the one texture bind), not
-            // mid-pipeline — the resilient-open path owns that case.
-            continue;
-        }
         let plan = Arc::new(FaultPlan::single(kind, 1, 2).with_stall(Duration::from_millis(150)));
         let config = ServerConfig {
             fault_plan: Some(Arc::clone(&plan)),

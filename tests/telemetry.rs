@@ -8,7 +8,7 @@ use std::sync::Arc;
 use starsim::field::FieldGenerator;
 use starsim::gpu::VirtualGpu;
 use starsim::sim::telemetry::{chrome_trace_json, parse_json, JsonValue, Telemetry};
-use starsim::sim::{AdaptiveSession, LutCache, SimConfig};
+use starsim::sim::{AdaptiveSession, LutCache, LutSource, SessionSetup, SimConfig};
 
 const WORKERS: usize = 2;
 
@@ -18,18 +18,22 @@ fn cfg() -> SimConfig {
     c
 }
 
+/// A fully instrumented session whose table goes through `cache`.
+fn traced_session(cache: &LutCache, telemetry: &Arc<Telemetry>) -> AdaptiveSession {
+    let setup = SessionSetup {
+        lut: LutSource::Cached(cache),
+        telemetry: Some(Arc::clone(telemetry)),
+        ..SessionSetup::default()
+    };
+    AdaptiveSession::open(VirtualGpu::gtx480(), cfg(), setup).expect("session")
+}
+
 /// Renders `frames` frames on a fully instrumented session and returns
 /// the sink.
 fn traced_run(frames: usize, seed: u64) -> Arc<Telemetry> {
     let telemetry = Telemetry::new();
     let cache = LutCache::new();
-    let session = AdaptiveSession::on_telemetry(
-        VirtualGpu::gtx480(),
-        cfg(),
-        Some(&cache),
-        Arc::clone(&telemetry),
-    )
-    .expect("session");
+    let session = traced_session(&cache, &telemetry);
     let cat = FieldGenerator::new(128, 128).generate(150, seed);
     let mut host = Vec::new();
     for _ in 0..frames {
@@ -68,12 +72,8 @@ fn same_seed_runs_produce_the_same_span_tree() {
 fn session_surfaces_cache_stats_and_diagnostics() {
     let cache = LutCache::new();
     let t = Telemetry::new();
-    let cold =
-        AdaptiveSession::on_telemetry(VirtualGpu::gtx480(), cfg(), Some(&cache), Arc::clone(&t))
-            .expect("cold");
-    let _warm =
-        AdaptiveSession::on_telemetry(VirtualGpu::gtx480(), cfg(), Some(&cache), Arc::clone(&t))
-            .expect("warm");
+    let cold = traced_session(&cache, &t);
+    let _warm = traced_session(&cache, &t);
     let stats = cache.stats();
     assert_eq!((stats.hits, stats.misses, stats.evictions), (1, 1, 0));
     assert_eq!((stats.len, stats.capacity), (1, LutCache::DEFAULT_CAPACITY));
