@@ -30,7 +30,7 @@ const ROI_SIDE: usize = 10;
 const STAR_COUNT: usize = 1 << 13;
 
 /// Chaos frames: enough launches that every fault of the seeded plan
-/// (six kinds, one stride-4 slot each) fires.
+/// (five kinds, one stride-4 slot each) fires.
 const CHAOS_FRAMES: usize = 24;
 
 /// Watchdog deadline for chaos-armed devices. Must comfortably exceed a

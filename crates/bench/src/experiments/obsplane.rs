@@ -58,7 +58,7 @@ struct Sustained {
 
 /// Runs `reps` bursts of `frames` through the frame loop with
 /// `per_frame` on the observer hook and keeps the fastest pass. One
-/// untimed warmup burst populates the pool and the shadow arena.
+/// untimed warmup burst starts the pool and sizes the host buffers.
 fn measure(
     seq: &mut FrameSequencer,
     frames: usize,

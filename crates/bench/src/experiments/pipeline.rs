@@ -81,8 +81,8 @@ struct Sustained {
 
 /// Runs `reps` bursts of `frames` and keeps the fastest pass (the one
 /// least disturbed by unrelated host load — the same best-of-reps policy
-/// as the `executor` experiment). One untimed warmup burst populates the
-/// pool and the shadow arena.
+/// as the `executor` experiment). One untimed warmup burst starts the pool
+/// and sizes the host buffers.
 fn measure(seq: &mut FrameSequencer, frames: usize, reps: usize) -> Sustained {
     let _ = seq.run_frames(frames).expect("warmup burst");
     let mut best: Option<Sustained> = None;

@@ -5,7 +5,7 @@
 //!    with the sanitizer machinery explicitly attached (all checks
 //!    configured, mode not `Sanitized`) must track the plain batched
 //!    baseline within the PR gate of ≤ 1% (the per-launch dormant cost is
-//!    two relaxed atomic reads: the launch id and the arena watermark).
+//!    one relaxed atomic increment: the launch id).
 //! 2. **Are the paper simulators clean?** Sequential, parallel and
 //!    adaptive all run in `Sanitized` mode and every drained report must
 //!    carry zero findings (`"findings": 0`).

@@ -14,13 +14,14 @@
 //! x/y, served by Morton-swizzled cache lines) and cache reuse across
 //! blocks whose stars share a magnitude bin.
 
+use std::ops::Range;
 use std::sync::Arc;
 use std::time::Instant;
 
 use gpusim::memory::global::{GlobalAtomicF32, GlobalBuffer};
 use gpusim::{
-    AppProfile, BlockCtx, DeviceSpec, FlopClass, Kernel, LaunchConfig, Texture, ThreadCtx,
-    VirtualGpu,
+    AppProfile, BlockCtx, DeviceSpec, Dim3, FlopClass, Kernel, KernelBackend, LaunchConfig,
+    Texture, ThreadCtx, VirtualGpu,
 };
 use psf::lut::{LookupTable, LutParams};
 use psf::roi::Roi;
@@ -153,19 +154,18 @@ impl Kernel for AdaptiveKernel<'_> {
         }
     }
 
-    /// Batched fast path (see [`StarCentricKernel::run_block`]'s notes —
-    /// same structure, with texture fetches driven through the SM's cache
+    fn deposit_rows(&self, cfg: &LaunchConfig) -> Option<usize> {
+        let side = self.roi.side() as u32;
+        (cfg.block == Dim3::d2(side, side)).then_some(self.height)
+    }
+
+    /// Counter pass (see [`StarCentricKernel::run_block`]'s notes — same
+    /// structure, with texture fetches driven through the SM's cache
     /// simulator in the exact lane order of the reference path).
     ///
     /// [`StarCentricKernel::run_block`]: crate::parallel::StarCentricKernel
-    fn run_block<'k>(&'k self, ctx: &mut BlockCtx<'k, '_>) -> bool {
+    fn run_block(&self, ctx: &mut BlockCtx<'_>) {
         let side = self.roi.side();
-        if ctx.block_dim.x as usize != side
-            || ctx.block_dim.y as usize != side
-            || ctx.block_dim.z != 1
-        {
-            return false;
-        }
         let tpb = side * side;
         let warp = ctx.spec.warp_size as usize;
         let n_warps = tpb.div_ceil(warp) as u64;
@@ -176,7 +176,7 @@ impl Kernel for AdaptiveKernel<'_> {
         ctx.counters.warps += n_warps;
         ctx.counters.branches += n_warps;
         if block_id >= self.star_count {
-            return true;
+            return;
         }
 
         // Phase 0, designated thread: star read, layer index arithmetic
@@ -192,15 +192,11 @@ impl Kernel for AdaptiveKernel<'_> {
         let seg = ctx.spec.coalesce_segment as u64;
         ctx.counters.global_requests += 1;
         ctx.counters.global_transactions += (addr + bytes - 1) / seg - addr / seg + 1;
-        let layer = self.lut.layer_of(&Star::new(star.x, star.y, star.mag));
+        let layer = self.layer(&star);
         ctx.counters.flops_add += 1;
         ctx.counters.flops_mul += 1;
         ctx.counters.arith_issues += 2;
         ctx.counters.shared_requests += 3;
-        // The reference kernel stages the layer through a shared-memory
-        // f32; replicate the round-trip so any (guarded-against) precision
-        // loss is identical.
-        let layer = (layer as f32) as usize;
 
         // Phase 1: barrier, broadcast reads, pixel coordinates.
         ctx.counters.barriers += n_warps;
@@ -225,25 +221,13 @@ impl Kernel for AdaptiveKernel<'_> {
             None
         };
         if let Some((walk, line_offset)) = walk {
-            // All lanes fetch, one texture request per warp. Counter
-            // increments hoisted out of the pixel loop; the whole layer
-            // goes through the SM's cache as one walk replay, then each
-            // LUT row is added into its accumulator span — one add per
-            // pixel, so the sum is the per-pixel loop's on either backend.
+            // All lanes fetch, one texture request per warp; the whole
+            // layer goes through the SM's cache as one walk replay.
             ctx.counters.tex_requests += n_warps;
             ctx.counters.atomic_requests += n_warps;
             ctx.counters.tex_fetches += tpb as u64;
             ctx.counters.tex_hits += ctx.cache.access_walk(walk, line_offset);
-            let acc = ctx.shadow.accumulator(self.image);
-            for j in 0..side {
-                let row = (y0 as usize + j) * self.width + x0 as usize;
-                psf::lanes::accumulate(
-                    acc.span_mut(row, row + side),
-                    self.lut_tex.row(layer, j as i64),
-                );
-            }
         } else {
-            let acc = ctx.shadow.accumulator(self.image);
             let mut t = 0usize;
             while t < tpb {
                 let lanes = warp.min(tpb - t);
@@ -255,13 +239,11 @@ impl Kernel for AdaptiveKernel<'_> {
                     let py = y0 + ty as i64;
                     if px >= 0 && py >= 0 && px < w && py < h {
                         n_in += 1;
-                        let (gray, taddr) = self.lut_tex.fetch(layer, tx as i64, ty as i64);
+                        let (_, taddr) = self.lut_tex.fetch(layer, tx as i64, ty as i64);
                         ctx.counters.tex_fetches += 1;
                         if ctx.cache.access(taddr) {
                             ctx.counters.tex_hits += 1;
                         }
-                        let idx = py as usize * self.width + px as usize;
-                        acc.add(idx, gray);
                     }
                 }
                 if n_in > 0 {
@@ -274,7 +256,50 @@ impl Kernel for AdaptiveKernel<'_> {
                 t += lanes;
             }
         }
-        true
+    }
+
+    /// Deposit pass: the texels of the star's layer that land in image
+    /// rows `rows`, added row by row — LUT row views when the table has
+    /// the ROI's shape, clamped fetches otherwise. Both backends add the
+    /// same table values.
+    fn deposit(&self, block: usize, rows: Range<usize>, _backend: KernelBackend) {
+        if block >= self.star_count {
+            return;
+        }
+        let star = self.stars.read(block);
+        let side = self.roi.side() as i64;
+        let (x0, y0) = self.roi.origin(star.x, star.y);
+        let (xlo, xhi) = (x0.max(0), (x0 + side).min(self.width as i64));
+        let (ylo, yhi) = (y0.max(rows.start as i64), (y0 + side).min(rows.end as i64));
+        if xlo >= xhi || ylo >= yhi {
+            return;
+        }
+        let layer = self.layer(&star);
+        let (tx0, tx1) = ((xlo - x0) as usize, (xhi - x0) as usize);
+        let row_views = self.lut_tex.width() == side as usize;
+        let mut texels = [0.0f32; 32];
+        for py in ylo..yhi {
+            let ty = py - y0;
+            let start = py as usize * self.width + xlo as usize;
+            if row_views {
+                self.image
+                    .merge_add_range(start, &self.lut_tex.row(layer, ty)[tx0..tx1]);
+            } else {
+                for (tx, v) in (tx0..tx1).zip(&mut texels) {
+                    *v = self.lut_tex.fetch(layer, tx as i64, ty).0;
+                }
+                self.image.merge_add_range(start, &texels[..tx1 - tx0]);
+            }
+        }
+    }
+}
+
+impl AdaptiveKernel<'_> {
+    /// The star's table layer, staged through a shared-memory `f32` as the
+    /// reference kernel stages it, so any (guarded-against) precision loss
+    /// is identical.
+    fn layer(&self, star: &DeviceStar) -> usize {
+        (self.lut.layer_of(&Star::new(star.x, star.y, star.mag)) as f32) as usize
     }
 }
 

@@ -450,7 +450,7 @@ pub struct ThroughputReport {
     /// a fault-free run).
     pub resilience: ResilienceReport,
     /// Device resilience counters at the end of the burst, so frame-loop
-    /// callers see pool rebuilds / checksum catches / arena drops without
+    /// callers see pool rebuilds / checksum catches / timeouts without
     /// holding a device reference.
     pub diagnostics: GpuDiagnostics,
     /// Modeled-vs-measured overlap accounting for the burst: how much of

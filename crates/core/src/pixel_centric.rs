@@ -180,7 +180,7 @@ mod tests {
     use crate::parallel::ParallelSimulator;
     use crate::sequential::SequentialSimulator;
     use starfield::FieldGenerator;
-    use starimage::diff::images_close;
+    use starimage::diff::differing_pixels;
 
     fn tiny_config() -> SimConfig {
         SimConfig::new(64, 64, 10)
@@ -192,8 +192,9 @@ mod tests {
         let cfg = tiny_config();
         let seq = SequentialSimulator::new().simulate(&cat, &cfg).unwrap();
         let pix = PixelCentricSimulator::new().simulate(&cat, &cfg).unwrap();
-        assert!(
-            images_close(&seq.image, &pix.image, 1e-5, 1e-4),
+        assert_eq!(
+            differing_pixels(&seq.image, &pix.image),
+            0,
             "pixel-centric must compute the same image"
         );
     }

@@ -13,20 +13,16 @@
 //! | 2    | serial   | `Reference` | adaptive LUT |
 //! | 3    | serial   | `Reference` | parallel (direct PSF) |
 //!
-//! Rungs 0–1 are *bit-identical*: spawn dispatch changes only how blocks
-//! are assigned to host threads, never the arithmetic or the per-worker
-//! reduction, so a retried frame matches the fault-free run at the same
-//! worker count exactly. Rung 2 keeps the kernel math but runs every SM
-//! serially on the launching thread (the spawn override it inherits has
-//! no lanes to act on), depositing blocks in launch order instead of
-//! through the per-role shadow merge; the different f32 accumulation
-//! order can flip low-order mantissa bits on pixels covered by several
-//! blocks (its frames equal a one-worker device's). Rung 3 additionally
-//! swaps the intensity model (direct PSF evaluation instead of the lookup
-//! table).
-//! Both lower rungs are last resorts, reached only when every
-//! bit-identical attempt has failed — they trade bit-fidelity for
-//! availability.
+//! Rungs 0–2 are *bit-identical*: every executor adds each pixel's values
+//! in block order, whatever the worker count, so spawn dispatch (rung 1)
+//! changes only how blocks are assigned to host threads, and rung 2's
+//! reference executor — serial on the launching thread, where the spawn
+//! override it inherits has no lanes to act on — renders the same image
+//! as the batched executor. A retried frame therefore matches the
+//! fault-free run exactly. Only rung 3 changes the model: it swaps the
+//! intensity model (direct PSF evaluation instead of the lookup table), a
+//! last resort reached only when every bit-identical attempt has failed,
+//! trading the table's quantization for availability.
 //!
 //! Every fault seen, retry spent, and rung used is recorded in a
 //! [`ResilienceReport`] attached to
@@ -198,9 +194,7 @@ pub enum Rung {
     /// Spawn dispatch (bypasses a possibly-poisoned worker pool).
     SpawnDispatch = 1,
     /// `ExecMode::Reference` executor, serial on the launching thread.
-    /// Same math, but sequential block deposits reorder the f32
-    /// accumulation, so frames are numerically equivalent rather than
-    /// bit-identical.
+    /// Same math, same block-order deposits: bit-identical frames.
     ReferenceExec = 2,
     /// Direct-PSF parallel kernel — different intensity model; last resort.
     DirectPsf = 3,
@@ -273,8 +267,6 @@ pub struct ResilienceReport {
     pub pool_rebuilds: u64,
     /// Per-chunk checksum mismatches detected on download.
     pub checksum_catches: u64,
-    /// Corrupted shadow buffers dropped (not recycled) by the arena.
-    pub arena_drops: u64,
     /// Frames completed at each ladder rung (index = [`Rung::index`]).
     pub rung_frames: [u64; 4],
     /// Frames that exhausted every attempt and surfaced an error.
@@ -307,7 +299,6 @@ impl ResilienceReport {
     pub fn absorb_diagnostics(&mut self, d: GpuDiagnostics) {
         self.pool_rebuilds = d.pool_rebuilds;
         self.checksum_catches = d.checksum_catches;
-        self.arena_drops = d.arena_drops;
     }
 
     /// Element-wise sum of two reports.
@@ -322,7 +313,6 @@ impl ResilienceReport {
         self.bind_failures += other.bind_failures;
         self.pool_rebuilds += other.pool_rebuilds;
         self.checksum_catches += other.checksum_catches;
-        self.arena_drops += other.arena_drops;
         for (a, b) in self.rung_frames.iter_mut().zip(other.rung_frames.iter()) {
             *a += *b;
         }

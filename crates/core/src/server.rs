@@ -925,12 +925,8 @@ fn monitor_body(conn: &ConnState, shared: &Shared) -> String {
     let diags = *lock_tolerant(&shared.gpu_diags);
     body.push_str(&format!(
         "}},\"gpu\":{{\"pool_rebuilds\":{},\"checksum_catches\":{},\"panics_caught\":{},\
-         \"timeouts\":{},\"arena_drops\":{}}}",
-        diags.pool_rebuilds,
-        diags.checksum_catches,
-        diags.panics_caught,
-        diags.timeouts,
-        diags.arena_drops
+         \"timeouts\":{}}}",
+        diags.pool_rebuilds, diags.checksum_catches, diags.panics_caught, diags.timeouts
     ));
     let cache = shared.cache.stats();
     body.push_str(&format!(

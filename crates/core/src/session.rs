@@ -726,7 +726,7 @@ impl AdaptiveSession {
 
     /// Cumulative resilience accounting for this session: host-side fault
     /// and retry counters folded together with the device's diagnostics
-    /// (pool rebuilds, checksum catches, arena drops).
+    /// (pool rebuilds, checksum catches).
     pub fn resilience_report(&self) -> ResilienceReport {
         let mut report = *self.stats.lock().unwrap_or_else(|e| e.into_inner());
         report.absorb_diagnostics(self.gpu.diagnostics());
@@ -754,7 +754,7 @@ impl AdaptiveSession {
     }
 
     /// The device's resilience counters (pool rebuilds, checksum catches,
-    /// panics, timeouts, arena drops) without handing out the device.
+    /// panics, timeouts) without handing out the device.
     pub fn diagnostics(&self) -> gpusim::GpuDiagnostics {
         self.gpu.diagnostics()
     }
@@ -851,16 +851,16 @@ impl AdaptiveSession {
 
     /// Renders one frame into a caller-owned pixel buffer — the
     /// zero-allocation frame path. `host` is resized on first use and
-    /// reused verbatim afterwards; no device image, shadow buffer, or host
-    /// image is allocated once the loop is warm. Pixels and modeled times
+    /// reused verbatim afterwards; no device or host image is allocated
+    /// once the loop is warm. Pixels and modeled times
     /// are bit-identical to [`Self::render`].
     ///
     /// With a [`RetryPolicy`] installed ([`SessionSetup::retry`]), a failed
     /// frame is retried under the
-    /// degradation ladder: spawn dispatch (bit-identical to the configured
-    /// path), then the reference executor, then the direct-PSF fallback
-    /// kernel (both numerically equivalent, not bit-equal — see
-    /// [`Rung`]). Every fault and rung is recorded in
+    /// degradation ladder: spawn dispatch, then the reference executor
+    /// (both bit-identical to the configured path), then the direct-PSF
+    /// fallback kernel (numerically close, not bit-equal — see [`Rung`]).
+    /// Every fault and rung is recorded in
     /// [`Self::resilience_report`].
     pub fn render_into(
         &self,
@@ -917,9 +917,10 @@ impl AdaptiveSession {
     /// degradation ladder at the shed floor, retries under the session's
     /// [`RetryPolicy`] (one attempt without one), and counts the frame.
     ///
-    /// A failed attempt can leave partial deposits in `image_dev`: the SMs
-    /// that ran before an injected panic, or a download whose checksum
-    /// caught a corruption before re-zeroing. So the image is zeroed
+    /// A failed attempt can leave partial deposits in `image_dev`: the
+    /// blocks the reference executor ran before an injected panic, the
+    /// bands of a deposit pass the watchdog abandoned, or a download whose
+    /// checksum caught a corruption before re-zeroing. So the image is zeroed
     /// before every retry and after a frame that fails for good; the next
     /// frame then starts from the same all-zero image as a fresh session.
     fn render_frame(
@@ -1004,7 +1005,6 @@ impl AdaptiveSession {
             let metrics = t.metrics();
             metrics.counter_add("frames.rendered", 1);
             metrics.observe("frame.wall_ms", wall_s * 1e3);
-            metrics.gauge_set("arena.pooled", self.gpu.arena_pooled() as f64);
         }
     }
 
@@ -1024,7 +1024,7 @@ mod tests {
     use crate::Simulator;
     use gpusim::{FaultKind, FaultPlan};
     use starfield::FieldGenerator;
-    use starimage::diff::images_close;
+    use starimage::diff::differing_pixels;
 
     fn cfg() -> SimConfig {
         SimConfig::new(128, 128, 10)
@@ -1045,7 +1045,7 @@ mod tests {
         let session = AdaptiveSession::new(cfg()).unwrap();
         let one_shot = AdaptiveSimulator::new().simulate(&cat, &cfg()).unwrap();
         let frame = session.render(&cat).unwrap();
-        assert!(images_close(&one_shot.image, &frame.image, 1e-6, 1e-6));
+        assert_eq!(differing_pixels(&one_shot.image, &frame.image), 0);
         assert_eq!(frame.simulator, "adaptive-session");
     }
 
@@ -1181,10 +1181,10 @@ mod tests {
         limited.workers = Some(2);
         let a = AdaptiveSession::new(cfg()).unwrap().render(&cat).unwrap();
         let b = AdaptiveSession::new(limited).unwrap().render(&cat).unwrap();
-        // Worker count is functional parallelism only: counters and modeled
-        // times are invariant; pixels match to merge-order rounding.
+        // Worker count is functional parallelism only: modeled times and
+        // pixels are invariant.
         assert_eq!(a.app_time_s, b.app_time_s);
-        assert!(images_close(&a.image, &b.image, 1e-6, 1e-6));
+        assert_eq!(differing_pixels(&a.image, &b.image), 0);
     }
 
     #[test]
@@ -1301,8 +1301,8 @@ mod tests {
         let mut adaptive = Vec::new();
         session.render_into(&cat, &mut adaptive).unwrap();
 
-        // Shed to the star-centric fallback: numerically close, and the
-        // direct-PSF reference for this catalog.
+        // Shed to the star-centric fallback: the direct-PSF image of this
+        // catalog, bit for bit.
         assert_eq!(session.shed_floor(), Rung::Configured);
         session.set_shed_floor(Rung::DirectPsf);
         assert_eq!(session.shed_floor(), Rung::DirectPsf);
@@ -1310,7 +1310,7 @@ mod tests {
         session.render_into(&cat, &mut shed).unwrap();
         let direct = ParallelSimulator::new().simulate(&cat, &cfg()).unwrap();
         let shed_img = ImageF32::from_data(128, 128, shed);
-        assert!(images_close(&direct.image, &shed_img, 1e-5, 1e-5));
+        assert_eq!(differing_pixels(&direct.image, &shed_img), 0);
 
         // Restoring the floor restores bit-identical adaptive output.
         session.set_shed_floor(Rung::Configured);

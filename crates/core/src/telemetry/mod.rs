@@ -314,7 +314,7 @@ mod tests {
             let _r = t.span("render");
         }
         t.metrics().counter_add("frames.rendered", 3);
-        t.metrics().gauge_set("arena.pooled", 2.0);
+        t.metrics().gauge_set("lut_cache.len", 2.0);
         t.metrics().observe("frame.wall_ms", 1.25);
 
         let ft = t.frame_telemetry();
@@ -323,7 +323,7 @@ mod tests {
         let frame = ft.stages.iter().find(|s| s.name == "frame").unwrap();
         assert_eq!(frame.count, 3);
         assert_eq!(ft.counters, vec![("frames.rendered".to_string(), 3)]);
-        assert_eq!(ft.gauges, vec![("arena.pooled".to_string(), 2.0)]);
+        assert_eq!(ft.gauges, vec![("lut_cache.len".to_string(), 2.0)]);
         assert_eq!(ft.histograms.len(), 1);
         let rendered = ft.render();
         assert!(rendered.contains("frame"));

@@ -3,16 +3,20 @@
 //! Blocks are scheduled the way Fermi's GigaThread engine does it to first
 //! order: block `b` runs on SM `b mod sm_count`, and each virtual SM
 //! processes its blocks in issue order. The batched executor parallelizes
-//! over *SMs* (not blocks), which keeps every per-SM structure — notably
-//! the texture cache — free of cross-thread interleaving, so counter
-//! results are deterministic regardless of how many host cores run the
-//! simulation. The reference and sanitized executors run the same SM
-//! schedule serially on the launching thread.
+//! its counter pass over *SMs* (not blocks), which keeps every per-SM
+//! structure — notably the texture cache — free of cross-thread
+//! interleaving, so counter results are deterministic regardless of how
+//! many host cores run the simulation; its deposit pass parallelizes over
+//! disjoint bands of output rows, each adding the blocks in index order.
+//! The reference and sanitized executors walk the blocks in index order
+//! on the launching thread. Every executor therefore adds each pixel's
+//! values in block order — one image per launch — except a batched launch
+//! on the per-thread route, which keeps that only for kernels whose
+//! threads write disjoint pixels.
 
-use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use crate::analyze::{KernelReport, LintLevel};
@@ -22,16 +26,14 @@ use crate::device::DeviceSpec;
 use crate::dim::Dim3;
 use crate::error::GpuError;
 use crate::fault::{ArmedFaults, FaultKind, FaultPlan};
-use crate::kernel::{BlockCtx, BufferArena, Event, Kernel, RoleRuns, ShadowSet, ThreadCtx};
+use crate::kernel::{BlockCtx, Event, Kernel, ThreadCtx};
 use crate::launch::LaunchConfig;
 use crate::memory::cache::CacheSim;
 use crate::memory::global::{chunk_checksums_host, AddressSpace, GlobalAtomicF32, GlobalBuffer};
 use crate::memory::shared::SharedMem;
 use crate::memory::texture::Texture;
 use crate::memory::transfer::{MemcpyKind, TransferModel};
-use crate::pool::{
-    default_workers, spawn_parallel_for, spawn_parallel_for_static, PoolTimeout, WorkerPool,
-};
+use crate::pool::{default_workers, spawn_parallel_for_static, PoolTimeout, WorkerPool};
 use crate::profiler::{KernelProfile, UtilizationSink};
 use crate::sanitize::{
     self, Access, AccessKind, Finding, FindingKind, LaneHooks, SanitizeConfig, SanitizeReport,
@@ -41,9 +43,9 @@ use crate::telemetry::{now_us, GpuTelemetry, LaunchTrace};
 use crate::timing::{kernel_time, occupancy, CostModel};
 use crate::warp::analyze_warp;
 
-/// Host wall-clock stamps the executors record for one launch (dispatch
-/// window, and for the batched path the shadow-merge window). `Cell`s:
-/// only the launching thread writes them.
+/// Host wall-clock stamps the executors record for one launch (the
+/// dispatch window, and on the batched two-pass route the deposit pass as
+/// the merge window). `Cell`s: only the launching thread writes them.
 #[derive(Default)]
 struct LaunchStamps {
     dispatch_start: std::cell::Cell<u64>,
@@ -73,21 +75,25 @@ const TRANSFER_CHUNK: usize = 4096;
 
 /// How the executor runs a launch on the host.
 ///
-/// All modes produce identical counters, identical modeled times, and
-/// deterministic images; they differ only in host wall-clock cost.
-/// `Reference` and `Sanitized` run serially on the launching thread, so
-/// their image is the same at every worker count and equals `Batched`'s
-/// at one worker.
+/// All modes produce identical counters and identical modeled times at
+/// every worker count; they differ only in host wall-clock cost. Each also
+/// renders one image per launch, except that a batched launch on the
+/// per-thread route whose blocks add into shared cells (cross-block
+/// atomics) gets an add order host scheduling sets at two or more workers
+/// (see [`Kernel`]). (On the `Simd`
+/// [`crate::KernelBackend`] the batched deposit computes its own
+/// arithmetic, so there only counters and times match the per-thread
+/// executors.)
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum ExecMode {
     /// Per-thread interpretation with event traces fed through the warp
     /// analyzer — the semantic ground truth. Slow but fully general.
     Reference,
-    /// Block-batched fast path: kernels that implement
-    /// [`Kernel::run_block`] process a whole block per call with analytic
-    /// counter accounting and private image shadows; kernels that
-    /// don't are executed block-by-block on the reference path inside the
-    /// same schedule.
+    /// Block-batched fast path: kernels whose [`Kernel::deposit_rows`]
+    /// takes the launch run a counter pass ([`Kernel::run_block`], a whole
+    /// block per call with analytic counter accounting) and a banded
+    /// deposit pass ([`Kernel::deposit`]); other kernels run every block
+    /// on the reference path inside the counter pass's SM schedule.
     #[default]
     Batched,
     /// The reference path with the sanitizer attached: every memory access
@@ -125,11 +131,10 @@ impl ExecMode {
 /// A virtual GPU device.
 ///
 /// The device owns every resource with a device lifetime: the persistent
-/// [`WorkerPool`] (one pool serves all launches), the per-SM texture cache
-/// simulators (reset, not rebuilt, per launch), and the [`BufferArena`]
-/// recycling the batched executor's shadow buffers across launches. The
-/// frame loop therefore performs no per-launch allocations proportional to
-/// the image or the cache.
+/// [`WorkerPool`] (one pool serves all launches) and the per-SM texture
+/// cache simulators (reset, not rebuilt, per launch). The executors add
+/// straight into the launch's targets, so the frame loop performs no
+/// per-launch allocations proportional to the image or the cache.
 #[derive(Debug)]
 pub struct VirtualGpu {
     spec: DeviceSpec,
@@ -169,17 +174,9 @@ pub struct VirtualGpu {
     /// freshly-built cache). Each SM is processed by one worker at a time;
     /// the mutex exists to satisfy `Sync`.
     caches: Vec<Mutex<CacheSim>>,
-    /// Serializes launches: the persistent caches and arena are device
-    /// state, like a CUDA stream-0 queue.
+    /// Serializes launches: the persistent caches are device state, like
+    /// a CUDA stream-0 queue.
     launch_gate: Mutex<()>,
-    /// Recycled shadow storage for the batched executor.
-    arena: BufferArena,
-    /// Per-SM run lists for the batched executor's extraction merge
-    /// (capacity persists across launches — the zero-allocation frame
-    /// loop). Guarded by the launch gate like the arena: a role writes its
-    /// SM's list during dispatch, the merge bands read them all after the
-    /// join; the lock satisfies `Sync`.
-    runs: Vec<RwLock<RoleRuns>>,
     /// Telemetry sink; `None` (the default) keeps every launch free of
     /// trace recording and lane-event drains.
     telemetry: Option<Arc<GpuTelemetry>>,
@@ -189,8 +186,7 @@ pub struct VirtualGpu {
     /// Sequence number for traced launches.
     launch_seq: AtomicU64,
     /// Sanitizer configuration; only consulted by [`ExecMode::Sanitized`]
-    /// launches and the per-launch arena use-after-recycle screen, so the
-    /// disabled-mode cost is two relaxed atomic loads per launch.
+    /// launches.
     san_config: SanitizeConfig,
     /// Sanitizer reports accumulated since the last
     /// [`Self::take_sanitize_reports`] drain (bounded backlog).
@@ -203,18 +199,10 @@ pub struct VirtualGpu {
 /// first, so a long chaos run without drains cannot grow without bound.
 const SAN_REPORT_BACKLOG: usize = 1024;
 
-/// Merge bands per pool lane: enough that dynamic claiming evens out the
-/// dense and sparse stretches of an image.
-const MERGE_BANDS_PER_LANE: usize = 4;
-
-/// Merge bands are whole multiples of this many values (one 64-B cache
-/// line), so no two lanes ever write one line.
-const MERGE_BAND_ALIGN: usize = 16;
-
-/// Targets shorter than this (64 KiB) merge as one band on the launching
-/// thread: splitting them would buy a pool wake-up for microseconds of
-/// work.
-const MERGE_SPLIT_MIN: usize = 16 * 1024;
+/// Deposit bands per pool lane: enough that the lanes' shares even out
+/// over the dense and sparse stretches of an image. Every band walks all
+/// of the launch's blocks, so more bands cost more walks.
+const DEPOSIT_BANDS_PER_LANE: usize = 4;
 
 /// Counters of resilience events on a device, all monotone since device
 /// construction. Zero across the board in a fault-free run.
@@ -228,8 +216,6 @@ pub struct GpuDiagnostics {
     pub panics_caught: u64,
     /// Launches abandoned as [`GpuError::LaunchTimeout`].
     pub timeouts: u64,
-    /// Corrupted shadow buffers dropped by the arena instead of recycled.
-    pub arena_drops: u64,
 }
 
 impl GpuDiagnostics {
@@ -241,7 +227,6 @@ impl GpuDiagnostics {
         self.checksum_catches += other.checksum_catches;
         self.panics_caught += other.panics_caught;
         self.timeouts += other.timeouts;
-        self.arena_drops += other.arena_drops;
     }
 
     /// The counter delta since `earlier` (saturating, so a stale or
@@ -254,17 +239,12 @@ impl GpuDiagnostics {
                 .saturating_sub(earlier.checksum_catches),
             panics_caught: self.panics_caught.saturating_sub(earlier.panics_caught),
             timeouts: self.timeouts.saturating_sub(earlier.timeouts),
-            arena_drops: self.arena_drops.saturating_sub(earlier.arena_drops),
         }
     }
 
     /// Sum of all counters — a quick "anything happened?" predicate.
     pub fn total(&self) -> u64 {
-        self.pool_rebuilds
-            + self.checksum_catches
-            + self.panics_caught
-            + self.timeouts
-            + self.arena_drops
+        self.pool_rebuilds + self.checksum_catches + self.panics_caught + self.timeouts
     }
 }
 
@@ -276,7 +256,6 @@ impl VirtualGpu {
     pub fn new(spec: DeviceSpec) -> Self {
         let workers = default_workers().min(spec.sm_count as usize).max(1);
         let caches = Self::build_caches(&spec);
-        let runs = (0..spec.sm_count).map(|_| RwLock::default()).collect();
         VirtualGpu {
             spec,
             cost: CostModel::fermi(),
@@ -298,8 +277,6 @@ impl VirtualGpu {
             advises: AtomicU64::new(0),
             caches,
             launch_gate: Mutex::new(()),
-            arena: BufferArena::new(),
-            runs,
             telemetry: None,
             utilization: None,
             launch_seq: AtomicU64::new(0),
@@ -371,11 +348,6 @@ impl VirtualGpu {
         self.workers.min(default_workers().max(2)).max(1)
     }
 
-    /// Buffers currently pooled in the shadow arena (diagnostics).
-    pub fn arena_pooled(&self) -> usize {
-        self.arena.pooled()
-    }
-
     /// Attaches a deterministic fault-injection schedule (chaos testing).
     /// [`FaultPlan::none`] keeps all resilience plumbing active at
     /// negligible cost (one atomic increment per launch, no transfer
@@ -388,10 +360,10 @@ impl VirtualGpu {
     /// Arms a watchdog on pooled launches: a generation not finished within
     /// `deadline` (measured after the launching thread's own share of the
     /// work) is abandoned as [`GpuError::LaunchTimeout`], the pool is
-    /// poisoned, and the next launch rebuilds it. It guards the batched
-    /// executor's kernel dispatch only — the one place kernel code runs on
-    /// pool lanes; the post-join merge, the serial reference and sanitized
-    /// executors, and one-worker launches have no lane to fence.
+    /// poisoned, and the next launch rebuilds it. It guards both passes of
+    /// the batched executor — the places kernel code runs on pool lanes;
+    /// the serial reference and sanitized executors and one-worker
+    /// launches have no lane to fence.
     pub fn with_watchdog(mut self, deadline: Duration) -> Self {
         self.watchdog = Some(deadline);
         self
@@ -453,7 +425,6 @@ impl VirtualGpu {
             checksum_catches: self.checksum_catches.load(Ordering::Relaxed),
             panics_caught: self.panics_caught.load(Ordering::Relaxed),
             timeouts: self.timeouts.load(Ordering::Relaxed),
-            arena_drops: self.arena.dropped(),
         }
     }
 
@@ -470,8 +441,7 @@ impl VirtualGpu {
     }
 
     /// Drains accumulated sanitizer reports: one per
-    /// [`ExecMode::Sanitized`] launch, plus arena use-after-recycle
-    /// reports from launches in any mode.
+    /// [`ExecMode::Sanitized`] launch.
     pub fn take_sanitize_reports(&self) -> Vec<SanitizeReport> {
         std::mem::take(&mut *self.san_reports.lock().unwrap_or_else(|e| e.into_inner()))
     }
@@ -745,8 +715,8 @@ impl VirtualGpu {
         let trace_start = self.telemetry.as_ref().map(|_| now_us());
 
         // Launches are serialized like a CUDA stream-0 queue: the persistent
-        // caches and arena are device state. (Poison-tolerant: a panicking
-        // kernel leaves state that the reset below repairs.)
+        // caches are device state. (Poison-tolerant: a panicking kernel
+        // leaves state that the reset below repairs.)
         let _gate = self.launch_gate.lock().unwrap_or_else(|e| e.into_inner());
 
         // A pool poisoned by a watchdog timeout is torn down (joining any
@@ -768,17 +738,12 @@ impl VirtualGpu {
         let armed = armed.as_ref();
         let stamps = LaunchStamps::default();
         let stamps_ref = self.telemetry.as_ref().map(|_| &stamps);
-        // Sanitizer launch id and the arena use-after-recycle watermark
-        // (the screen itself runs in every mode; a launch that trips it
-        // gets a memcheck report below).
         let launch_id = self.san_seq.fetch_add(1, Ordering::Relaxed);
-        let arena_drops_before = self.arena.dropped();
 
         // Kernel panics — injected or genuine — must not cross the device
-        // boundary: partial counters and shadows are discarded and the
-        // launch reports `WorkerPanic`. (The caches/arena stay consistent:
-        // caches are reset at every launch entry, and shadow buffers of a
-        // panicked launch are dropped, never recycled.)
+        // boundary: partial counters are discarded and the launch reports
+        // `WorkerPanic`. (The caches stay consistent: they are reset at
+        // every launch entry.)
         let executed = catch_unwind(AssertUnwindSafe(|| {
             // Per-SM texture caches (per-SM texture L1 path on Fermi),
             // reset — not rebuilt — per launch: a reset cache is
@@ -802,26 +767,6 @@ impl VirtualGpu {
                 return Err(GpuError::WorkerPanic(panic_message(&payload)));
             }
         };
-
-        // Memcheck: any shadow buffer the arena screened out during this
-        // launch is a use-after-recycle — corrupted storage almost handed
-        // to a future frame. Reported (in every exec mode), not fatal: the
-        // drop itself already contained the damage.
-        let arena_drops = self.arena.dropped().saturating_sub(arena_drops_before);
-        if arena_drops > 0 && self.san_config.memcheck {
-            self.push_sanitize_report(SanitizeReport {
-                kernel: name.to_string(),
-                launch: launch_id,
-                findings: vec![Finding {
-                    block: 0,
-                    kind: FindingKind::ArenaRecycleFault {
-                        dropped: arena_drops,
-                    },
-                }],
-                accesses: 0,
-                truncated: false,
-            });
-        }
 
         let (time_s, cycles) = kernel_time(&counters, &self.spec, &self.cost, &occ);
         if let (Some(sink), Some(start_us)) = (&self.telemetry, trace_start) {
@@ -887,32 +832,14 @@ impl VirtualGpu {
         Some((1 + lane % (workers - 1), a.stall))
     }
 
-    /// Dynamic one-index-at-a-time dispatch for the post-join merge,
-    /// through the persistent pool or, on the degradation ladder's spawn
-    /// rung, per-call spawned scopes. Unguarded: no kernel code runs in a
-    /// merge, so there is nothing for the watchdog or an injected stall to
-    /// catch.
-    fn dispatch_merge<F>(&self, count: usize, workers: usize, body: F)
-    where
-        F: Fn(usize, usize) + Sync,
-    {
-        if self.use_spawn() {
-            spawn_parallel_for(count, workers, 1, body);
-        } else {
-            self.pool
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .parallel_for(count, workers, 1, body);
-        }
-    }
-
     /// Static-stride dispatch (index `i` → worker `i % workers`, a pure
-    /// function of `(count, workers)` on both paths). The pooled path
-    /// claims roles by work stealing — ragged per-SM block batches no
-    /// longer serialize on one lane. Stealing may run two roles of the
-    /// same worker concurrently, so callers must accumulate per *role*
-    /// (the extraction scheduler does); per-worker state may only be
-    /// touched through order-insensitive operations.
+    /// function of `(count, workers)` on both paths), through the
+    /// persistent pool under the watchdog or, on the degradation ladder's
+    /// spawn rung, per-call spawned scopes. The pooled path claims roles
+    /// by work stealing — ragged per-SM block batches no longer serialize
+    /// on one lane. Stealing may run two roles of the same worker
+    /// concurrently, so per-worker state may only be touched through
+    /// order-insensitive operations.
     fn dispatch_static<F>(
         &self,
         count: usize,
@@ -936,14 +863,15 @@ impl VirtualGpu {
 
     /// The reference executor: every thread interpreted, every warp traced.
     ///
-    /// SMs run in ascending order on the launching thread, each SM's
-    /// blocks in issue order, so every pixel receives its atomic adds in
-    /// one fixed sequence: the image depends only on the launch — never on
-    /// the worker count, the host's cores or thread scheduling — and
-    /// equals the single-worker batched executor's bit for bit. Worker
-    /// lanes, the watchdog and injected lane stalls therefore never reach
-    /// this executor (nor [`Self::execute_sanitized`], which shares the
-    /// schedule), just as they never reach a one-worker device.
+    /// Blocks run in index order on the launching thread — block `b` on SM
+    /// `b mod sm_count`, so each SM's texture cache still sees its own
+    /// blocks in issue order — and every pixel receives its atomic adds in
+    /// block order: the image depends only on the launch, never on the
+    /// worker count, the host's cores or thread scheduling, and equals the
+    /// batched executor's. Worker lanes, the watchdog and injected lane
+    /// stalls therefore never reach this executor (nor
+    /// [`Self::execute_sanitized`], which shares the schedule), just as
+    /// they never reach a one-worker device.
     fn execute_reference<K: Kernel>(
         &self,
         kernel: &K,
@@ -987,9 +915,10 @@ impl VirtualGpu {
     }
 
     /// The reference schedule shared by [`Self::execute_reference`] and
-    /// [`Self::execute_sanitized`]: SMs in ascending order on the
-    /// launching thread, every block through [`Self::run_block_reference`],
-    /// recording into SM `s`'s sanitizer slot `san.1[s]` when `san` is set.
+    /// [`Self::execute_sanitized`]: blocks in index order on the launching
+    /// thread, each through [`Self::run_block_reference`] on its SM's
+    /// cache, recording into SM `s`'s sanitizer slot `san.1[s]` when `san`
+    /// is set. An injected panic fires at the first block of its SM.
     fn execute_serial<K: Kernel>(
         &self,
         kernel: &K,
@@ -1004,29 +933,29 @@ impl VirtualGpu {
         let total_blocks = cfg.total_blocks();
         let sms = sm_count.min(total_blocks);
         let panic_sm = armed.and_then(|a| a.panic_sm).map(|l| l % sms.max(1));
+        let mut caches: Vec<_> = self.caches[..sms]
+            .iter()
+            .map(|c| c.lock().unwrap_or_else(|e| e.into_inner()))
+            .collect();
 
         if let Some(s) = stamps {
             s.dispatch_start.set(now_us());
         }
-        for sm_id in 0..sms {
-            if panic_sm == Some(sm_id) {
-                panic!("injected fault: worker panic on sm {sm_id}");
+        for block in 0..total_blocks {
+            if panic_sm == Some(block) {
+                panic!("injected fault: worker panic on sm {block}");
             }
-            let mut cache = self.caches[sm_id].lock().unwrap_or_else(|e| e.into_inner());
-            let mut block = sm_id;
-            while block < total_blocks {
-                let san = san.as_mut().map(|(c, slots)| (*c, &mut slots[sm_id]));
-                self.run_block_reference(
-                    kernel,
-                    cfg,
-                    block,
-                    &mut counters,
-                    &mut cache,
-                    &hazards,
-                    san,
-                );
-                block += sm_count;
-            }
+            let sm_id = block % sm_count;
+            let san = san.as_mut().map(|(c, slots)| (*c, &mut slots[sm_id]));
+            self.run_block_reference(
+                kernel,
+                cfg,
+                block,
+                &mut counters,
+                &mut caches[sm_id],
+                &hazards,
+                san,
+            );
         }
         if let Some(s) = stamps {
             s.dispatch_end.set(now_us());
@@ -1035,116 +964,48 @@ impl VirtualGpu {
         Ok(counters)
     }
 
-    /// The batched executor: same SM schedule, but blocks whose kernel
-    /// implements [`Kernel::run_block`] are processed whole, accumulating
-    /// image output into private shadows instead of CAS-looping on the
-    /// shared target. Counters and modeled times equal the reference
-    /// executor's at any worker count.
+    /// The batched executor. A launch that [`Kernel::deposit_rows`] takes
+    /// runs in two passes:
     ///
-    /// Multi-worker launches take the extraction scheduler, whose image is
-    /// deterministic for *any* worker count ≥ 2 and any lane count.
-    /// Single-worker launches take [`Self::execute_batched_single`]: its
-    /// one accumulator replays the reference executor's addition order
-    /// exactly (the image starts at zero, so draining the one shadow is the
-    /// same chain of adds), preserving the batched-equals-reference
-    /// bit-for-bit contract that per-role grouping cannot.
-    fn execute_batched<'k, K: Kernel>(
-        &'k self,
-        kernel: &'k K,
+    /// 1. the counter pass (the dispatch window): one role per SM on the
+    ///    pool, each running its SM's blocks (`sm, sm + sm_count, …`,
+    ///    ascending) through [`Kernel::run_block`], so every texture cache
+    ///    sees its blocks in issue order;
+    /// 2. the deposit pass (the merge window): disjoint bands of whole
+    ///    output rows on the pool, each adding every block in index order
+    ///    through [`Kernel::deposit`].
+    ///
+    /// Any other launch runs every block on the per-thread path
+    /// ([`Self::run_block_reference`]) in the counter pass's SM roles,
+    /// adding straight into its targets — one image per launch for kernels
+    /// whose threads write disjoint pixels, such as the pixel-centric one.
+    ///
+    /// Counters are integral, so their per-worker merge is exact in any
+    /// order; on the two-pass route every pixel receives its adds in block
+    /// order whatever the band edges, lane count, claim order or dispatch
+    /// path (pooled, stolen, or spawned). Counters, modeled times and the
+    /// image therefore equal the reference executor's at every worker
+    /// count.
+    fn execute_batched<K: Kernel>(
+        &self,
+        kernel: &K,
         cfg: &LaunchConfig,
         armed: Option<&ArmedFaults>,
         stamps: Option<&LaunchStamps>,
     ) -> Result<Counters, GpuError> {
-        let sms = (self.spec.sm_count as usize).min(cfg.total_blocks());
-        if self.workers.min(sms.max(1)) == 1 {
-            self.execute_batched_single(kernel, cfg, armed, stamps)
-        } else {
-            self.execute_batched_extracting(kernel, cfg, armed, stamps)
-        }
-    }
-
-    /// Runs SM `sm_id`'s blocks (`sm_id, sm_id + sm_count, …`, ascending)
-    /// on the batched path, accumulating into `counters` and `shadow`.
-    /// Kernels without a [`Kernel::run_block`] fast path run each block on
-    /// the reference path instead.
-    fn run_sm_batched<'k, K: Kernel>(
-        &self,
-        kernel: &'k K,
-        cfg: &LaunchConfig,
-        sm_id: usize,
-        counters: &mut Counters,
-        shadow: &mut ShadowSet<'k>,
-        hazards: &AtomicU64,
-    ) {
+        let rows = kernel.deposit_rows(cfg);
         let sm_count = self.spec.sm_count as usize;
         let total_blocks = cfg.total_blocks();
-        let mut cache = self.caches[sm_id].lock().unwrap_or_else(|e| e.into_inner());
-        let mut block = sm_id;
-        while block < total_blocks {
-            let mut bctx = BlockCtx {
-                block_idx: cfg.grid.delinearize(block),
-                block_dim: cfg.block,
-                grid_dim: cfg.grid,
-                spec: &self.spec,
-                counters,
-                cache: &mut cache,
-                shadow,
-                backend: cfg.backend,
-            };
-            if !kernel.run_block(&mut bctx) {
-                self.run_block_reference(kernel, cfg, block, counters, &mut cache, hazards, None);
-            }
-            block += sm_count;
-        }
-    }
-
-    /// The default batched strategy: per-role accumulation with in-dispatch
-    /// sparse extraction.
-    ///
-    /// Each role (SM) accumulates its blocks into a dense scratch shadow
-    /// drawn from the arena, then — still on the worker lane, while the
-    /// touched chunks are cache-warm — drains the scratch into its SM's
-    /// compact run list and recycles it. Only about one scratch buffer per
-    /// *lane* is ever live, so the working set stays small no matter how
-    /// many workers the caller asked for; the post-join merge reads the
-    /// compact runs instead of re-walking megabytes of cold dense shadows.
-    ///
-    /// The merge runs on the pool over disjoint bands of each target
-    /// ([`merge_band_len`]). Each band adds every role's runs that reach
-    /// into it, in ascending role order, so every pixel receives one add
-    /// per role in role order — exactly the sequence a one-thread merge of
-    /// whole role outputs produces, whatever the band boundaries, lane
-    /// count or claim order. The image is therefore bit-identical for
-    /// every worker count, lane count, and dispatch path (pooled, stolen,
-    /// or spawned). Per-role accumulation is also what makes work stealing
-    /// safe: two roles of the same worker may run concurrently on
-    /// different lanes, and they never share an accumulator.
-    fn execute_batched_extracting<'k, K: Kernel>(
-        &'k self,
-        kernel: &'k K,
-        cfg: &LaunchConfig,
-        armed: Option<&ArmedFaults>,
-        stamps: Option<&LaunchStamps>,
-    ) -> Result<Counters, GpuError> {
-        let sms = (self.spec.sm_count as usize).min(cfg.total_blocks());
+        let sms = sm_count.min(total_blocks);
         let workers = self.workers.min(sms.max(1));
         let hazards = AtomicU64::new(0);
         let panic_sm = armed.and_then(|a| a.panic_sm).map(|l| l % sms.max(1));
-
-        // Per-worker counters (integral, so accumulation order within a
-        // worker cannot matter even when stealing interleaves its roles);
-        // merged in worker order below. The short lock is contended only
-        // when two roles of one worker finish simultaneously.
+        // Per-worker counters, merged in worker order below. The short
+        // lock is contended only when two roles of one worker finish
+        // simultaneously.
         let counter_slots: Vec<Mutex<Counters>> = (0..workers)
             .map(|_| Mutex::new(Counters::default()))
             .collect();
-        // Target buffers registered by extraction, in first-sight order;
-        // run lists refer to them by slot index.
-        let targets: Mutex<Vec<&'k GlobalAtomicF32>> = Mutex::new(Vec::new());
-        // Role `sm` fills run list `sm`; the lists keep their capacity
-        // across launches so the steady-state frame loop stays
-        // allocation-free.
-        let runs = &self.runs[..sms];
 
         if let Some(s) = stamps {
             s.dispatch_start.set(now_us());
@@ -1158,14 +1019,29 @@ impl VirtualGpu {
                     panic!("injected fault: worker panic on sm {sm_id}");
                 }
                 let mut counters = Counters::default();
-                let mut shadow = ShadowSet::with_arena(&self.arena);
-                self.run_sm_batched(kernel, cfg, sm_id, &mut counters, &mut shadow, &hazards);
-                // Drain this role's output while its chunks are still
-                // cache-warm; the scratch goes back to the arena drained,
-                // ready for the next role on this lane.
-                let mut out = runs[sm_id].write().unwrap_or_else(|e| e.into_inner());
-                out.clear();
-                shadow.extract_into(&targets, &mut out);
+                let mut cache = self.caches[sm_id].lock().unwrap_or_else(|e| e.into_inner());
+                for block in (sm_id..total_blocks).step_by(sm_count) {
+                    if rows.is_some() {
+                        kernel.run_block(&mut BlockCtx {
+                            block_idx: cfg.grid.delinearize(block),
+                            block_dim: cfg.block,
+                            grid_dim: cfg.grid,
+                            spec: &self.spec,
+                            counters: &mut counters,
+                            cache: &mut cache,
+                        });
+                    } else {
+                        self.run_block_reference(
+                            kernel,
+                            cfg,
+                            block,
+                            &mut counters,
+                            &mut cache,
+                            &hazards,
+                            None,
+                        );
+                    }
+                }
                 counter_slots[worker]
                     .lock()
                     .unwrap_or_else(|e| e.into_inner())
@@ -1174,93 +1050,36 @@ impl VirtualGpu {
         )?;
         if let Some(s) = stamps {
             s.dispatch_end.set(now_us());
-            s.merge_start.set(now_us());
         }
 
-        // Deterministic reduction: counters merge in worker order; role
-        // outputs merge band by band, each band adding the roles in role
-        // order. Bands are disjoint, so the plain read-modify-write in
-        // `merge_add_range` never races.
+        if let Some(rows) = rows {
+            if let Some(s) = stamps {
+                s.merge_start.set(now_us());
+            }
+            // Whole-row bands, so no two lanes ever write one pixel; one
+            // band on one lane, where splitting would only repeat the walk.
+            let lanes = self.pool_lanes().min(workers);
+            let bands = if lanes < 2 {
+                1
+            } else {
+                lanes * DEPOSIT_BANDS_PER_LANE
+            };
+            let band_rows = rows.div_ceil(bands).max(1);
+            self.dispatch_static(rows.div_ceil(band_rows), lanes, None, |band, _| {
+                let band = band * band_rows..((band + 1) * band_rows).min(rows);
+                for block in 0..total_blocks {
+                    kernel.deposit(block, band.clone(), cfg.backend);
+                }
+            })?;
+            if let Some(s) = stamps {
+                s.merge_end.set(now_us());
+            }
+        }
         let mut counters = Counters::default();
         for s in &counter_slots {
             counters.merge(&s.lock().unwrap_or_else(|e| e.into_inner()));
         }
-        let targets = targets.into_inner().unwrap_or_else(|e| e.into_inner());
-        let lanes = self.pool_lanes().min(workers);
-        let bands = targets
-            .iter()
-            .map(|t| t.len().div_ceil(merge_band_len(t.len(), lanes)))
-            .sum();
-        self.dispatch_merge(bands, workers, |band, _| {
-            let (slot, range) = merge_band(&targets, lanes, band);
-            for role in runs {
-                role.read().unwrap_or_else(|e| e.into_inner()).merge_band(
-                    slot as u32,
-                    range.clone(),
-                    targets[slot],
-                );
-            }
-        });
-        // Injected shadow corruption: poison one drained scratch buffer on
-        // its way back to the arena, which must screen (drop) it instead
-        // of recycling — same observable as the single-worker path's
-        // post-drain corruption of its one buffer.
-        if armed.is_some_and(|a| a.shadow_corrupt) {
-            if let Some(target) = targets.first() {
-                let mut sb = self.arena.take(target.len());
-                sb.poison();
-                self.arena.put(sb);
-            }
-        }
         counters.shared_hazards += hazards.load(Ordering::Relaxed);
-        if let Some(s) = stamps {
-            s.merge_end.set(now_us());
-        }
-        Ok(counters)
-    }
-
-    /// The single-worker batched strategy: one counter set and one
-    /// arena-backed shadow set, filled by an ascending SM walk on the
-    /// launching thread (no dispatch — a lone worker would run inline
-    /// anyway), then drained into the targets.
-    fn execute_batched_single<'k, K: Kernel>(
-        &'k self,
-        kernel: &'k K,
-        cfg: &LaunchConfig,
-        armed: Option<&ArmedFaults>,
-        stamps: Option<&LaunchStamps>,
-    ) -> Result<Counters, GpuError> {
-        let sms = (self.spec.sm_count as usize).min(cfg.total_blocks());
-        let hazards = AtomicU64::new(0);
-        let panic_sm = armed.and_then(|a| a.panic_sm).map(|l| l % sms.max(1));
-        let mut counters = Counters::default();
-        let mut shadow = ShadowSet::with_arena(&self.arena);
-
-        if let Some(s) = stamps {
-            s.dispatch_start.set(now_us());
-        }
-        for sm_id in 0..sms {
-            if panic_sm == Some(sm_id) {
-                panic!("injected fault: worker panic on sm {sm_id}");
-            }
-            self.run_sm_batched(kernel, cfg, sm_id, &mut counters, &mut shadow, &hazards);
-        }
-        if let Some(s) = stamps {
-            s.dispatch_end.set(now_us());
-            s.merge_start.set(now_us());
-        }
-
-        if armed.is_some_and(|a| a.shadow_corrupt) {
-            // Injected shadow corruption hits the buffer after its
-            // (correct) drain; the arena must drop it.
-            shadow.merge_corrupting(true);
-        } else {
-            shadow.merge();
-        }
-        counters.shared_hazards += hazards.load(Ordering::Relaxed);
-        if let Some(s) = stamps {
-            s.merge_end.set(now_us());
-        }
         Ok(counters)
     }
 
@@ -1397,38 +1216,6 @@ impl VirtualGpu {
             slot.findings.append(&mut lane_findings.borrow_mut());
         }
     }
-}
-
-/// Values per merge band for a target of `len` values merged on `lanes`
-/// pool lanes: the whole target below [`MERGE_SPLIT_MIN`], else about
-/// [`MERGE_BANDS_PER_LANE`] bands per lane, rounded up to whole
-/// [`MERGE_BAND_ALIGN`] multiples. Any banding adds the same values in the
-/// same per-pixel order; the length only trades wake-ups against balance.
-fn merge_band_len(len: usize, lanes: usize) -> usize {
-    if len < MERGE_SPLIT_MIN {
-        return len.max(1);
-    }
-    len.div_ceil(lanes.max(1) * MERGE_BANDS_PER_LANE)
-        .next_multiple_of(MERGE_BAND_ALIGN)
-}
-
-/// Band `band` of the merge, counting through `targets` in slot order and
-/// each target's bands in ascending index order: `(slot, index range)`.
-fn merge_band(
-    targets: &[&GlobalAtomicF32],
-    lanes: usize,
-    mut band: usize,
-) -> (usize, Range<usize>) {
-    for (slot, target) in targets.iter().enumerate() {
-        let step = merge_band_len(target.len(), lanes);
-        let count = target.len().div_ceil(step);
-        if band < count {
-            let start = band * step;
-            return (slot, start..(start + step).min(target.len()));
-        }
-        band -= count;
-    }
-    unreachable!("merge band beyond the registered targets")
 }
 
 impl Default for VirtualGpu {
@@ -1668,6 +1455,98 @@ mod tests {
         assert_eq!(ca, cb, "counters must not depend on the executor");
         assert_eq!(ta, tb, "modeled time must not depend on the executor");
         assert_eq!(ia, ib);
+    }
+
+    /// A two-pass kernel whose blocks overlap: thread `t` of block `b`
+    /// adds `value(b, t)` to pixel `(7b + t) mod len` of a target of
+    /// `ROW`-value rows. Values of mixed magnitudes make every pixel's sum
+    /// depend on the order of its adds.
+    struct Overlap<'a> {
+        out: &'a GlobalAtomicF32,
+        threads: usize,
+    }
+
+    const ROW: usize = 64;
+
+    impl Overlap<'_> {
+        fn pixel(&self, block: usize, t: usize) -> usize {
+            (block * 7 + t) % self.out.len()
+        }
+
+        fn value(block: usize, t: usize) -> f32 {
+            [1e7, 0.3, 7.7][block % 3] + t as f32 * 0.01
+        }
+    }
+
+    impl Kernel for Overlap<'_> {
+        fn run(&self, _phase: usize, ctx: &mut ThreadCtx<'_>) {
+            let (b, t) = (ctx.block_linear(), ctx.thread_linear());
+            ctx.atomic_add_global(self.out, self.pixel(b, t), Self::value(b, t));
+        }
+
+        fn deposit_rows(&self, _cfg: &LaunchConfig) -> Option<usize> {
+            Some(self.out.len() / ROW)
+        }
+
+        /// The warp analyzer's charges for one atomic per lane at distinct
+        /// addresses.
+        fn run_block(&self, ctx: &mut BlockCtx<'_>) {
+            let warps = self.threads.div_ceil(ctx.spec.warp_size as usize) as u64;
+            ctx.counters.threads += self.threads as u64;
+            ctx.counters.warps += warps;
+            ctx.counters.atomic_requests += warps;
+        }
+
+        fn deposit(&self, block: usize, rows: std::ops::Range<usize>, _: crate::KernelBackend) {
+            for t in 0..self.threads {
+                let i = self.pixel(block, t);
+                if rows.contains(&(i / ROW)) {
+                    self.out.merge_add_range(i, &[Self::value(block, t)]);
+                }
+            }
+        }
+    }
+
+    /// Launches [`Overlap`] (600 blocks of 32 threads over 16 rows) on
+    /// `gpu` in `mode`, returning the counters and the image bits.
+    fn overlap_frame(gpu: &VirtualGpu, mode: ExecMode) -> (Counters, Vec<u32>) {
+        let out = gpu.alloc_atomic_f32(16 * ROW);
+        let k = Overlap {
+            out: &out,
+            threads: 32,
+        };
+        let p = gpu
+            .launch_mode("overlap", &k, LaunchConfig::new(600u32, 32u32), mode)
+            .unwrap();
+        let bits = out.to_host().iter().map(|v| v.to_bits()).collect();
+        (p.counters, bits)
+    }
+
+    /// Every executor adds each pixel's values in block order for a
+    /// two-pass kernel, at every worker count and on both dispatch paths:
+    /// one image per launch, equal to a host loop over the blocks.
+    #[test]
+    fn every_executor_adds_in_block_order() {
+        let mut expected = vec![0.0f32; 16 * ROW];
+        for b in 0..600 {
+            for t in 0..32 {
+                expected[(b * 7 + t) % (16 * ROW)] += Overlap::value(b, t);
+            }
+        }
+        let expected: Vec<u32> = expected.iter().map(|v| v.to_bits()).collect();
+        let (reference, _) = overlap_frame(&VirtualGpu::gtx480(), ExecMode::Reference);
+        for workers in [1, 2, 3, 4, 7, 15] {
+            for mode in [ExecMode::Reference, ExecMode::Batched, ExecMode::Sanitized] {
+                let gpu = VirtualGpu::gtx480().with_workers(workers);
+                for spawn in [false, true] {
+                    gpu.set_dispatch_override(spawn);
+                    let (counters, bits) = overlap_frame(&gpu, mode);
+                    let label = format!("{mode:?}, workers {workers}, spawn {spawn}");
+                    assert_eq!(counters, reference, "{label}: counters");
+                    assert!(bits == expected, "{label}: image");
+                }
+            }
+        }
     }
 
     #[test]
@@ -1990,8 +1869,9 @@ mod tests {
         assert!(gpu.bind_texture(4, 4, 1, vec![0.0; 16]).is_ok());
     }
 
-    /// At 1 worker (the inline single-worker path) and at 4 (pooled), with
-    /// the sink attached after and before `with_workers` rebuilds the pool.
+    /// At 1 worker (inline) and at 4 (pooled), with the sink attached
+    /// after and before `with_workers` rebuilds the pool. The two-pass
+    /// launch stamps both windows; the per-thread one only the dispatch.
     #[test]
     fn telemetry_records_launch_traces_with_lane_events() {
         for workers in [1, 4] {
@@ -2020,8 +1900,7 @@ mod tests {
                 assert!(t.end_us >= t.start_us);
                 let (d0, d1) = t.dispatch_us.expect("dispatch window stamped");
                 assert!(d0 >= t.start_us && d1 >= d0);
-                let (m0, m1) = t.merge_us.expect("batched launch stamps a merge");
-                assert!(m0 >= d1 && m1 >= m0);
+                assert_eq!(t.merge_us, None, "saxpy runs per thread: no deposit");
                 assert!(t.modeled_kernel_s > 0.0);
                 if workers > 1 {
                     assert!(
@@ -2036,6 +1915,12 @@ mod tests {
                 assert!(t.lane_events.windows(2).all(|w| w[0].t_us <= w[1].t_us));
                 assert_eq!(t.events_dropped, 0);
                 assert!(sink.is_empty(), "take_launches drains the sink");
+
+                overlap_frame(&gpu, ExecMode::Batched);
+                let t = &sink.take_launches()[0];
+                let (_, d1) = t.dispatch_us.expect("counter pass stamped");
+                let (m0, m1) = t.merge_us.expect("deposit pass stamped as the merge");
+                assert!(m0 >= d1 && m1 >= m0 && t.end_us >= m1);
             }
         }
     }

@@ -15,7 +15,7 @@
 //! [`FaultPlan::arm`] at every kernel-launch entry. Operations are mapped
 //! onto it as follows:
 //!
-//! * in-launch faults (panics, stuck lanes, shadow corruption) fire during
+//! * in-launch faults (panics, stuck lanes) fire during
 //!   the launch whose index equals `spec.launch`;
 //! * allocation faults fire during the first upload consult at or after
 //!   that launch (the counter has not advanced yet —
@@ -58,20 +58,16 @@ pub enum FaultKind {
     TransferCorrupt,
     /// A texture bind call fails.
     TextureBindFail,
-    /// A recycled shadow buffer comes back from a launch corrupted (not
-    /// drained); the arena integrity check must drop it, not reuse it.
-    ShadowCorrupt,
 }
 
 impl FaultKind {
     /// Every kind, in a fixed order (used by seeded plan generation).
-    pub const ALL: [FaultKind; 6] = [
+    pub const ALL: [FaultKind; 5] = [
         FaultKind::WorkerPanic,
         FaultKind::StuckLane,
         FaultKind::AllocOom,
         FaultKind::TransferCorrupt,
         FaultKind::TextureBindFail,
-        FaultKind::ShadowCorrupt,
     ];
 }
 
@@ -101,8 +97,6 @@ pub struct ArmedFaults {
     pub stall_lane: Option<usize>,
     /// Stall duration for a [`FaultKind::StuckLane`] fault.
     pub stall: Duration,
-    /// Corrupt the first worker's shadow buffer after the merge.
-    pub shadow_corrupt: bool,
 }
 
 /// A deterministic, seeded schedule of injected faults.
@@ -150,7 +144,7 @@ impl FaultPlan {
     }
 
     /// A seeded plan with one fault of every kind, spread over the first
-    /// `launches` launch indices (clamped up to 24 — six stride-4 slots —
+    /// `launches` launch indices (clamped up to 20 — five stride-4 slots —
     /// so the spacing guarantee below always holds).
     ///
     /// Faults are spaced at least two launches apart: each kind gets its
@@ -217,9 +211,6 @@ impl FaultPlan {
         if let Some(spec) = self.take(FaultKind::StuckLane, launch) {
             armed.stall_lane = Some(spec.lane);
         }
-        if self.take(FaultKind::ShadowCorrupt, launch).is_some() {
-            armed.shadow_corrupt = true;
-        }
         armed
     }
 
@@ -279,7 +270,6 @@ mod tests {
         let armed = plan.arm();
         assert_eq!(armed.launch, 0);
         assert!(armed.panic_sm.is_none() && armed.stall_lane.is_none());
-        assert!(!armed.shadow_corrupt);
         assert_eq!(plan.injected(), 0);
     }
 

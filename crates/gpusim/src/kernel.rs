@@ -17,14 +17,13 @@
 use crate::counters::{Counters, FlopClass};
 use crate::device::DeviceSpec;
 use crate::dim::Dim3;
+use crate::launch::LaunchConfig;
 use crate::memory::cache::CacheSim;
 use crate::memory::global::{GlobalAtomicF32, GlobalBuffer};
 use crate::memory::shared::SharedMem;
 use crate::memory::texture::Texture;
 use crate::sanitize::{LaneHooks, MemSpace};
 use std::ops::Range;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
 
 /// One device operation observed during a thread's execution of a phase.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -77,16 +76,14 @@ pub enum Event {
     },
 }
 
-/// Host-side arithmetic backend for [`Kernel::run_block`] fast paths.
+/// Host-side arithmetic backend for the [`Kernel::deposit`] pass.
 ///
 /// A pure execution strategy, orthogonal to [`crate::ExecMode`]: the
 /// counter model and every modeled GPU time are **bit-equal across
-/// backends** (the analytic charges never depend on how the host computes
-/// pixel values), and only the functional image may differ — by the
-/// bounded approximation error of the vector math, gated by the same
-/// tolerance the simulators already accept for accumulation-order
-/// differences. The reference (per-thread) executor always computes
-/// scalar, so `Simd` only affects blocks taken by `run_block`.
+/// backends** (the counter pass never sees the backend), and only the
+/// functional image may differ — by the bounded approximation error of
+/// the vector math. The reference (per-thread) executor always computes
+/// scalar, so `Simd` only affects launches on the two-pass route.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum KernelBackend {
     /// Scalar inner loops — the accuracy baseline and the default.
@@ -120,6 +117,18 @@ impl KernelBackend {
 ///
 /// Implementations must be `Sync`: the same kernel object is shared by all
 /// worker threads.
+///
+/// [`Self::run`] is the whole kernel: the reference and sanitized
+/// executors interpret every launch through it, thread by thread. A kernel
+/// may also offer the batched executor a two-pass route — a counter pass
+/// ([`Self::run_block`], per SM) and a deposit pass ([`Self::deposit`],
+/// per band of output rows) — by returning `Some` from
+/// [`Self::deposit_rows`]. On that route, and on the serial executors,
+/// every pixel receives its adds in block index order, so the image
+/// depends only on the launch. A batched launch on the per-thread route
+/// has one image per launch only if its threads write disjoint pixels: at
+/// two or more workers the SM roles run concurrently, so blocks that add
+/// into shared cells do so in an order host scheduling sets.
 pub trait Kernel: Sync {
     /// Number of barrier-separated phases (≥ 1). The executor inserts a
     /// block-wide barrier (`__syncthreads()`) between consecutive phases.
@@ -130,37 +139,39 @@ pub trait Kernel: Sync {
     /// Runs one thread through one phase.
     fn run(&self, phase: usize, ctx: &mut ThreadCtx<'_>);
 
-    /// Batched fast path: runs the *whole block* through all phases in one
-    /// call, returning `true` when handled.
-    ///
-    /// The default returns `false`, which makes the executor fall back to
-    /// the per-thread reference path ([`Self::run`]) for this block.
-    /// Implementations must produce bit-identical functional results and
-    /// *exactly* the counters the reference path would have produced — the
-    /// performance model is analytic either way, only the host-side
-    /// execution strategy changes. An implementation that cannot handle a
-    /// particular launch shape must return `false` **before mutating `ctx`
-    /// in any way** so the fallback starts from a clean slate.
-    ///
-    /// The `'k` lifetime ties shadow-buffer registrations in
-    /// [`BlockCtx::shadow`] to borrows of the kernel itself, letting
-    /// implementations hand their `&GlobalAtomicF32` fields to the
-    /// executor-owned [`ShadowSet`].
-    fn run_block<'k>(&'k self, _ctx: &mut BlockCtx<'k, '_>) -> bool {
-        false
+    /// Output rows of a launch of shape `cfg` that takes the batched
+    /// executor's two-pass route, or `None` (the default) to run the whole
+    /// launch on the per-thread path ([`Self::run`]). The executor asks
+    /// once, before any block runs.
+    fn deposit_rows(&self, _cfg: &LaunchConfig) -> Option<usize> {
+        None
     }
+
+    /// Counter pass of the two-pass route: accounts the *whole block*
+    /// through all phases in one call, writing no pixels. It must produce
+    /// *exactly* the counters the per-thread path would, and feed the SM's
+    /// texture cache the same addresses in the same order — the
+    /// performance model is analytic either way, only the host-side
+    /// execution strategy changes.
+    fn run_block(&self, _ctx: &mut BlockCtx<'_>) {}
+
+    /// Deposit pass of the two-pass route: adds every pixel block `block`
+    /// writes in output rows `rows`, with the values the per-thread path
+    /// adds. The executor calls it for every block in index order within a
+    /// band of rows, and for disjoint bands concurrently, so a pixel sees
+    /// its adds in block order (see [`GlobalAtomicF32::merge_add_range`]).
+    fn deposit(&self, _block: usize, _rows: Range<usize>, _backend: KernelBackend) {}
 }
 
 /// Block-level execution context handed to [`Kernel::run_block`].
 ///
 /// Unlike [`ThreadCtx`], which records events for post-hoc warp analysis,
 /// the block context exposes the counter bundle and the SM's texture cache
-/// directly: fast-path kernels account their own warp-level costs
-/// analytically while computing the functional result with tight loops.
-/// Fields are public (rather than wrapped in methods) so a kernel can
-/// borrow `counters`, `cache` and `shadow` simultaneously.
+/// directly: the counter pass accounts a block's warp-level costs
+/// analytically. Fields are public (rather than wrapped in methods) so a
+/// kernel can borrow `counters` and `cache` simultaneously.
 #[derive(Debug)]
-pub struct BlockCtx<'k, 'a> {
+pub struct BlockCtx<'a> {
     /// `blockIdx`.
     pub block_idx: Dim3,
     /// `blockDim`.
@@ -172,405 +183,18 @@ pub struct BlockCtx<'k, 'a> {
     /// Counter bundle this block accounts into (merged across workers by
     /// the executor after the launch).
     pub counters: &'a mut Counters,
-    /// The owning SM's texture cache. Fast-path kernels feed it the same
+    /// The owning SM's texture cache. The counter pass feeds it the same
     /// swizzled addresses, in the same order, as the reference path —
     /// one by one, or as a texture layer walk
     /// ([`CacheSim::access_walk`]).
     pub cache: &'a mut CacheSim,
-    /// The worker's private accumulation buffers (image privatization).
-    pub shadow: &'a mut ShadowSet<'k>,
-    /// Arithmetic backend the launch selected ([`crate::LaunchConfig`]'s
-    /// `backend`). Fast paths branch on this for their interior loops;
-    /// counter accounting must not.
-    pub backend: KernelBackend,
 }
 
-impl BlockCtx<'_, '_> {
+impl BlockCtx<'_> {
     /// Linear block index within the grid.
     #[inline]
     pub fn block_linear(&self) -> usize {
         self.grid_dim.linear(self.block_idx)
-    }
-}
-
-/// Values covered by one dirty bit of a [`ShadowBuf`]: 16 `f32` = 64 B.
-///
-/// Sized to the workload, not the word: the star kernels accumulate
-/// ~10-pixel ROI rows, and every dirty chunk is merged *and zeroed* in
-/// full. At 64 values per bit a 10-value row drags ~6× its footprint
-/// through the merge; at 16 the overshoot is bounded by ~2.6× worst case
-/// while the bitmap (one bit per 64 B) stays a 0.1% overhead.
-const SHADOW_CHUNK: usize = 16;
-
-/// A recycling pool of shadow buffers (see [`ShadowBuf`]).
-///
-/// The batched executor needs full-image shadows every launch; at frame
-/// rates those multi-megabyte allocations would dominate. The arena keeps
-/// *drained* (all-zero, dirty-clear) buffers from finished launches and
-/// hands them back to the next one — clear, don't reallocate. Buffers are
-/// returned only by the shadow set's drains ([`ShadowSet::merge`] and the
-/// extraction drain), which zero every dirty chunk as they go, so a
-/// recycled buffer needs no zeroing pass; a launch that panics simply
-/// drops its buffers instead of recycling them.
-///
-/// The drained-buffer invariant is *enforced*, not assumed: both `put` and
-/// `take` check the dirty bitmap (a few words, essentially free) and a
-/// buffer that fails the check — corrupted in flight, or returned by a
-/// faulted launch — is dropped and counted ([`Self::dropped`]) rather than
-/// recycled into a future frame.
-#[derive(Debug, Default)]
-pub struct BufferArena {
-    free: Mutex<Vec<ShadowBuf>>,
-    /// Corrupted (non-drained) buffers dropped instead of recycled.
-    dropped: AtomicU64,
-}
-
-/// Upper bound on pooled buffers: enough for every worker of the widest
-/// device shape (one shadow per SM-worker plus slack); beyond it, returned
-/// buffers are dropped instead of hoarded.
-const ARENA_CAP: usize = 64;
-
-impl BufferArena {
-    /// An empty arena.
-    pub fn new() -> Self {
-        BufferArena::default()
-    }
-
-    /// Buffers currently pooled (test/diagnostic use).
-    pub fn pooled(&self) -> usize {
-        self.free.lock().unwrap_or_else(|e| e.into_inner()).len()
-    }
-
-    /// Corrupted buffers dropped (instead of recycled) so far.
-    pub fn dropped(&self) -> u64 {
-        self.dropped.load(Ordering::Relaxed)
-    }
-
-    /// A drained buffer resized for `len` values. Recycled buffers are
-    /// all-zero by the merge contract; a size change falls back to
-    /// clear-and-resize, and a buffer failing the drained check is dropped
-    /// (defense in depth — `put` already screens).
-    pub(crate) fn take(&self, len: usize) -> ShadowBuf {
-        loop {
-            let recycled = self.free.lock().unwrap_or_else(|e| e.into_inner()).pop();
-            match recycled {
-                Some(mut sb) => {
-                    if sb.dirty.iter().any(|&w| w != 0) {
-                        self.dropped.fetch_add(1, Ordering::Relaxed);
-                        continue;
-                    }
-                    if sb.vals.len() != len {
-                        sb.vals.clear();
-                        sb.vals.resize(len, 0.0);
-                        sb.dirty.clear();
-                        sb.dirty.resize(dirty_words(len), 0);
-                    } else {
-                        debug_assert!(
-                            sb.vals.iter().all(|&v| v == 0.0),
-                            "arena invariant: recycled shadows are drained"
-                        );
-                    }
-                    return sb;
-                }
-                None => {
-                    return ShadowBuf {
-                        vals: vec![0.0; len],
-                        dirty: vec![0; dirty_words(len)],
-                    }
-                }
-            }
-        }
-    }
-
-    /// Returns a buffer to the pool — if it really is drained. A buffer
-    /// with surviving dirty bits is corrupted (its values may be non-zero,
-    /// which would silently leak into the next frame's image); it is
-    /// dropped and counted instead.
-    pub(crate) fn put(&self, sb: ShadowBuf) {
-        if sb.dirty.iter().any(|&w| w != 0) {
-            self.dropped.fetch_add(1, Ordering::Relaxed);
-            return;
-        }
-        let mut free = self.free.lock().unwrap_or_else(|e| e.into_inner());
-        if free.len() < ARENA_CAP {
-            free.push(sb);
-        }
-    }
-}
-
-/// `u64` words needed to carry one dirty bit per [`SHADOW_CHUNK`] values.
-fn dirty_words(len: usize) -> usize {
-    len.div_ceil(SHADOW_CHUNK).div_ceil(64)
-}
-
-/// One worker's private shadow of an `atomicAdd` target buffer, with a
-/// coarse dirty bitmap (one bit per [`SHADOW_CHUNK`] values).
-///
-/// The bitmap makes the merge and the drain proportional to the *touched*
-/// footprint instead of the buffer length — with many workers each shadow
-/// holds a thin slice of the image, and scanning megabytes of untouched
-/// zeros per worker would dwarf the actual merge work.
-#[derive(Debug)]
-pub struct ShadowBuf {
-    vals: Vec<f32>,
-    /// Bit `c` of word `c / 64` set ⇔ values `[c·K, (c+1)·K)` for
-    /// `K = SHADOW_CHUNK` may be non-zero. Unmarked chunks are guaranteed
-    /// all-zero.
-    dirty: Vec<u64>,
-}
-
-impl ShadowBuf {
-    /// `self[idx] += v`.
-    #[inline]
-    pub fn add(&mut self, idx: usize, v: f32) {
-        self.vals[idx] += v;
-        let chunk = idx / SHADOW_CHUNK;
-        self.dirty[chunk / 64] |= 1 << (chunk % 64);
-    }
-
-    /// Mutable view of `[start, end)`, marked dirty — the tight-loop API
-    /// for kernels accumulating a whole ROI row at once.
-    #[inline]
-    pub fn span_mut(&mut self, start: usize, end: usize) -> &mut [f32] {
-        debug_assert!(start <= end && end <= self.vals.len());
-        let mut chunk = start / SHADOW_CHUNK;
-        let last = end.saturating_sub(1) / SHADOW_CHUNK;
-        while chunk <= last {
-            self.dirty[chunk / 64] |= 1 << (chunk % 64);
-            chunk += 1;
-        }
-        &mut self.vals[start..end]
-    }
-
-    /// Visits every dirty run in ascending index order as
-    /// `f(start, span)`, clearing the dirty bits; `f` must leave the span
-    /// all-zero (drained) so the buffer is recyclable afterwards.
-    ///
-    /// Runs of consecutive dirty chunks (the common case: an ROI row
-    /// straddling a chunk boundary) coalesce into one visit, and each
-    /// chunk is seen once, in ascending order either way — the per-pixel
-    /// order is unchanged.
-    fn drain_runs(&mut self, mut f: impl FnMut(usize, &mut [f32])) {
-        for (w, word) in self.dirty.iter_mut().enumerate() {
-            let mut bits = *word;
-            *word = 0;
-            while bits != 0 {
-                let b = bits.trailing_zeros() as usize;
-                // Length of the run of set bits starting at `b`.
-                let run = (!(bits >> b)).trailing_zeros() as usize;
-                bits &= if b + run >= 64 {
-                    0
-                } else {
-                    !(((1u64 << run) - 1) << b)
-                };
-                let start = (w * 64 + b) * SHADOW_CHUNK;
-                let end = (start + run * SHADOW_CHUNK).min(self.vals.len());
-                f(start, &mut self.vals[start..end]);
-            }
-        }
-    }
-
-    /// Merges every non-zero value into `buf` in ascending index order and
-    /// drains the shadow back to the all-zero state (values zeroed, dirty
-    /// bits cleared) so the arena can recycle it without a clearing pass.
-    fn drain_into(&mut self, buf: &GlobalAtomicF32) {
-        self.drain_runs(|start, span| buf.merge_drain_range(start, span));
-    }
-
-    /// Marks the buffer corrupted — first value poisoned, first dirty bit
-    /// re-set — simulating in-flight corruption of drained storage. Used
-    /// by fault injection to exercise the arena's integrity screen.
-    pub(crate) fn poison(&mut self) {
-        if !self.vals.is_empty() {
-            self.vals[0] = f32::NAN;
-            self.dirty[0] |= 1;
-        }
-    }
-}
-
-/// One extracted run: `len` values for target slot `slot`, starting at
-/// index `start` of the target and stored at `vals[at..at + len]`.
-#[derive(Debug, Clone, Copy)]
-struct Seg {
-    slot: u32,
-    start: u32,
-    len: u32,
-    at: u32,
-}
-
-impl Seg {
-    fn end(&self) -> u32 {
-        self.start + self.len
-    }
-}
-
-/// One role's extracted kernel output: compact runs of values destined for
-/// target buffers registered in a launch-wide slot table. Runs are sorted
-/// by target slot, then by ascending index; `vals` holds the run values
-/// back to back. Kept per SM (with capacity) across launches by the
-/// executor.
-#[derive(Debug, Default)]
-pub(crate) struct RoleRuns {
-    segs: Vec<Seg>,
-    vals: Vec<f32>,
-}
-
-impl RoleRuns {
-    /// Empties the lists, keeping their capacity.
-    pub(crate) fn clear(&mut self) {
-        self.segs.clear();
-        self.vals.clear();
-    }
-
-    /// Adds every recorded non-zero value for target `slot` whose index
-    /// lies in `band` into `target`, in ascending index order — one add
-    /// per value. Runs straddling the band's edges contribute only their
-    /// overlap, so the bands of a partition together add every value
-    /// exactly once. Callers may merge disjoint bands of one target
-    /// concurrently (see [`GlobalAtomicF32::merge_add_range`]).
-    pub(crate) fn merge_band(&self, slot: u32, band: Range<usize>, target: &GlobalAtomicF32) {
-        // Sorted by (slot, start) with disjoint runs per slot, so run ends
-        // ascend too: the first run reaching into the band is a binary
-        // search away.
-        let first = self
-            .segs
-            .partition_point(|s| (s.slot, s.end() as usize) <= (slot, band.start));
-        for s in &self.segs[first..] {
-            if s.slot != slot || s.start as usize >= band.end {
-                break;
-            }
-            let lo = band.start.max(s.start as usize);
-            let hi = band.end.min(s.end() as usize);
-            let at = s.at as usize + (lo - s.start as usize);
-            target.merge_add_range(lo, &self.vals[at..at + (hi - lo)]);
-        }
-    }
-}
-
-/// Private shadows of `atomicAdd` target buffers.
-///
-/// Instead of CAS-looping on the shared [`GlobalAtomicF32`] from every
-/// worker, the batched executor accumulates each role's (or, at one
-/// worker, the whole launch's) output into a private `f32` image
-/// registered here, and drains the shadows into their targets in a fixed
-/// per-pixel order, so the result is deterministic;
-/// modeled atomic traffic is accounted analytically by the kernel's
-/// `run_block`, unaffected by this host-side strategy.
-///
-/// Shadow storage is drawn from, and recycled into, a [`BufferArena`]
-/// across launches instead of reallocated — the zero-allocation frame
-/// loop.
-#[derive(Debug)]
-pub struct ShadowSet<'k> {
-    bufs: Vec<(&'k GlobalAtomicF32, ShadowBuf)>,
-    arena: &'k BufferArena,
-}
-
-impl<'k> ShadowSet<'k> {
-    /// An empty shadow set drawing storage from (and returning it to)
-    /// `arena`.
-    pub fn with_arena(arena: &'k BufferArena) -> Self {
-        ShadowSet {
-            bufs: Vec::new(),
-            arena,
-        }
-    }
-
-    /// `shadow[buf][idx] += v`, allocating the shadow of `buf` (zeroed, one
-    /// slot per element) on first use.
-    #[inline]
-    pub fn add(&mut self, buf: &'k GlobalAtomicF32, idx: usize, v: f32) {
-        self.accumulator(buf).add(idx, v);
-    }
-
-    /// The private accumulator for `buf`, allocating it on first use.
-    /// Buffers are identified by address; launches touch one or two, so
-    /// the linear scan is free — but kernels should hoist this lookup out
-    /// of per-pixel loops.
-    #[inline]
-    pub fn accumulator(&mut self, buf: &'k GlobalAtomicF32) -> &mut ShadowBuf {
-        if let Some(pos) = self.bufs.iter().position(|(b, _)| std::ptr::eq(*b, buf)) {
-            return &mut self.bufs[pos].1;
-        }
-        let sb = self.arena.take(buf.len());
-        self.bufs.push((buf, sb));
-        &mut self.bufs.last_mut().expect("just pushed").1
-    }
-
-    /// Adds every accumulated value into its target buffer (ascending index
-    /// order per buffer) and recycles the drained storage into the arena.
-    /// Called by the executor single-threaded, so the plain
-    /// read-modify-write in [`GlobalAtomicF32::merge_add_range`] is
-    /// race-free. The merge walks only dirty chunks — it must drain the
-    /// buffer back to all-zero for recycling anyway, so the bitmap pays for
-    /// itself.
-    pub(crate) fn merge(self) {
-        self.merge_corrupting(false);
-    }
-
-    /// Drains every accumulator into `out` as compact runs — registering
-    /// each target buffer in `targets` (by address) on first sight and
-    /// referring to it by slot — then recycles the drained scratch into
-    /// the arena. The table lock is held only to register and look up
-    /// slots, never during a drain.
-    ///
-    /// This is the extraction scheduler's per-role drain: it runs on the
-    /// worker lane right after the role's blocks, while the touched chunks
-    /// are cache-warm. The extracted values are exactly the per-role
-    /// accumulated values in ascending index order, so merging roles in
-    /// role order ([`RoleRuns::merge_band`]) reproduces the one-add-per-
-    /// role-pixel reduction bit-for-bit.
-    pub(crate) fn extract_into(
-        mut self,
-        targets: &Mutex<Vec<&'k GlobalAtomicF32>>,
-        out: &mut RoleRuns,
-    ) {
-        let slot_in = |table: &[&GlobalAtomicF32], buf: &GlobalAtomicF32| {
-            table.iter().position(|t| std::ptr::eq(*t, buf))
-        };
-        {
-            let mut table = targets.lock().unwrap_or_else(|e| e.into_inner());
-            for &(buf, _) in &self.bufs {
-                if slot_in(&table, buf).is_none() {
-                    table.push(buf);
-                }
-            }
-            // Runs sorted by slot: the order `merge_band` searches in.
-            self.bufs
-                .sort_unstable_by_key(|&(buf, _)| slot_in(&table, buf));
-        }
-        for (buf, mut sb) in self.bufs {
-            let slot = slot_in(&targets.lock().unwrap_or_else(|e| e.into_inner()), buf)
-                .expect("registered above") as u32;
-            sb.drain_runs(|start, span| {
-                out.segs.push(Seg {
-                    slot,
-                    start: start as u32,
-                    len: span.len() as u32,
-                    at: out.vals.len() as u32,
-                });
-                out.vals.extend_from_slice(span);
-                span.fill(0.0);
-            });
-            self.arena.put(sb);
-        }
-    }
-
-    /// [`Self::merge`] with an injected fault: after the (complete,
-    /// correct) drain, re-mark the first buffer's first chunk dirty with a
-    /// poisoned value, simulating in-flight corruption of the recycled
-    /// storage. The image is unaffected — the point is to exercise the
-    /// arena's integrity check, which must drop the buffer, not recycle it.
-    pub(crate) fn merge_corrupting(self, corrupt_first: bool) {
-        let mut corrupt = corrupt_first;
-        for (buf, mut sb) in self.bufs {
-            sb.drain_into(buf);
-            if corrupt && !sb.vals.is_empty() {
-                sb.poison();
-                corrupt = false;
-            }
-            self.arena.put(sb);
-        }
     }
 }
 
@@ -874,186 +498,5 @@ mod tests {
         assert!(!c.exited());
         c.exit();
         assert!(c.exited());
-    }
-
-    #[test]
-    fn shadow_set_merges_into_targets() {
-        let space = AddressSpace::new();
-        let img = GlobalAtomicF32::from_host(&space, &[1.0, 2.0, 3.0]);
-        let arena = BufferArena::new();
-        let mut shadow = ShadowSet::with_arena(&arena);
-        shadow.add(&img, 0, 0.5);
-        shadow.add(&img, 2, 1.0);
-        shadow.add(&img, 2, 1.0);
-        shadow.merge();
-        assert_eq!(img.to_host(), vec![1.5, 2.0, 5.0]);
-    }
-
-    /// Extracted role outputs merged band by band — any band length, any
-    /// band order — must equal adding each role's values in role order.
-    #[test]
-    fn role_runs_merge_identically_in_any_banding() {
-        let space = AddressSpace::new();
-        let a = GlobalAtomicF32::zeroed(&space, 100);
-        let b = GlobalAtomicF32::zeroed(&space, 70);
-        let arena = BufferArena::new();
-        let targets = Mutex::new(Vec::new());
-        // Values whose sum depends on the order of the adds.
-        let value = |role: usize, i: usize| [1e7, 0.3, 7.7][role] + (i % 5) as f32;
-        let touched = |role: usize, i: usize| i % (role + 2) != 1;
-        // Role 1 touches `b` first: its runs must still sort by slot.
-        let mut roles: [RoleRuns; 3] = Default::default();
-        for (r, runs) in roles.iter_mut().enumerate() {
-            let mut shadow = ShadowSet::with_arena(&arena);
-            let order = if r == 1 { [&b, &a] } else { [&a, &b] };
-            for t in order {
-                for i in (0..t.len()).filter(|&i| touched(r, i)) {
-                    shadow.add(t, i, value(r, i));
-                }
-            }
-            shadow.extract_into(&targets, runs);
-        }
-        let targets = targets.into_inner().unwrap();
-        let expected = |t: &GlobalAtomicF32| -> Vec<u32> {
-            (0..t.len())
-                .map(|i| {
-                    (0..roles.len())
-                        .filter(|&r| touched(r, i))
-                        .fold(0.0f32, |acc, r| acc + value(r, i))
-                        .to_bits()
-                })
-                .collect()
-        };
-        let want: Vec<Vec<u32>> = targets.iter().map(|t| expected(t)).collect();
-        for band_len in [1, 5, 16, 17, 64, 100] {
-            for t in &targets {
-                t.fill_zero();
-            }
-            for (slot, t) in targets.iter().enumerate() {
-                let starts: Vec<usize> = (0..t.len()).step_by(band_len).collect();
-                for &start in starts.iter().rev() {
-                    let band = start..(start + band_len).min(t.len());
-                    for runs in &roles {
-                        runs.merge_band(slot as u32, band.clone(), t);
-                    }
-                }
-                let got: Vec<u32> = t.to_host().iter().map(|v| v.to_bits()).collect();
-                assert_eq!(got, want[slot], "slot {slot}, bands of {band_len}");
-            }
-        }
-    }
-
-    #[test]
-    fn shadow_buf_span_marks_dirty_chunks() {
-        let space = AddressSpace::new();
-        // Large enough that an unmarked merge scan would visit many chunks.
-        let img = GlobalAtomicF32::zeroed(&space, 1024);
-        let arena = BufferArena::new();
-        let mut shadow = ShadowSet::with_arena(&arena);
-        let acc = shadow.accumulator(&img);
-        // A span crossing a chunk boundary.
-        let span = acc.span_mut(60, 70);
-        for v in span.iter_mut() {
-            *v += 2.0;
-        }
-        acc.add(1000, 3.0);
-        shadow.merge();
-        let host = img.to_host();
-        for (i, &v) in host.iter().enumerate() {
-            let expect = match i {
-                60..=69 => 2.0,
-                1000 => 3.0,
-                _ => 0.0,
-            };
-            assert_eq!(v, expect, "pixel {i}");
-        }
-    }
-
-    #[test]
-    fn arena_recycles_drained_buffers() {
-        let space = AddressSpace::new();
-        let img = GlobalAtomicF32::zeroed(&space, 256);
-        let arena = BufferArena::new();
-        {
-            let mut shadow = ShadowSet::with_arena(&arena);
-            shadow.add(&img, 7, 1.0);
-            shadow.merge();
-        }
-        assert_eq!(arena.pooled(), 1, "merge must return the buffer");
-        {
-            // Second use draws the recycled (drained) buffer; the merged
-            // result must be indistinguishable from a fresh allocation.
-            let mut shadow = ShadowSet::with_arena(&arena);
-            shadow.add(&img, 7, 1.0);
-            shadow.add(&img, 255, 4.0);
-            shadow.merge();
-        }
-        assert_eq!(arena.pooled(), 1);
-        assert_eq!(img.read(7), 2.0);
-        assert_eq!(img.read(255), 4.0);
-    }
-
-    #[test]
-    fn arena_resizes_recycled_buffers() {
-        let space = AddressSpace::new();
-        let small = GlobalAtomicF32::zeroed(&space, 8);
-        let big = GlobalAtomicF32::zeroed(&space, 4096);
-        let arena = BufferArena::new();
-        let mut shadow = ShadowSet::with_arena(&arena);
-        shadow.add(&small, 3, 1.0);
-        shadow.merge();
-        let mut shadow = ShadowSet::with_arena(&arena);
-        shadow.add(&big, 4095, 2.0);
-        shadow.merge();
-        assert_eq!(small.read(3), 1.0);
-        assert_eq!(big.read(4095), 2.0);
-    }
-
-    #[test]
-    fn arena_drops_corrupted_buffer_instead_of_recycling() {
-        let space = AddressSpace::new();
-        let img = GlobalAtomicF32::zeroed(&space, 256);
-        let arena = BufferArena::new();
-        {
-            let mut shadow = ShadowSet::with_arena(&arena);
-            shadow.add(&img, 7, 1.0);
-            // Injected corruption: the buffer comes back non-drained.
-            shadow.merge_corrupting(true);
-        }
-        assert_eq!(arena.pooled(), 0, "corrupted buffer must not be pooled");
-        assert_eq!(arena.dropped(), 1);
-        assert_eq!(img.read(7), 1.0, "the merge itself stays correct");
-
-        // The next launch allocates fresh and the frame stays clean.
-        let mut shadow = ShadowSet::with_arena(&arena);
-        shadow.add(&img, 7, 1.0);
-        shadow.merge();
-        assert_eq!(arena.pooled(), 1);
-        assert_eq!(img.read(7), 2.0);
-        for i in 0..256 {
-            assert!(img.read(i).is_finite(), "no NaN may leak into pixel {i}");
-        }
-    }
-
-    #[test]
-    fn arena_take_screens_corrupted_buffers_too() {
-        let arena = BufferArena::new();
-        // Plant a corrupted buffer directly in the free list (put() would
-        // screen it, so bypass it to exercise take()'s check).
-        arena
-            .free
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .push(ShadowBuf {
-                vals: vec![9.0; 32],
-                dirty: vec![1; dirty_words(32)],
-            });
-        let sb = arena.take(32);
-        assert!(
-            sb.vals.iter().all(|&v| v == 0.0),
-            "take must hand out a clean buffer"
-        );
-        assert_eq!(arena.dropped(), 1);
-        assert_eq!(arena.pooled(), 0);
     }
 }

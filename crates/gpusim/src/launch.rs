@@ -6,8 +6,8 @@ use crate::error::GpuError;
 use crate::kernel::KernelBackend;
 
 /// A kernel launch shape: `<<<grid, block>>>` plus the block's shared
-/// memory requirement and the host arithmetic backend for batched fast
-/// paths.
+/// memory requirement and the host arithmetic backend of the batched
+/// executor's deposit pass.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LaunchConfig {
     /// Blocks per grid.
@@ -16,8 +16,8 @@ pub struct LaunchConfig {
     pub block: Dim3,
     /// Shared memory per block, bytes.
     pub shared_mem_bytes: usize,
-    /// Host-side backend handed to [`crate::BlockCtx`] (batched executor
-    /// only; counters are bit-equal either way).
+    /// Host-side backend handed to [`crate::Kernel::deposit`] (batched
+    /// executor only; counters are bit-equal either way).
     pub backend: KernelBackend,
 }
 
@@ -39,7 +39,7 @@ impl LaunchConfig {
         self
     }
 
-    /// Selects the host arithmetic backend for batched fast paths.
+    /// Selects the host arithmetic backend of the deposit pass.
     pub fn with_backend(mut self, backend: KernelBackend) -> Self {
         self.backend = backend;
         self

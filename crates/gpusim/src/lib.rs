@@ -19,7 +19,9 @@
 //! Blocks are assigned to virtual SMs deterministically (`block mod
 //! sm_count`) and each SM's blocks run in order, so all counters — and
 //! therefore all modeled times — are reproducible regardless of host
-//! parallelism.
+//! parallelism. Every executor adds each pixel's values in block order,
+//! so images are too — on the batched executor's per-thread route, only
+//! for kernels whose threads write disjoint pixels (see [`Kernel`]).
 //!
 //! ## Writing a kernel
 //!
@@ -84,9 +86,7 @@ pub use dim::Dim3;
 pub use error::GpuError;
 pub use exec::{ExecMode, GpuDiagnostics, VirtualGpu};
 pub use fault::{ArmedFaults, FaultKind, FaultPlan, FaultSpec};
-pub use kernel::{
-    BlockCtx, BufferArena, Event, Kernel, KernelBackend, ShadowBuf, ShadowSet, ThreadCtx,
-};
+pub use kernel::{BlockCtx, Event, Kernel, KernelBackend, ThreadCtx};
 pub use launch::LaunchConfig;
 pub use memory::global::{GlobalAtomicF32, GlobalBuffer};
 pub use memory::texture::Texture;

@@ -169,30 +169,14 @@ impl GlobalAtomicF32 {
         self.data[idx].store(v.to_bits(), Ordering::Relaxed);
     }
 
-    /// Single-writer bulk add: `self[i] += vals[i]` for every non-zero
-    /// entry of `vals` (which may be shorter than the buffer).
-    ///
-    /// Used by the batched executor to merge per-worker shadow images after
-    /// all workers have joined; because merges are sequential, a plain
-    /// load/store per element replaces the CAS loop. Skipping zeros is
-    /// bit-exact here: `x + 0.0 == x` bitwise for every non-negative `x`,
-    /// and accumulated intensities are non-negative.
-    pub fn merge_add(&self, vals: &[f32]) {
-        debug_assert!(vals.len() <= self.data.len());
-        for (cell, &v) in self.data.iter().zip(vals) {
-            if v != 0.0 {
-                let cur = f32::from_bits(cell.load(Ordering::Relaxed));
-                cell.store((cur + v).to_bits(), Ordering::Relaxed);
-            }
-        }
-    }
-
-    /// Bulk add of a sub-range: `self[start + i] += vals[i]` for every
-    /// non-zero entry of `vals`. Same zero-skip exactness argument as
-    /// [`Self::merge_add`]. The plain load/store needs one writer per
-    /// element, not per buffer: the batched executor's merge calls this
-    /// concurrently on disjoint bands of one target, for the runs of
-    /// touched 16-value chunks its shadows extract.
+    /// Single-writer bulk add of a sub-range: `self[start + i] += vals[i]`
+    /// for every non-zero entry of `vals`, each one add of the same `f32`
+    /// value [`Self::atomic_add`] would add. The plain load/store replaces
+    /// the CAS loop, so it needs one writer per element, not per buffer:
+    /// the batched executor's deposit pass calls it concurrently on
+    /// disjoint row bands of one target. Skipping zeros is bit-exact: a
+    /// buffer that starts at `+0.0` never holds `-0.0`, and `x + ±0.0 == x`
+    /// bitwise for every other `x`.
     #[inline]
     pub fn merge_add_range(&self, start: usize, vals: &[f32]) {
         debug_assert!(start + vals.len() <= self.data.len());
@@ -200,21 +184,6 @@ impl GlobalAtomicF32 {
             if v != 0.0 {
                 let cur = f32::from_bits(cell.load(Ordering::Relaxed));
                 cell.store((cur + v).to_bits(), Ordering::Relaxed);
-            }
-        }
-    }
-
-    /// [`Self::merge_add_range`] that also zeroes `vals` as it goes — the
-    /// single-pass drain used by shadow-buffer recycling. Skipping zero
-    /// values is exact: `x + 0.0 == x` bitwise for the non-negative
-    /// intensities kernels accumulate.
-    pub fn merge_drain_range(&self, start: usize, vals: &mut [f32]) {
-        debug_assert!(start + vals.len() <= self.data.len());
-        for (cell, v) in self.data[start..start + vals.len()].iter().zip(vals) {
-            if *v != 0.0 {
-                let cur = f32::from_bits(cell.load(Ordering::Relaxed));
-                cell.store((cur + *v).to_bits(), Ordering::Relaxed);
-                *v = 0.0;
             }
         }
     }
@@ -366,20 +335,6 @@ mod tests {
         });
         let total: f64 = buf.to_host().iter().map(|&v| v as f64).sum();
         assert_eq!(total, 16_000.0);
-    }
-
-    #[test]
-    fn merge_add_matches_atomic_adds() {
-        let space = AddressSpace::new();
-        let a = GlobalAtomicF32::from_host(&space, &[1.0, 2.0, 3.0, 4.0]);
-        let b = GlobalAtomicF32::from_host(&space, &[1.0, 2.0, 3.0, 4.0]);
-        let delta = [0.5f32, 0.0, 1.25];
-        a.merge_add(&delta);
-        for (i, &v) in delta.iter().enumerate() {
-            b.atomic_add(i, v);
-        }
-        assert_eq!(a.to_host(), b.to_host());
-        assert_eq!(a.read(3), 4.0, "entries past the shadow are untouched");
     }
 
     #[test]

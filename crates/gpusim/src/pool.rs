@@ -22,9 +22,9 @@
 //! never of the pool's thread count. When a caller asks for more workers
 //! than the pool has lanes, lane `l` plays roles `l, l + lanes,
 //! l + 2·lanes, …` — each role still visits its indices in ascending
-//! order, so the batched executor's per-role shadows and its worker-order
-//! counter merge see exactly the index → worker mapping the scoped
-//! implementation produced, on any machine.
+//! order, so the batched executor's per-SM counter pass and its
+//! worker-order counter merge see exactly the index → worker mapping the
+//! scoped implementation produced, on any machine.
 //!
 //! ## Work stealing
 //!
@@ -779,47 +779,10 @@ where
     global().parallel_fill_chunks(data, chunk, workers, body);
 }
 
-/// Per-call spawn dispatch: [`parallel_for`] on a scope of fresh OS
-/// threads instead of a pool. Semantics are identical. The executor uses it
+/// Per-call spawn dispatch twin of [`parallel_for_static`]: identical
+/// index → worker mapping, fresh OS threads per call. The executor uses it
 /// only on the degradation ladder's first rung (`VirtualGpu::
 /// set_dispatch_override`), where it survives a poisoned or rebuilt pool.
-pub fn spawn_parallel_for<F>(count: usize, workers: usize, chunk: usize, body: F)
-where
-    F: Fn(usize, usize) + Sync,
-{
-    let workers = workers.max(1);
-    let chunk = chunk.max(1);
-    if count == 0 {
-        return;
-    }
-    if workers == 1 || count <= chunk {
-        for i in 0..count {
-            body(i, 0);
-        }
-        return;
-    }
-    let next = AtomicUsize::new(0);
-    std::thread::scope(|s| {
-        for worker_id in 0..workers {
-            let next = &next;
-            let body = &body;
-            s.spawn(move || loop {
-                let start = next.fetch_add(chunk, Ordering::Relaxed);
-                if start >= count {
-                    break;
-                }
-                let end = (start + chunk).min(count);
-                for i in start..end {
-                    body(i, worker_id);
-                }
-            });
-        }
-    });
-}
-
-/// Per-call spawn dispatch twin of [`parallel_for_static`]: identical
-/// index → worker mapping, fresh OS threads per call. Degradation-ladder
-/// rung 1 only, like [`spawn_parallel_for`].
 pub fn spawn_parallel_for_static<F>(count: usize, workers: usize, body: F)
 where
     F: Fn(usize, usize) + Sync,
@@ -1076,11 +1039,6 @@ mod tests {
             hits[i].fetch_add(1, Ordering::Relaxed);
         });
         assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
-        let total = AtomicU64::new(0);
-        spawn_parallel_for(1000, 3, 7, |i, _| {
-            total.fetch_add(i as u64, Ordering::Relaxed);
-        });
-        assert_eq!(total.load(Ordering::Relaxed), 999 * 1000 / 2);
     }
 
     #[test]

@@ -18,8 +18,7 @@
 //!   a barrier other lanes arrive at) and shared-memory reads of words no
 //!   lane has initialized;
 //! * **memcheck** — out-of-bounds global / shared / texture indices are
-//!   *reported* instead of panicking, and [`crate::BufferArena`]
-//!   use-after-recycle screening surfaces as a finding;
+//!   *reported* instead of panicking;
 //! * **static validation** — [`validate_roi`] and [`validate_lut_domain`]
 //!   reject bad launches (ROI larger than the image, LUT fetch domain
 //!   outside the bound table) with typed [`GpuError`]s *before* dispatch,
@@ -39,16 +38,15 @@ use crate::memory::texture::Texture;
 
 /// Which sanitizer passes run in [`crate::ExecMode::Sanitized`] launches.
 ///
-/// The default enables every check. Disabled-mode cost is independent of
-/// this config: outside sanitized launches the only surviving hook is the
-/// per-launch arena-drop delta check (two relaxed atomic loads).
+/// The default enables every check. Outside sanitized launches no check
+/// runs, whatever this config says.
 #[derive(Debug, Clone)]
 pub struct SanitizeConfig {
     /// Detect same-epoch / cross-block conflicting accesses (racecheck).
     pub racecheck: bool,
     /// Detect barrier divergence and uninitialized shared reads (synccheck).
     pub synccheck: bool,
-    /// Detect out-of-bounds indices and arena recycle faults (memcheck).
+    /// Detect out-of-bounds indices (memcheck).
     pub memcheck: bool,
     /// Findings kept per launch; the rest are dropped after sorting, with
     /// [`SanitizeReport::truncated`] set.
@@ -144,26 +142,17 @@ pub enum FindingKind {
         /// Barrier epoch of the access.
         epoch: usize,
     },
-    /// The shadow-buffer arena screened out a non-drained buffer during
-    /// this launch — a use-after-recycle that would have leaked a stale
-    /// partial image into a later frame.
-    ArenaRecycleFault {
-        /// Buffers dropped by the screen during the launch.
-        dropped: u64,
-    },
 }
 
 impl FindingKind {
     /// Short class name, stable for report aggregation: `race`,
-    /// `barrier-divergence`, `uninit-shared-read`, `out-of-bounds`,
-    /// `arena-recycle`.
+    /// `barrier-divergence`, `uninit-shared-read`, `out-of-bounds`.
     pub fn class(&self) -> &'static str {
         match self {
             FindingKind::Race { .. } => "race",
             FindingKind::BarrierDivergence { .. } => "barrier-divergence",
             FindingKind::UninitSharedRead { .. } => "uninit-shared-read",
             FindingKind::OutOfBounds { .. } => "out-of-bounds",
-            FindingKind::ArenaRecycleFault { .. } => "arena-recycle",
         }
     }
 
@@ -190,7 +179,6 @@ impl FindingKind {
                 epoch,
                 ..
             } => (5 + space as u8, index as u64, epoch as u64, lane as u64),
-            FindingKind::ArenaRecycleFault { dropped } => (8, dropped, 0, 0),
         }
     }
 }
@@ -198,7 +186,7 @@ impl FindingKind {
 /// One sanitizer finding, anchored to the block it occurred in.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Finding {
-    /// Linear block index (the arena-recycle finding uses block 0).
+    /// Linear block index.
     pub block: usize,
     /// What was detected.
     pub kind: FindingKind,
@@ -243,9 +231,6 @@ impl fmt::Display for Finding {
                 "out of bounds: block {} {space} index {index} (limit {limit}) lane {lane} epoch {epoch}",
                 self.block
             ),
-            FindingKind::ArenaRecycleFault { dropped } => {
-                write!(f, "arena recycle fault: {dropped} non-drained buffer(s) screened")
-            }
         }
     }
 }

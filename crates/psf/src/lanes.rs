@@ -228,27 +228,6 @@ pub fn erf_f32(x: f32) -> f32 {
     f32::from_bits(y.to_bits() ^ (x.to_bits() & 0x8000_0000))
 }
 
-/// `dst[i] += src[i]` over a whole span, in lane-width chunks.
-///
-/// The adaptive kernel adds each LUT row view into the shadow accumulator
-/// through this helper; each destination slot receives exactly one add, so
-/// the result is bit-identical to the scalar per-pixel loop.
-#[inline]
-pub fn accumulate(dst: &mut [f32], src: &[f32]) {
-    let n = dst.len().min(src.len());
-    let (mut i, full) = (0, n - n % LANES);
-    while i < full {
-        let s = F32x8::load(&src[i..]);
-        let d = F32x8::load(&dst[i..]);
-        dst[i..i + LANES].copy_from_slice((d + s).lanes());
-        i += LANES;
-    }
-    while i < n {
-        dst[i] += src[i];
-        i += 1;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -310,16 +289,6 @@ mod tests {
         for (i, &v) in e.lanes().iter().enumerate() {
             let want = (-(i as f32 * i as f32)).exp();
             assert!((v - want).abs() <= 1e-6 * want.max(1e-12), "lane {i}");
-        }
-    }
-
-    #[test]
-    fn accumulate_adds_once_per_slot() {
-        let src: Vec<f32> = (0..19).map(|i| i as f32 * 0.5).collect();
-        let mut dst = vec![1.0f32; 19];
-        accumulate(&mut dst, &src);
-        for (i, &v) in dst.iter().enumerate() {
-            assert_eq!(v, 1.0 + i as f32 * 0.5);
         }
     }
 }

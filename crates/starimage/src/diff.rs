@@ -69,6 +69,25 @@ pub fn images_close(a: &ImageF32, b: &ImageF32, abs_tol: f32, rel_tol: f32) -> b
     })
 }
 
+/// Pixels whose bit patterns differ between two images of identical
+/// dimensions: 0 exactly when the images are bit-identical, as two
+/// renders that add the same values in the same order are.
+///
+/// # Panics
+/// Panics when dimensions differ.
+pub fn differing_pixels(a: &ImageF32, b: &ImageF32) -> usize {
+    assert_eq!(
+        (a.width(), a.height()),
+        (b.width(), b.height()),
+        "cannot compare images of different sizes"
+    );
+    a.data()
+        .iter()
+        .zip(b.data())
+        .filter(|(x, y)| x.to_bits() != y.to_bits())
+        .count()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

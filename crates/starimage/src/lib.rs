@@ -27,7 +27,7 @@ pub use buffer::ImageF32;
 pub use calibrate::InstrumentSignature;
 pub use centroid::{detect_stars, CentroidParams, Detection};
 pub use convert::{to_gray16, to_gray8, GrayMap};
-pub use diff::{compare, images_close, ImageDiff};
+pub use diff::{compare, differing_pixels, images_close, ImageDiff};
 pub use error::ImageError;
 pub use label::{label_blobs, Blob};
 pub use noise::{apply_noise, star_snr, NoiseModel};

@@ -32,9 +32,11 @@ echo "== cargo test -q --workspace"
 cargo test -q --workspace
 
 # Tier-1 pinned to one core: with available_parallelism() == 1 every
-# device built without an explicit worker count takes the executor's
-# single-worker path, so this leg covers it and the one-core half of the
-# determinism claims. Skipped where taskset is unavailable.
+# device built without an explicit worker count runs one worker, and
+# devices that ask for more share one core between their pool lanes. The
+# executors have no single-worker path of their own any more, but the
+# one-image-per-launch claims must hold here too. Skipped where taskset is
+# unavailable.
 echo "== cargo test -q pinned to one core (taskset -c 0)"
 if command -v taskset >/dev/null 2>&1; then
   taskset -c 0 cargo test -q
@@ -46,12 +48,15 @@ fi
 # that depends on thread scheduling fails CI here instead of in 1 run in
 # k. Each rerun is time-boxed so a wedged run fails loudly, not hangs.
 # The server suite's chaos matrix has two tenants sharing one fault plan;
-# the telemetry suite pins the setup span tree.
-echo "== determinism soak: sanitizer + exec_modes + pipeline + chaos + server + telemetry suites, 10 unpinned reruns"
+# the telemetry suite pins the setup span tree; the chaos and telemetry
+# matrices run at 1, 2, the host's cores and 15 workers; the analyze
+# suite compares reports across workers and backends; cross_simulator
+# compares the parallel and sequential images bit for bit.
+echo "== determinism soak: sanitizer + exec_modes + pipeline + chaos + server + telemetry + analyze + cross_simulator suites, 10 unpinned reruns"
 for i in $(seq 1 10); do
   echo "-- soak run $i/10"
   timeout 300 cargo test -q --test sanitizer --test exec_modes --test pipeline --test chaos \
-    --test server --test telemetry
+    --test server --test telemetry --test analyze --test cross_simulator
 done
 
 # The benchmark's own self-test: every workload once at a tiny size,

@@ -1,14 +1,15 @@
-//! Equivalence of the two virtual-GPU executors.
+//! Equivalence of the virtual-GPU executors.
 //!
 //! The batched executor (`ExecMode::Batched`) replaces per-thread
-//! interpretation with whole-block fast paths and per-worker image
-//! privatization. Its contract: for any launch,
+//! interpretation with a counter pass (whole-block analytic accounting)
+//! and a banded deposit pass that adds every block in index order. Its
+//! contract: for any launch and any host worker count,
 //!
 //! * **counters** — and therefore every modeled GPU time — are *equal* to
-//!   the reference executor's, for any host worker count;
-//! * the **image** is *bit-identical* to the reference executor's at one
-//!   worker (same accumulation order), and bit-identical across every
-//!   worker count ≥ 2.
+//!   the reference and sanitized executors';
+//! * the **image** is *bit-identical* to theirs: every executor adds each
+//!   pixel's values in block order, so there is one image per launch —
+//!   for the parallel simulator, the sequential simulator's.
 //!
 //! This suite sweeps both GPU simulators over a grid of star counts, ROI
 //! sides and image sizes chosen to hit every fast-path branch: padding
@@ -19,15 +20,25 @@
 
 use gpusim::{Counters, ExecMode, KernelBackend, VirtualGpu};
 use starfield::{FieldGenerator, StarCatalog};
-use starsim_core::{AdaptiveSimulator, ParallelSimulator, SimConfig, SimulationReport, Simulator};
+use starsim_core::{
+    AdaptiveSimulator, ParallelSimulator, SequentialSimulator, SimConfig, SimulationReport,
+    Simulator,
+};
+
+/// Worker counts every executor is checked at: one, a few, and one per
+/// SM of the GTX480.
+const WORKER_COUNTS: [usize; 6] = [1, 2, 3, 4, 7, 15];
+
+/// The executors under test.
+const MODES: [ExecMode; 3] = [ExecMode::Reference, ExecMode::Batched, ExecMode::Sanitized];
 
 /// Backend under test: `STARSIM_BACKEND=simd` reruns the whole suite with
 /// the SIMD fast paths (scripts/ci.sh does exactly that). Counters and
 /// modeled times are backend-independent, so every timing assertion below
 /// holds unchanged; only the *parallel* simulator's batched-vs-reference
-/// image comparison relaxes from bit-equality to the parallel-vs-sequential
-/// tolerance (the reference executor always runs the scalar per-thread
-/// path).
+/// image comparison relaxes from bit-equality to a tolerance (the
+/// reference executor always runs the scalar per-thread path). Its
+/// batched image stays bit-identical across worker counts.
 fn backend_under_test() -> KernelBackend {
     match std::env::var("STARSIM_BACKEND") {
         Ok(s) => KernelBackend::parse(&s)
@@ -87,6 +98,16 @@ fn image_bits(r: &SimulationReport) -> Vec<u32> {
     r.image.data().iter().map(|v| v.to_bits()).collect()
 }
 
+/// Whether `r`'s image is computed by other arithmetic than the scalar
+/// per-thread path's: the parallel simulator's batched deposit on the
+/// SIMD backend. Such an image is compared with a tolerance against the
+/// per-thread executors, and bit for bit among its own runs.
+fn simd_arithmetic(sim_kind: &str, mode: ExecMode) -> bool {
+    sim_kind == "parallel"
+        && mode == ExecMode::Batched
+        && backend_under_test() == KernelBackend::Simd
+}
+
 #[test]
 fn batched_equals_reference_bit_for_bit() {
     for sim_kind in ["parallel", "adaptive"] {
@@ -96,46 +117,85 @@ fn batched_equals_reference_bit_for_bit() {
                 lut_phases: phases,
                 ..SimConfig::new(w, h, roi)
             };
-            let label = format!("{sim_kind} stars={stars} roi={roi} {w}x{h} phases={phases}");
-
+            let shape = format!("{sim_kind} stars={stars} roi={roi} {w}x{h} phases={phases}");
             let reference = run(sim_kind, &cat, &cfg, ExecMode::Reference, 1);
-            let batched = run(sim_kind, &cat, &cfg, ExecMode::Batched, 1);
-
-            // Counters: exact equality, every field.
-            assert_eq!(
-                kernel_counters(&reference),
-                kernel_counters(&batched),
-                "counters diverge: {label}"
+            // One thread per worker count: the serial executors take most
+            // of the time, and their runs are independent.
+            let simd_images: Vec<Option<Vec<u32>>> = std::thread::scope(|scope| {
+                let runs = WORKER_COUNTS.map(|workers| {
+                    let (cat, cfg, reference, shape) = (&cat, &cfg, &reference, &shape);
+                    scope.spawn(move || {
+                        let mut simd_image = None;
+                        for mode in MODES {
+                            let label = format!("{shape} {mode:?} workers={workers}");
+                            let other = run(sim_kind, cat, cfg, mode, workers);
+                            assert_same_launch(reference, &other, &label);
+                            if simd_arithmetic(sim_kind, mode) {
+                                assert!(
+                                    starimage::diff::images_close(
+                                        &reference.image,
+                                        &other.image,
+                                        1e-4,
+                                        1e-4
+                                    ),
+                                    "simd image out of tolerance: {label}"
+                                );
+                                simd_image = Some(image_bits(&other));
+                            } else {
+                                assert!(
+                                    image_bits(reference) == image_bits(&other),
+                                    "image bits diverge: {label}"
+                                );
+                            }
+                        }
+                        simd_image
+                    })
+                });
+                runs.into_iter().map(|r| r.join().unwrap()).collect()
+            });
+            assert!(
+                simd_images.windows(2).all(|p| p[0] == p[1]),
+                "{shape}: the simd image depends on the worker count"
             );
-            // Modeled times are pure functions of the counters, so they
-            // must agree to the last bit too.
-            assert_eq!(
-                reference.profile.kernels[0].time_s, batched.profile.kernels[0].time_s,
-                "kernel time diverges: {label}"
-            );
-            assert_eq!(
-                reference.app_time_s, batched.app_time_s,
-                "app time diverges: {label}"
-            );
-            // Single worker: identical accumulation order ⇒ identical bits.
-            // The one exception: the parallel simulator's SIMD backend
-            // approximates the interior-ROI PSF, so under
-            // STARSIM_BACKEND=simd its image is gated by the documented
-            // tolerance instead (the adaptive fast path stays bit-identical
-            // on either backend).
-            if sim_kind == "parallel" && backend_under_test() == KernelBackend::Simd {
-                assert!(
-                    starimage::diff::images_close(&reference.image, &batched.image, 1e-4, 1e-4),
-                    "simd image out of tolerance: {label}"
-                );
-            } else {
-                assert_eq!(
-                    image_bits(&reference),
-                    image_bits(&batched),
-                    "image bits diverge: {label}"
-                );
-            }
         }
+    }
+}
+
+/// Counters, kernel time and app time of `other` equal `reference`'s:
+/// modeled times are pure functions of the counters, so they must agree
+/// to the last bit too.
+fn assert_same_launch(reference: &SimulationReport, other: &SimulationReport, label: &str) {
+    assert_eq!(
+        kernel_counters(reference),
+        kernel_counters(other),
+        "counters diverge: {label}"
+    );
+    assert_eq!(
+        reference.profile.kernels[0].time_s, other.profile.kernels[0].time_s,
+        "kernel time diverges: {label}"
+    );
+    assert_eq!(
+        reference.app_time_s, other.app_time_s,
+        "app time diverges: {label}"
+    );
+}
+
+/// The Scalar parallel simulator adds the sequential simulator's `g·μ`
+/// values in the sequential simulator's star order: one image, bit for
+/// bit, on every shape of the grid.
+#[test]
+fn scalar_parallel_equals_sequential_bit_for_bit() {
+    for &(stars, roi, w, h, _) in &shape_grid() {
+        let cat = catalog(stars, w, h);
+        let cfg = SimConfig::new(w, h, roi);
+        let seq = SequentialSimulator::new().simulate(&cat, &cfg).unwrap();
+        let par = ParallelSimulator::on(VirtualGpu::gtx480())
+            .simulate(&cat, &cfg)
+            .unwrap();
+        assert!(
+            image_bits(&seq) == image_bits(&par),
+            "stars={stars} roi={roi} {w}x{h}: parallel differs from sequential"
+        );
     }
 }
 
@@ -252,30 +312,35 @@ fn batched_image_deterministic_per_worker_count() {
     }
 }
 
-/// DESIGN §8's claim: role outputs merge in role order, so the batched
-/// image is one and the same for every worker count ≥ 2. The frame is
-/// dense (every pixel under several ROIs of most roles) and its 65,600
-/// values cut into bands whose edges fall inside the shadows' 1024-value
-/// dirty words at any lane count, so extracted runs straddle band edges
-/// and get split between bands; the closeness check against the reference
-/// catches a value lost at a band edge.
+/// DESIGN §8's claim: the deposit pass adds every block in index order,
+/// so the batched image is the reference image at every worker count. The
+/// frame is dense (every pixel under several ROIs) and its 328 rows cut
+/// into bands at every lane count, so ROIs straddle band edges and get
+/// split between bands; a value lost or added twice at a band edge flips
+/// bits.
 #[test]
 fn batched_image_bit_identical_across_worker_counts() {
     for sim_kind in ["parallel", "adaptive"] {
         let (w, h) = (200, 328);
         let cat = catalog(4000, w, h);
         let cfg = SimConfig::new(w, h, 10);
-        let first = run(sim_kind, &cat, &cfg, ExecMode::Batched, 2);
         let reference = run(sim_kind, &cat, &cfg, ExecMode::Reference, 2);
-        assert!(
-            starimage::diff::images_close(&reference.image, &first.image, 1e-5, 1e-4),
-            "{sim_kind}: banded merge drifted from the reference image"
-        );
+        let first = run(sim_kind, &cat, &cfg, ExecMode::Batched, 2);
+        if simd_arithmetic(sim_kind, ExecMode::Batched) {
+            assert!(
+                starimage::diff::images_close(&reference.image, &first.image, 1e-5, 1e-4),
+                "{sim_kind}: simd image out of tolerance"
+            );
+        } else {
+            assert!(
+                image_bits(&reference) == image_bits(&first),
+                "{sim_kind}: the banded deposit differs from the reference image"
+            );
+        }
         for workers in [2, 3, 4, 7, 15] {
             let other = run(sim_kind, &cat, &cfg, ExecMode::Batched, workers);
-            assert_eq!(
-                image_bits(&first),
-                image_bits(&other),
+            assert!(
+                image_bits(&first) == image_bits(&other),
                 "{sim_kind}: workers=2 and workers={workers} images differ"
             );
             assert_eq!(kernel_counters(&first), kernel_counters(&other));
@@ -284,17 +349,22 @@ fn batched_image_bit_identical_across_worker_counts() {
 }
 
 #[test]
-fn multi_worker_batched_image_close_to_reference() {
-    // Across worker counts the merge order changes, so bits may differ —
-    // but only by f32 summation reassociation.
+fn multi_worker_batched_image_equals_reference() {
     for sim_kind in ["parallel", "adaptive"] {
         let cat = catalog(200, 96, 64);
         let cfg = SimConfig::new(96, 64, 10);
         let reference = run(sim_kind, &cat, &cfg, ExecMode::Reference, 1);
         let batched = run(sim_kind, &cat, &cfg, ExecMode::Batched, 4);
-        assert!(
-            starimage::diff::images_close(&reference.image, &batched.image, 1e-6, 1e-5),
-            "{sim_kind}: multi-worker batched image drifted from reference"
-        );
+        if simd_arithmetic(sim_kind, ExecMode::Batched) {
+            assert!(
+                starimage::diff::images_close(&reference.image, &batched.image, 1e-6, 1e-5),
+                "{sim_kind}: simd image out of tolerance"
+            );
+        } else {
+            assert!(
+                image_bits(&reference) == image_bits(&batched),
+                "{sim_kind}: multi-worker batched image differs from the reference"
+            );
+        }
     }
 }
