@@ -36,9 +36,10 @@ use std::time::{Duration, Instant};
 use gpusim::telemetry::now_us;
 use gpusim::{DeviceSpec, DeviceUtilization, GpuDiagnostics, UtilizationSink, VirtualGpu};
 use starfield::dynamics::AttitudeDynamics;
+use starfield::fov::SkyCatalog;
 use starfield::generator::synthetic_sky;
 use starfield::projection::Camera;
-use starfield::Attitude;
+use starfield::{Attitude, FieldError};
 
 use crate::admission::{AdmissionConfig, AdmissionController, Permit, ShedLevel};
 use crate::error::SimError;
@@ -64,6 +65,69 @@ pub fn digest_fold(mut hash: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         hash ^= u64::from(b);
         hash = hash.wrapping_mul(FNV_PRIME);
+    }
+    hash
+}
+
+/// `ZERO_RUN_POW[k]` = `FNV_PRIME^(4·2^k)`: the fold of `2^k` pixels whose
+/// bit pattern is 0 (`4·2^k` zero bytes).
+const ZERO_RUN_POW: [u64; 64] = {
+    let mut pow = [0u64; 64];
+    let p2 = FNV_PRIME.wrapping_mul(FNV_PRIME);
+    pow[0] = p2.wrapping_mul(p2);
+    let mut k = 1;
+    while k < 64 {
+        pow[k] = pow[k - 1].wrapping_mul(pow[k - 1]);
+        k += 1;
+    }
+    pow
+};
+
+/// Pixels scanned per zero test: one OR over the chunk, which the compiler
+/// vectorizes, lets a blank stretch of sky skip the per-pixel branch.
+const ZERO_SCAN: usize = 16;
+
+/// Folds a frame's pixels into the digest, exactly as [`digest_fold`] over
+/// every pixel's little-endian bytes would. FNV-1a's xor with a zero byte
+/// is a no-op, so a run of `n` `+0.0` pixels folds as one multiply by
+/// `FNV_PRIME^(4n)`, taken from `ZERO_RUN_POW` one set bit of `n` at a
+/// time; `-0.0` and every other non-zero pattern folds byte by byte.
+pub fn digest_frame(mut hash: u64, pixels: &[f32]) -> u64 {
+    let mut run = 0;
+    let mut chunks = pixels.chunks_exact(ZERO_SCAN);
+    for chunk in &mut chunks {
+        if chunk.iter().fold(0, |any, px| any | px.to_bits()) == 0 {
+            run += ZERO_SCAN;
+        } else {
+            hash = fold_pixels(hash, &mut run, chunk);
+        }
+    }
+    hash = fold_pixels(hash, &mut run, chunks.remainder());
+    fold_zero_run(hash, run)
+}
+
+/// Folds `pixels` one at a time: a `+0.0` pixel extends the pending zero
+/// `run`, any other pixel folds the run and then its own four bytes.
+fn fold_pixels(mut hash: u64, run: &mut usize, pixels: &[f32]) -> u64 {
+    for px in pixels {
+        let bits = px.to_bits();
+        if bits == 0 {
+            *run += 1;
+        } else {
+            hash = digest_fold(
+                fold_zero_run(hash, std::mem::take(run)),
+                &bits.to_le_bytes(),
+            );
+        }
+    }
+    hash
+}
+
+/// Folds `pixels` pixels whose bit pattern is 0: one multiply per set bit.
+fn fold_zero_run(mut hash: u64, mut pixels: usize) -> u64 {
+    while pixels != 0 {
+        hash = hash.wrapping_mul(ZERO_RUN_POW[pixels.trailing_zeros() as usize]);
+        pixels &= pixels - 1;
     }
     hash
 }
@@ -515,6 +579,24 @@ fn handle_message(
     }
 }
 
+/// The deterministic scene a session opened for `spec` renders:
+/// `spec.seed` fixes the sky, the camera spans a 10° FOV, and the platform
+/// drifts gently enough that the smear PSF stays disengaged (a requirement
+/// of [`FrameSequencer::on_session`]). Public so that a served frame can be
+/// rendered again in process, outside the server.
+pub fn session_scene(
+    spec: &SessionSpec,
+) -> Result<(SkyCatalog, Camera, AttitudeDynamics), FieldError> {
+    let sky = synthetic_sky(spec.stars as usize, 0.0, 6.0, spec.seed);
+    let camera = Camera::from_fov(
+        10.0f64.to_radians(),
+        spec.width as usize,
+        spec.height as usize,
+    )?;
+    let dynamics = AttitudeDynamics::new(Attitude::pointing(1.0, 0.2, 0.0), [5e-4, 0.0, 0.0]);
+    Ok((sky, camera, dynamics))
+}
+
 fn handle_open(
     spec: SessionSpec,
     request_id: u64,
@@ -565,19 +647,10 @@ fn handle_open(
         Err(e) => return reject(shared, RejectCode::Internal, 0, e.to_string()),
     };
     let lut_cache_hit = session.lut_cache_hit();
-    // The server's deterministic scene: spec.seed fixes the sky, the
-    // camera spans a 10° FOV, and the platform drifts gently enough that
-    // the smear PSF stays disengaged (a requirement of on_session).
-    let sky = synthetic_sky(spec.stars as usize, 0.0, 6.0, spec.seed);
-    let camera = match Camera::from_fov(
-        10.0f64.to_radians(),
-        spec.width as usize,
-        spec.height as usize,
-    ) {
-        Ok(camera) => camera,
+    let (sky, camera, dynamics) = match session_scene(&spec) {
+        Ok(scene) => scene,
         Err(e) => return reject(shared, RejectCode::BadRequest, 0, e.to_string()),
     };
-    let dynamics = AttitudeDynamics::new(Attitude::pointing(1.0, 0.2, 0.0), [5e-4, 0.0, 0.0]);
     let seq = match FrameSequencer::on_session(
         session,
         sky,
@@ -669,9 +742,7 @@ fn handle_render(
     let result = state
         .seq
         .run_frames_observed(frames as usize, &token, |frame| {
-            for px in frame.pixels {
-                digest = digest_fold(digest, &px.to_bits().to_le_bytes());
-            }
+            digest = digest_frame(digest, frame.pixels);
             completed += 1;
             app_time_us += (frame.timing.app_time_s * 1e6) as u64;
         });
@@ -1121,6 +1192,136 @@ mod tests {
         let once = digest_fold(DIGEST_SEED, b"starsimd");
         let split = digest_fold(digest_fold(DIGEST_SEED, b"star"), b"simd");
         assert_eq!(once, split);
+    }
+
+    /// The fold `digest_frame` must equal: every pixel's bytes, one by one.
+    fn bytewise(hash: u64, pixels: &[f32]) -> u64 {
+        pixels
+            .iter()
+            .fold(hash, |h, px| digest_fold(h, &px.to_bits().to_le_bytes()))
+    }
+
+    fn lit(n: usize) -> Vec<f32> {
+        (0..n).map(|i| 0.25 + i as f32).collect()
+    }
+
+    #[test]
+    fn zero_run_powers_fold_their_zero_bytes() {
+        for (k, &pow) in ZERO_RUN_POW.iter().enumerate().take(12) {
+            let zeros = vec![0u8; 4 << k];
+            assert_eq!(7u64.wrapping_mul(pow), digest_fold(7, &zeros), "k = {k}");
+        }
+    }
+
+    #[test]
+    fn digest_frame_folds_zero_runs_anywhere_like_the_bytewise_fold() {
+        let runs = [
+            0,
+            1,
+            2,
+            ZERO_SCAN - 1,
+            ZERO_SCAN,
+            ZERO_SCAN + 1,
+            2 * ZERO_SCAN + 3,
+            1000,
+        ];
+        // Prefixes up to a chunk and a pixel long shift the run across
+        // every chunk alignment; no prefix puts it at the start and no
+        // suffix at the end of the frame.
+        for before in 0..=ZERO_SCAN + 1 {
+            for run in runs {
+                for after in [0, 1, 3, ZERO_SCAN + 2] {
+                    let mut frame = lit(before);
+                    frame.resize(frame.len() + run, 0.0);
+                    frame.extend(lit(after));
+                    assert_eq!(
+                        digest_frame(DIGEST_SEED, &frame),
+                        bytewise(DIGEST_SEED, &frame),
+                        "{before} lit, {run} zero, {after} lit"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn digest_frame_handles_empty_blank_and_fully_lit_frames() {
+        assert_eq!(digest_frame(DIGEST_SEED, &[]), DIGEST_SEED);
+        for n in [1, ZERO_SCAN, 4099, 64 * 64] {
+            let blank = vec![0.0f32; n];
+            assert_eq!(
+                digest_frame(DIGEST_SEED, &blank),
+                bytewise(DIGEST_SEED, &blank),
+                "{n} blank pixels"
+            );
+            let lit = lit(n);
+            assert_eq!(
+                digest_frame(DIGEST_SEED, &lit),
+                bytewise(DIGEST_SEED, &lit),
+                "{n} lit pixels"
+            );
+        }
+    }
+
+    #[test]
+    fn digest_frame_folds_negative_zero_nans_and_subnormals_bytewise() {
+        let odd = [
+            -0.0,
+            f32::from_bits(0x7fc0_0001), // quiet NaN with a payload
+            f32::from_bits(0x7f80_0001), // signalling NaN
+            f32::from_bits(0xffc0_0000), // negative NaN
+            f32::from_bits(1),           // smallest subnormal
+            f32::from_bits(0x8000_0001), // negative subnormal
+            f32::from_bits(0x0000_0100), // subnormal with zero low bytes
+            f32::MIN_POSITIVE / 2.0,
+        ];
+        for &px in &odd {
+            for run in [0, 1, ZERO_SCAN + 5] {
+                let mut frame = vec![0.0f32; run];
+                frame.push(px);
+                frame.resize(frame.len() + run, 0.0);
+                frame.push(px);
+                assert_eq!(
+                    digest_frame(DIGEST_SEED, &frame),
+                    bytewise(DIGEST_SEED, &frame),
+                    "{:#010x} between runs of {run}",
+                    px.to_bits()
+                );
+            }
+        }
+        // A frame of nothing but -0.0 has no zero run at all.
+        let negative = vec![-0.0f32; 3 * ZERO_SCAN];
+        assert_eq!(
+            digest_frame(DIGEST_SEED, &negative),
+            bytewise(DIGEST_SEED, &negative)
+        );
+        assert_ne!(
+            digest_frame(DIGEST_SEED, &negative),
+            digest_frame(DIGEST_SEED, &[0.0; 3 * ZERO_SCAN]),
+            "-0.0 must not fold as +0.0"
+        );
+    }
+
+    #[test]
+    fn digest_frame_is_split_invariant() {
+        // Lit pixels, -0.0 and zero runs shorter and longer than a chunk.
+        let mut frame = lit(3);
+        frame.extend([0.0; 5]);
+        frame.push(-0.0);
+        frame.extend([0.0; ZERO_SCAN + 4]);
+        frame.extend(lit(2));
+        frame.extend([0.0; 2 * ZERO_SCAN]);
+        frame.push(f32::from_bits(1));
+        let whole = digest_frame(DIGEST_SEED, &frame);
+        assert_eq!(whole, bytewise(DIGEST_SEED, &frame));
+        for split in 0..=frame.len() {
+            let (a, b) = frame.split_at(split);
+            assert_eq!(
+                digest_frame(digest_frame(DIGEST_SEED, a), b),
+                whole,
+                "split at {split}"
+            );
+        }
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! The span layer: RAII guard objects recording named, nested wall-clock
-//! intervals onto a shared [`Telemetry`](super::Telemetry) sink.
+//! intervals onto a shared [`Telemetry`] sink.
 //!
 //! Nesting is tracked per thread with a thread-local parent stack, so a
 //! span opened while another is live becomes its child without the call

@@ -32,7 +32,7 @@
 //! charges at execution time — [`crate::warp::coalesce_transactions`],
 //! [`crate::warp::bank_conflict_extra`],
 //! [`crate::warp::atomic_serialization_extra`], and
-//! [`crate::timing::occupancy`] — so static predictions and dynamic
+//! [`crate::timing::occupancy()`] — so static predictions and dynamic
 //! counters agree by construction wherever the sampled blocks are
 //! representative. The consistency gate (`bench --analyze`) compares
 //! *ratios* (transactions **per request**, conflict extra **per

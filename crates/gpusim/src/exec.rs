@@ -400,7 +400,7 @@ impl VirtualGpu {
 
     /// Attaches a utilization accumulator: every subsequent launch folds
     /// its modeled profile (occupancy, cycle breakdown, cache/memory
-    /// counters) into the shared [`DeviceUtilization`] aggregate. All
+    /// counters) into the shared [`crate::DeviceUtilization`] aggregate. All
     /// inputs are modeled, so the aggregate is bit-identical across host
     /// worker counts for the same workload.
     pub fn with_utilization(mut self, sink: Arc<UtilizationSink>) -> Self {
@@ -731,7 +731,12 @@ impl VirtualGpu {
             }
         }
 
-        let armed = self.fault.as_ref().map(|f| f.arm());
+        // Only a batched counter pass running pooled on ≥ 2 workers has a
+        // worker lane to stall; anywhere else a stuck-lane spec stays
+        // pending instead of counting as a fault that never happened.
+        let lane_can_stall =
+            mode == ExecMode::Batched && !self.use_spawn() && self.batched_workers(&cfg) >= 2;
+        let armed = self.fault.as_ref().map(|f| f.arm(lane_can_stall));
         if let Some(a) = &armed {
             self.last_armed.store(a.launch + 1, Ordering::Relaxed);
         }
@@ -820,16 +825,21 @@ impl VirtualGpu {
         }
     }
 
+    /// Workers the batched counter pass runs on: one per SM with a block,
+    /// at most the device's worker count.
+    fn batched_workers(&self, cfg: &LaunchConfig) -> usize {
+        let sms = (self.spec.sm_count as usize).min(cfg.total_blocks());
+        self.workers.min(sms.max(1))
+    }
+
     /// Normalizes an injected stall onto a worker lane of this dispatch
     /// (lane 0 is the launching thread and runs the watchdog, so it cannot
-    /// stall). Inert when fewer than 2 workers participate.
+    /// stall). [`Self::launch_mode`] arms a stall only when at least 2
+    /// workers participate.
     fn armed_stall(armed: Option<&ArmedFaults>, workers: usize) -> Option<(usize, Duration)> {
         let a = armed?;
         let lane = a.stall_lane?;
-        if workers < 2 {
-            return None;
-        }
-        Some((1 + lane % (workers - 1), a.stall))
+        (workers >= 2).then(|| (1 + lane % (workers - 1), a.stall))
     }
 
     /// Static-stride dispatch (index `i` → worker `i % workers`, a pure
@@ -871,7 +881,8 @@ impl VirtualGpu {
     /// batched executor's. Worker lanes, the watchdog and injected lane
     /// stalls therefore never reach this executor (nor
     /// [`Self::execute_sanitized`], which shares the schedule), just as
-    /// they never reach a one-worker device.
+    /// they never reach a one-worker device: a stuck-lane spec bound to
+    /// such a launch stays pending in its plan.
     fn execute_reference<K: Kernel>(
         &self,
         kernel: &K,
@@ -997,7 +1008,7 @@ impl VirtualGpu {
         let sm_count = self.spec.sm_count as usize;
         let total_blocks = cfg.total_blocks();
         let sms = sm_count.min(total_blocks);
-        let workers = self.workers.min(sms.max(1));
+        let workers = self.batched_workers(cfg);
         let hazards = AtomicU64::new(0);
         let panic_sm = armed.and_then(|a| a.panic_sm).map(|l| l % sms.max(1));
         // Per-worker counters, merged in worker order below. The short
@@ -1855,6 +1866,50 @@ mod tests {
         let retried = saxpy_frame(&gpu, 4096).expect("retry after rebuild");
         assert_eq!(retried, expected);
         assert_eq!(gpu.diagnostics().pool_rebuilds, 1);
+    }
+
+    /// A stuck lane needs a pooled counter pass on ≥ 2 workers. One worker,
+    /// a one-block launch, the spawn rung and the reference executor have
+    /// no worker lane to stall: the launch runs clean and the spec stays
+    /// pending — not injected, still in `remaining()` — for good.
+    #[test]
+    fn stuck_lane_without_a_lane_to_stall_stays_pending() {
+        let expected = saxpy_frame(&VirtualGpu::gtx480(), 4096).unwrap();
+        let stuck = |workers, mode| {
+            let plan = Arc::new(FaultPlan::single(FaultKind::StuckLane, 0, 1));
+            let gpu = VirtualGpu::gtx480()
+                .with_workers(workers)
+                .with_exec_mode(mode)
+                .with_watchdog(Duration::from_millis(30))
+                .with_fault_plan(Arc::clone(&plan));
+            (plan, gpu)
+        };
+        let cases = [
+            ("one worker", 1, ExecMode::Batched, false, 4096),
+            ("one-block launch", 4, ExecMode::Batched, false, 128),
+            ("spawn rung", 4, ExecMode::Batched, true, 4096),
+            ("reference executor", 4, ExecMode::Reference, false, 4096),
+        ];
+        for (label, workers, mode, spawn, n) in cases {
+            let (plan, gpu) = stuck(workers, mode);
+            gpu.set_dispatch_override(spawn);
+            let image = saxpy_frame(&gpu, n).unwrap_or_else(|e| panic!("{label}: {e}"));
+            assert_eq!(image, expected[..n], "{label}");
+            // Launch 1 is pooled and batched, but the spec is bound to
+            // launch 0: it is not deferred.
+            gpu.set_dispatch_override(false);
+            let gpu = gpu.with_exec_mode(ExecMode::Batched);
+            saxpy_frame(&gpu, 4096).unwrap_or_else(|e| panic!("{label}, launch 1: {e}"));
+            assert_eq!(plan.injected(), 0, "{label}: nothing was injected");
+            assert_eq!(plan.remaining(), 1, "{label}: the spec stays pending");
+            assert_eq!(gpu.diagnostics().timeouts, 0, "{label}");
+        }
+
+        // The control: a pooled counter pass on 4 workers takes the spec.
+        let (plan, gpu) = stuck(4, ExecMode::Batched);
+        let err = saxpy_frame(&gpu, 4096).expect_err("the lane stalls");
+        assert!(matches!(err, GpuError::LaunchTimeout { .. }), "got {err:?}");
+        assert_eq!((plan.injected(), plan.remaining()), (1, 0));
     }
 
     #[test]

@@ -48,8 +48,9 @@ pub enum FaultKind {
     /// A worker body panics mid-generation (on the SM named by `lane`).
     WorkerPanic,
     /// A pool lane stalls at a generation boundary long enough to trip the
-    /// launch watchdog. Requires pooled dispatch with ≥ 2 lanes; inert
-    /// under spawn dispatch or on a 1-lane pool.
+    /// launch watchdog. Only a batched launch whose counter pass runs
+    /// pooled on ≥ 2 workers has a lane to stall; at any other launch the
+    /// spec stays pending (see [`FaultPlan::arm`]).
     StuckLane,
     /// A device allocation (star upload) reports out-of-memory.
     AllocOom,
@@ -197,8 +198,13 @@ impl FaultPlan {
     }
 
     /// Advances the launch counter and resolves this launch's in-launch
-    /// faults. Called by the executor at launch entry.
-    pub fn arm(&self) -> ArmedFaults {
+    /// faults. Called by the executor at launch entry; `lane_can_stall`
+    /// says whether the launch has a worker lane a [`FaultKind::StuckLane`]
+    /// can stall. When it has none, the stuck-lane spec is left pending —
+    /// not counted by [`Self::injected`], still listed by
+    /// [`Self::remaining`] — and, being bound to this launch index, never
+    /// fires later, so the schedule does not depend on the worker count.
+    pub fn arm(&self, lane_can_stall: bool) -> ArmedFaults {
         let launch = self.next_launch.fetch_add(1, Ordering::Relaxed);
         let mut armed = ArmedFaults {
             launch,
@@ -208,8 +214,10 @@ impl FaultPlan {
         if let Some(spec) = self.take(FaultKind::WorkerPanic, launch) {
             armed.panic_sm = Some(spec.lane);
         }
-        if let Some(spec) = self.take(FaultKind::StuckLane, launch) {
-            armed.stall_lane = Some(spec.lane);
+        if lane_can_stall {
+            if let Some(spec) = self.take(FaultKind::StuckLane, launch) {
+                armed.stall_lane = Some(spec.lane);
+            }
         }
         armed
     }
@@ -267,7 +275,7 @@ mod tests {
         let plan = FaultPlan::none();
         assert_eq!(plan.remaining(), 0);
         assert!(!plan.verify_transfers());
-        let armed = plan.arm();
+        let armed = plan.arm(true);
         assert_eq!(armed.launch, 0);
         assert!(armed.panic_sm.is_none() && armed.stall_lane.is_none());
         assert_eq!(plan.injected(), 0);
@@ -276,12 +284,38 @@ mod tests {
     #[test]
     fn single_fault_fires_once_at_its_launch() {
         let plan = FaultPlan::single(FaultKind::WorkerPanic, 2, 5);
-        assert!(plan.arm().panic_sm.is_none(), "launch 0 clean");
-        assert!(plan.arm().panic_sm.is_none(), "launch 1 clean");
-        assert_eq!(plan.arm().panic_sm, Some(5), "launch 2 faulted");
-        assert!(plan.arm().panic_sm.is_none(), "one-shot: launch 3 clean");
+        assert!(plan.arm(true).panic_sm.is_none(), "launch 0 clean");
+        assert!(plan.arm(true).panic_sm.is_none(), "launch 1 clean");
+        assert_eq!(plan.arm(true).panic_sm, Some(5), "launch 2 faulted");
+        assert!(
+            plan.arm(true).panic_sm.is_none(),
+            "one-shot: launch 3 clean"
+        );
         assert_eq!(plan.injected(), 1);
         assert_eq!(plan.remaining(), 0);
+    }
+
+    #[test]
+    fn a_stuck_lane_without_a_lane_to_stall_stays_pending() {
+        let stuck = |launch| FaultSpec {
+            launch,
+            lane: 1,
+            kind: FaultKind::StuckLane,
+        };
+        let panic = FaultSpec {
+            launch: 0,
+            lane: 3,
+            kind: FaultKind::WorkerPanic,
+        };
+        let plan = FaultPlan::from_specs(vec![stuck(0), panic, stuck(1)]);
+        let armed = plan.arm(false);
+        assert_eq!(armed.panic_sm, Some(3), "other kinds still fire");
+        assert_eq!(armed.stall_lane, None);
+        assert_eq!((plan.injected(), plan.remaining()), (1, 2));
+        // Not deferred: launch 1 takes only its own spec.
+        assert_eq!(plan.arm(true).stall_lane, Some(1));
+        assert_eq!(plan.arm(true).stall_lane, None);
+        assert_eq!((plan.injected(), plan.remaining()), (2, 1));
     }
 
     #[test]
@@ -306,7 +340,7 @@ mod tests {
         assert!(plan
             .take(FaultKind::AllocOom, plan.upcoming_launch())
             .is_none());
-        let _ = plan.arm();
+        let _ = plan.arm(true);
         assert!(plan
             .take(FaultKind::TransferCorrupt, plan.completed_launch().unwrap())
             .is_none());
@@ -314,7 +348,7 @@ mod tests {
         assert!(plan
             .take(FaultKind::AllocOom, plan.upcoming_launch())
             .is_some());
-        let _ = plan.arm();
+        let _ = plan.arm(true);
         assert!(plan
             .take(FaultKind::TransferCorrupt, plan.completed_launch().unwrap())
             .is_some());

@@ -200,8 +200,8 @@ impl BlockCtx<'_> {
 
 /// Per-thread execution context: identity, shared memory, and event log.
 ///
-/// In sanitized launches the executor attaches [`LaneHooks`] via
-/// [`Self::set_sanitizer`]; every device op then bounds-checks its index
+/// In sanitized launches the executor attaches `LaneHooks` via
+/// `ThreadCtx::set_sanitizer`; every device op then bounds-checks its index
 /// *before* touching memory, reporting out-of-bounds accesses (clamped or
 /// dropped) instead of panicking, so the launch completes and the memcheck
 /// findings reach the report.

@@ -197,7 +197,7 @@ impl CacheSim {
     /// clock of its last access, `clock + last + 1`, the clock and hits
     /// each `len` higher, and the walk's last line as the MRU line — so
     /// that is what the replay writes, one residency check and one stamp
-    /// per distinct line. Otherwise (or past [`WALK_REPLAY_LINES`] lines)
+    /// per distinct line. Otherwise (or past `WALK_REPLAY_LINES` lines)
     /// the walk runs access by access, each run of same-line accesses
     /// folded into one set lookup: after the run's first access its line
     /// is the MRU line, so each repeat is one clock tick, a stamp refresh

@@ -49,7 +49,7 @@
 //!
 //! ## Watchdog and abandonment
 //!
-//! [`WorkerPool::run_guarded`] accepts a deadline; if worker lanes have not
+//! `WorkerPool::run_guarded` accepts a deadline; if worker lanes have not
 //! finished the generation by then, the launching thread *abandons* it and
 //! returns [`PoolTimeout`] instead of blocking forever. Abandonment must be
 //! sound against the lifetime-erased job pointer (it borrows the launching
@@ -64,7 +64,7 @@
 //! as a scoped join would; the injectable stalls used for chaos testing
 //! happen at the generation boundary, where fencing always succeeds).
 //! After a timeout the pool is *poisoned*: abandoned lanes may still be
-//! draining, so no further generation is published — [`WorkerPool::run`]
+//! draining, so no further generation is published — `WorkerPool::run`
 //! falls back to inline execution and the owner is expected to drop and
 //! rebuild the pool (joining the stragglers) before the next launch.
 
@@ -554,7 +554,7 @@ impl WorkerPool {
     }
 
     /// [`Self::parallel_for_static`] with a watchdog `deadline`, an
-    /// optional injected `stall` (see [`Self::run_guarded`]), and work
+    /// optional injected `stall` (see `run_guarded`), and work
     /// stealing between idle lanes: the index → worker mapping and per-role
     /// ascending order are identical (each role is still one worker's whole
     /// stride, executed by exactly one lane), but roles are claimed from a

@@ -207,10 +207,13 @@ pub struct LaunchTrace {
     /// Launch end (host wall clock), microseconds since the epoch.
     pub end_us: u64,
     /// Host dispatch window `[start, end)` in epoch microseconds, if
-    /// the executor stamped one.
+    /// the executor stamped one (on the batched executor's two-pass route,
+    /// the counter pass).
     pub dispatch_us: Option<(u64, u64)>,
-    /// Shadow-merge window `[start, end)` in epoch microseconds, if the
-    /// batched executor stamped one.
+    /// Deposit-pass window `[start, end)` in epoch microseconds: the
+    /// batched executor's second pass, which adds every block into its
+    /// bands of output rows. `None` on a launch without one (the reference
+    /// executors, and kernels on the per-thread route).
     pub merge_us: Option<(u64, u64)>,
     /// Modeled GPU kernel time in seconds (the analytical Fermi model).
     pub modeled_kernel_s: f64,

@@ -11,7 +11,7 @@
 //! for a bright subset, sorted by angle for binary search;
 //! [`PairCatalog::identify`] votes over the observed pairs and returns a
 //! consistent assignment. Verification (e.g. TRIAD + reprojection, see
-//! [`crate::triad`]) is the caller's second stage.
+//! [`triad`](mod@crate::triad)) is the caller's second stage.
 
 use crate::fov::SkyCatalog;
 use crate::star::SkyStar;

@@ -1,7 +1,7 @@
 //! Optimal attitude estimation — Davenport's q-method (the estimator
 //! behind QUEST).
 //!
-//! [`crate::triad`] is exact for two observations but ignores the rest;
+//! [`crate::triad()`] is exact for two observations but ignores the rest;
 //! with many noisy centroids the optimal (Wahba-problem) attitude is the
 //! eigenvector of Davenport's 4×4 `K` matrix for its largest eigenvalue:
 //!

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# Full offline CI gate: format, lint, build, test (unpinned and pinned to
-# one core), a determinism soak, Miri smoke, bench smokes.
+# Full offline CI gate: format, lint, rustdoc, build, test (unpinned and
+# pinned to one core), a determinism soak, Miri smoke, bench smokes.
 #
 # Artefact convention: every BENCH_PR*.json (PR1 executor speedup, PR2
 # sustained throughput — historical, its experiment is gone and
@@ -25,8 +25,13 @@ cargo fmt --check
 echo "== cargo clippy --workspace -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "== cargo build --release"
-cargo build --release
+echo "== cargo doc --workspace --no-deps (rustdoc warnings are errors)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
+
+# --workspace: the bench smokes below run target/release/starsim-bench,
+# which lives in crates/bench, outside the root package.
+echo "== cargo build --release --workspace"
+cargo build --release --workspace
 
 echo "== cargo test -q --workspace"
 cargo test -q --workspace
@@ -48,9 +53,10 @@ fi
 # that depends on thread scheduling fails CI here instead of in 1 run in
 # k. Each rerun is time-boxed so a wedged run fails loudly, not hangs.
 # The server suite's chaos matrix has two tenants sharing one fault plan;
-# the telemetry suite pins the setup span tree; the chaos and telemetry
-# matrices run at 1, 2, the host's cores and 15 workers; the analyze
-# suite compares reports across workers and backends; cross_simulator
+# the telemetry suite pins the setup span tree and the device utilization
+# signature; the chaos, telemetry and analyze suites run at 1, 2, the
+# host's cores and 15 workers (tests/common), the analyze suite comparing
+# its reports across those counts and both backends; cross_simulator
 # compares the parallel and sequential images bit for bit.
 echo "== determinism soak: sanitizer + exec_modes + pipeline + chaos + server + telemetry + analyze + cross_simulator suites, 10 unpinned reruns"
 for i in $(seq 1 10); do

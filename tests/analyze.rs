@@ -20,6 +20,9 @@ use gpusim::{GpuError, KernelBackend, LaunchConfig, LintLevel, VirtualGpu};
 use starfield::FieldGenerator;
 use starsim_core::{analysis, AdaptiveSession, SimConfig};
 
+mod common;
+use common::worker_counts;
+
 fn config(w: usize, h: usize, roi: usize) -> SimConfig {
     SimConfig::new(w, h, roi)
 }
@@ -142,7 +145,7 @@ fn production_kernels_are_clean_and_within_tolerance() {
 fn reports_bit_identical_across_workers_and_backends() {
     let cat = catalog(128, 48);
     let mut baseline: Option<Vec<String>> = None;
-    for workers in [1usize, 4] {
+    for workers in worker_counts() {
         for backend in [KernelBackend::Scalar, KernelBackend::Simd] {
             let mut cfg = config(128, 128, 10);
             cfg.workers = Some(workers);

@@ -15,17 +15,10 @@ use starsim::sim::{
     ResilienceReport, RetryPolicy, Rung, SessionSetup, SimConfig, SimError, Simulator,
 };
 
-const FRAMES: usize = 3;
+mod common;
+use common::worker_counts;
 
-/// The worker counts every matrix runs at: one worker (no lane to stall),
-/// two, the host's cores, and one per SM of the GTX480.
-fn worker_counts() -> Vec<usize> {
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let mut counts = vec![1, 2, cores.min(15), 15];
-    counts.sort_unstable();
-    counts.dedup();
-    counts
-}
+const FRAMES: usize = 3;
 
 fn cfg(workers: usize) -> SimConfig {
     let mut c = SimConfig::new(128, 128, 10);
@@ -95,9 +88,11 @@ fn chaos_matrix_adaptive_session_recovers_bit_identically() {
                 expected, got,
                 "{label}: recovered frames must be bit-identical to the fault-free run"
             );
-            // Spent, not necessarily fired: see the one-worker
-            // `StuckLane` arm below.
-            assert_eq!(plan.remaining(), 0, "{label}: the fault must be spent");
+            // One worker dispatches inline: a `StuckLane` spec has no lane
+            // to stall, so it stays pending; every other fault fires.
+            let no_lane = kind == FaultKind::StuckLane && workers == 1;
+            assert_eq!(plan.remaining(), usize::from(no_lane), "{label}");
+            assert_eq!(plan.injected(), u64::from(!no_lane), "{label}");
 
             let r = session.resilience_report();
             assert_eq!(r.frames, FRAMES as u64, "{label}");
@@ -108,11 +103,8 @@ fn chaos_matrix_adaptive_session_recovers_bit_identically() {
                     assert_eq!(r.rung_frames, [2, 1, 0, 0], "{label}");
                 }
                 FaultKind::StuckLane if workers == 1 => {
-                    // One worker dispatches inline: no lane to stall. This
-                    // arm pins a known defect (CHANGES.md, FOUND:
-                    // `armed_stall`): the spec is consumed but stalls
-                    // nothing. A fix that stalls or keeps it changes this
-                    // arm on purpose.
+                    // The spec stayed pending (asserted above): no frame
+                    // stalled or retried.
                     assert_eq!((r.retries, r.timeouts), (0, 0), "{label}");
                     assert_eq!(r.rung_frames, [3, 0, 0, 0], "{label}");
                 }
@@ -210,10 +202,11 @@ fn chaos_matrix_simd_backend_recovers_bit_identically() {
                 expected, got,
                 "{label}: simd recovery must be bit-identical to the scalar fault-free run"
             );
-            // Spent, not necessarily fired: at one worker a `StuckLane`
-            // spec is consumed without a stall (CHANGES.md, FOUND:
-            // `armed_stall`).
-            assert_eq!(plan.remaining(), 0, "{label}: the fault must be spent");
+            // Fired, except a `StuckLane` spec at one worker: with no lane
+            // to stall it stays pending.
+            let no_lane = kind == FaultKind::StuckLane && workers == 1;
+            assert_eq!(plan.remaining(), usize::from(no_lane), "{label}");
+            assert_eq!(plan.injected(), u64::from(!no_lane), "{label}");
             let r = session.resilience_report();
             assert_eq!(r.frames, FRAMES as u64, "{label}");
             assert_eq!(r.exhausted, 0, "{label}");
@@ -275,12 +268,10 @@ fn chaos_matrix_parallel_simulator_recovers_bit_identically() {
                     assert_eq!(report.rung_frames, [3, 0, 0, 0], "{label}");
                 }
                 FaultKind::StuckLane if workers == 1 => {
-                    // One worker dispatches inline: no lane to stall. This
-                    // arm pins a known defect (CHANGES.md, FOUND:
-                    // `armed_stall`): the spec is consumed but stalls
-                    // nothing. A fix that stalls or keeps it changes this
-                    // arm on purpose.
-                    assert_eq!(plan.remaining(), 0, "{label}");
+                    // One worker dispatches inline: no lane to stall, so
+                    // the spec stays pending and every frame runs clean.
+                    assert_eq!(plan.remaining(), 1, "{label}");
+                    assert_eq!(plan.injected(), 0, "{label}");
                     assert_eq!(report.retries, 0, "{label}");
                     assert_eq!(report.rung_frames, [3, 0, 0, 0], "{label}");
                 }
@@ -360,8 +351,11 @@ fn seeded_fault_plan_completes_all_frames_bit_identically() {
         let r = session.resilience_report();
         assert_eq!(r.frames, N as u64);
         assert_eq!(r.exhausted, 0, "the seeded plan must never exhaust retries");
-        assert_eq!(plan.remaining(), 0, "every planned fault fires: {r:?}");
-        assert_eq!(plan.injected(), 5);
+        // Every planned fault fires, except the `StuckLane` one at one
+        // worker: with no lane to stall it stays pending.
+        let pending = usize::from(workers == 1);
+        assert_eq!(plan.remaining(), pending, "workers {workers}: {r:?}");
+        assert_eq!(plan.injected(), 5 - pending as u64, "workers {workers}");
         assert_eq!(
             r.rung_frames[2] + r.rung_frames[3],
             0,

@@ -1,25 +1,21 @@
 //! End-to-end telemetry contract: spans nest, the span tree is
 //! deterministic for a fixed seed, LutCache stats surface through the
 //! session, the throughput report carries device diagnostics, and the
-//! exported Chrome trace parses back with the expected shape — at every
-//! worker count of [`worker_counts`].
+//! exported Chrome trace parses back with the expected shape, and the
+//! device's utilization aggregate is bit-identical — at every worker
+//! count of [`worker_counts`].
 
 use std::sync::Arc;
 
-use starsim::field::FieldGenerator;
-use starsim::gpu::VirtualGpu;
+use starsim::field::dynamics::AttitudeDynamics;
+use starsim::field::generator::synthetic_sky;
+use starsim::field::{Attitude, Camera, FieldGenerator};
+use starsim::gpu::{DeviceSpec, UtilizationSink, VirtualGpu};
 use starsim::sim::telemetry::{chrome_trace_json, parse_json, JsonValue, Telemetry};
-use starsim::sim::{AdaptiveSession, LutCache, LutSource, SessionSetup, SimConfig};
+use starsim::sim::{AdaptiveSession, FrameSequencer, LutCache, LutSource, SessionSetup, SimConfig};
 
-/// One worker (no pool lanes), two, the host's cores, and one per SM of
-/// the GTX480.
-fn worker_counts() -> Vec<usize> {
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let mut counts = vec![1, 2, cores.min(15), 15];
-    counts.sort_unstable();
-    counts.dedup();
-    counts
-}
+mod common;
+use common::worker_counts;
 
 fn cfg(workers: usize) -> SimConfig {
     let mut c = SimConfig::new(128, 128, 10);
@@ -153,4 +149,39 @@ fn exported_trace_checks(workers: usize) {
         workers > 1,
         "workers {workers}: lane rings contribute instants iff lanes run"
     );
+}
+
+/// A seeded 3-frame burst leaves the same [`DeviceUtilization`] aggregate
+/// — modeled time, stall breakdown, occupancy, cache and memory counters,
+/// compared bit for bit through `signature()` — at every worker count.
+///
+/// [`DeviceUtilization`]: starsim::gpu::DeviceUtilization
+#[test]
+fn utilization_signature_is_identical_across_worker_counts() {
+    let signature = |workers| {
+        let sink = Arc::new(UtilizationSink::new(&DeviceSpec::gtx480()));
+        let gpu = VirtualGpu::gtx480().with_utilization(Arc::clone(&sink));
+        let mut seq = FrameSequencer::open(
+            gpu,
+            SessionSetup::default(),
+            synthetic_sky(4_000, 0.0, 6.0, 29),
+            Camera::from_fov(10.0f64.to_radians(), 128, 128).unwrap(),
+            AttitudeDynamics::new(Attitude::pointing(1.0, 0.2, 0.0), [0.002, 0.0, 0.0]),
+            cfg(workers),
+            0.1,
+            0.5,
+        )
+        .expect("sequencer");
+        seq.run_frames(3).expect("burst");
+        sink.snapshot().signature()
+    };
+    let counts = worker_counts();
+    let first = signature(counts[0]);
+    assert!(
+        first.contains("launches=3 "),
+        "one launch per frame: {first}"
+    );
+    for &workers in &counts[1..] {
+        assert_eq!(signature(workers), first, "workers {workers}");
+    }
 }
