@@ -2,15 +2,14 @@
 //! gate, answered in one run and recorded in `BENCH_PR10.json`:
 //!
 //! 1. **Do the predictions hold?** The static pass runs over all three
-//!    production kernels × both arithmetic backends; its coalescing,
+//!    production kernels; its coalescing,
 //!    bank-conflict, texture and occupancy predictions must agree with
 //!    the dynamic `CacheSim`/counter measurements of the *same* launch
 //!    within the documented tolerances (`COALESCE_TOL`, `BANK_TOL`,
 //!    `TEX_HIT_TOL`; occupancy exactly) — and every production kernel
 //!    must be clean at `deny` level (`"gate_ok": true`).
 //! 2. **Is the analysis deterministic?** Reports must be bit-identical
-//!    across host worker counts (1 vs 4) and across Scalar/Simd backends
-//!    (`"determinism_ok": true`).
+//!    across host worker counts (1 vs 4) (`"determinism_ok": true`).
 //! 3. **Does it catch real defects?** Every perf-defect corpus kernel
 //!    (uncoalesced / bank-conflict / working-set-blowout) must be flagged
 //!    with a deny of its expected class and rejected by the pre-launch
@@ -22,7 +21,7 @@
 
 use gpusim::analyze::{analyze_kernel, BANK_TOL, COALESCE_TOL, TEX_HIT_TOL};
 use gpusim::sanitize::corpus;
-use gpusim::{KernelBackend, LaunchConfig, VirtualGpu};
+use gpusim::{LaunchConfig, VirtualGpu};
 use starfield::catalog::StarCatalog;
 use starfield::FieldGenerator;
 use starsim_core::{analysis, AdaptiveSession, KernelAudit};
@@ -47,7 +46,6 @@ fn catalog(size: usize, stars: usize, seed: u64) -> StarCatalog {
 /// One audited kernel's gate verdict.
 struct Verdict {
     name: String,
-    backend: &'static str,
     tx_delta: f64,
     shared_delta: f64,
     tex_floor: f64,
@@ -57,7 +55,7 @@ struct Verdict {
     ok: bool,
 }
 
-fn judge(audit: &KernelAudit, backend: &'static str) -> Verdict {
+fn judge(audit: &KernelAudit) -> Verdict {
     let p = &audit.report.prediction;
     let tx_delta = (p.global_tx_per_request - audit.measured_tx_per_request()).abs();
     let shared_delta =
@@ -73,7 +71,6 @@ fn judge(audit: &KernelAudit, backend: &'static str) -> Verdict {
         && tex_measured + TEX_HIT_TOL >= tex_floor;
     Verdict {
         name: audit.name.clone(),
-        backend,
         tx_delta,
         shared_delta,
         tex_floor,
@@ -84,38 +81,25 @@ fn judge(audit: &KernelAudit, backend: &'static str) -> Verdict {
     }
 }
 
-/// Audits the three production kernels under both backends; returns the
-/// per-kernel verdicts.
+/// Audits the three production kernels; returns the per-kernel verdicts.
 fn production_leg(ctx: &Context, size: usize, cat: &StarCatalog) -> Vec<Verdict> {
-    let mut verdicts = Vec::new();
-    for (backend, label) in [
-        (KernelBackend::Scalar, "scalar"),
-        (KernelBackend::Simd, "simd"),
-    ] {
-        let mut config = ctx.sim_config(size, size, ROI_SIDE);
-        config.backend = backend;
-        let audits = analysis::audit_production(&config, cat).expect("audit");
-        verdicts.extend(audits.iter().map(|a| judge(a, label)));
-    }
-    verdicts
+    let config = ctx.sim_config(size, size, ROI_SIDE);
+    let audits = analysis::audit_production(&config, cat).expect("audit");
+    audits.iter().map(judge).collect()
 }
 
-/// Reports must be bit-identical across worker counts and backends. Runs
-/// at a small fixed shape of its own — determinism is shape-independent,
-/// and the sweep re-audits everything 4 times over.
+/// Reports must be bit-identical across worker counts. Runs at a small
+/// fixed shape of its own — determinism is shape-independent.
 fn determinism_leg(ctx: &Context) -> bool {
     let size = 128;
     let cat = catalog(size, 64, ctx.seed);
     let mut variants = Vec::new();
     for workers in [1usize, 4] {
-        for backend in [KernelBackend::Scalar, KernelBackend::Simd] {
-            let mut config = ctx.sim_config(size, size, ROI_SIDE);
-            config.workers = Some(workers);
-            config.backend = backend;
-            let audits = analysis::audit_production(&config, &cat).expect("audit");
-            let rendered: Vec<String> = audits.iter().map(|a| format!("{:?}", a.report)).collect();
-            variants.push(rendered);
-        }
+        let mut config = ctx.sim_config(size, size, ROI_SIDE);
+        config.workers = Some(workers);
+        let audits = analysis::audit_production(&config, &cat).expect("audit");
+        let rendered: Vec<String> = audits.iter().map(|a| format!("{:?}", a.report)).collect();
+        variants.push(rendered);
     }
     variants.windows(2).all(|w| w[0] == w[1])
 }
@@ -191,11 +175,11 @@ pub fn run(ctx: &Context) -> Table {
     let (size, stars) = shape(ctx);
     let cat = catalog(size, stars, ctx.seed);
 
-    eprintln!("analyze: static-vs-dynamic audits over 3 kernels x 2 backends ...");
+    eprintln!("analyze: static-vs-dynamic audits over 3 kernels ...");
     let verdicts = production_leg(ctx, size, &cat);
     let production_ok = verdicts.iter().all(|v| v.ok);
 
-    eprintln!("analyze: determinism sweep (workers 1/4 x scalar/simd) ...");
+    eprintln!("analyze: determinism sweep (workers 1/4) ...");
     let determinism_ok = determinism_leg(ctx);
 
     eprintln!("analyze: perf-defect corpus ...");
@@ -215,11 +199,10 @@ pub fn run(ctx: &Context) -> Table {
         );
     }
 
-    let mut t = Table::new(vec!["kernel", "backend", "static vs dynamic", "verdict"]);
+    let mut t = Table::new(vec!["kernel", "static vs dynamic", "verdict"]);
     for v in &verdicts {
         t.row(vec![
             v.name.clone(),
-            v.backend.to_string(),
             format!(
                 "tx Δ{:.4} · shared Δ{:.4} · tex {:.3}≥{:.3} · occ {}",
                 v.tx_delta,
@@ -238,14 +221,12 @@ pub fn run(ctx: &Context) -> Table {
     for (name, code, denied) in &corpus_rows {
         t.row(vec![
             format!("corpus/{name}"),
-            "-".to_string(),
             format!("expect deny `{code}`"),
             if *denied { "denied" } else { "MISSED" }.to_string(),
         ]);
     }
     t.row(vec![
         "advisor".to_string(),
-        "-".to_string(),
         format!("{advisor_runs} run(s) over {frames} frames"),
         if advisor_ok { "ok" } else { "FAIL" }.to_string(),
     ]);
@@ -256,7 +237,6 @@ pub fn run(ctx: &Context) -> Table {
         &ctx.out_path("BENCH_PR10.json"),
         &[
             ("kernels", Json::Int(3)),
-            ("backends", Json::Int(2)),
             ("image", Json::Int(size as u64)),
             ("stars", Json::Int(stars as u64)),
             ("coalesce_tol", Json::f3(COALESCE_TOL)),

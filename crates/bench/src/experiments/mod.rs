@@ -15,7 +15,6 @@ pub mod pipeline;
 pub mod sanitize;
 pub mod server;
 pub mod session;
-pub mod simd;
 pub mod streams;
 pub mod table3;
 pub mod test1;
@@ -24,7 +23,7 @@ pub mod trace;
 
 use std::path::PathBuf;
 
-use starsim_core::{ExecMode, KernelBackend, SimConfig};
+use starsim_core::{ExecMode, SimConfig};
 
 /// Shared experiment settings.
 #[derive(Debug, Clone)]
@@ -39,11 +38,6 @@ pub struct Context {
     /// Counters and modeled times are identical across modes; only host
     /// wall-clock changes. The `executor` experiment measures both.
     pub exec_mode: ExecMode,
-    /// Arithmetic backend for the batched fast paths (`--backend`).
-    /// Counters and modeled times are identical across backends; the SIMD
-    /// backend trades a documented pixel tolerance for host wall-clock
-    /// (the `simd` experiment measures both and gates the error).
-    pub backend: KernelBackend,
     /// Host worker threads per launch (`--workers`). `None` = auto (one
     /// per available core, capped at the device SM count). Counters and
     /// modeled times are identical for any count; only host wall-clock
@@ -64,7 +58,6 @@ impl Default for Context {
             seed: 2012,
             out_dir: PathBuf::from("results"),
             exec_mode: ExecMode::default(),
-            backend: KernelBackend::default(),
             workers: None,
             trace_path: None,
             metrics: false,
@@ -84,7 +77,6 @@ impl Context {
     pub fn sim_config(&self, width: usize, height: usize, roi_side: usize) -> SimConfig {
         let mut config = SimConfig::new(width, height, roi_side);
         config.exec_mode = self.exec_mode;
-        config.backend = self.backend;
         config.workers = self.workers;
         config
     }
@@ -97,8 +89,8 @@ impl Context {
 /// parallel simulator's ≈270× speedup over a GPU application time of a few
 /// milliseconds implies ≈1.9 s of sequential time, i.e. ≈145 ns per ROI
 /// pixel. Speedups against this *reference* baseline are comparable to the
-/// paper's; speedups against the locally measured sequential time depend on
-/// how fast this host's CPU is.
+/// paper's. The locally measured sequential time is host wall-clock, so no
+/// figure divides it by a modeled GPU time.
 pub const REFERENCE_SEQ_NS_PER_PIXEL: f64 = 145.0;
 
 /// Reference sequential application time for a workload, seconds.

@@ -189,7 +189,7 @@ fn flight_leg(ctx: &Context, quick: bool) -> FlightLeg {
         roi_side: 8,
         stars: if quick { 2_000 } else { 4_000 },
         seed: ctx.seed,
-        backend: ctx.backend as u8,
+        backend: 0,
         tenant: "obsbench".into(),
     };
     let (session, _hit) = client.open_session(&spec).expect("open session");

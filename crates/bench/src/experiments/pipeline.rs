@@ -7,11 +7,10 @@
 //!
 //! * `p99_ok` — p99 frame latency ≤ 39 ms;
 //! * `bit_identical` — burst images, counters and modeled times are
-//!   bit-equal to [`FrameSequencer::next_frame`] across a seed × workers ×
-//!   backend sweep (the invariant `tests/pipeline.rs` checks
-//!   exhaustively).
+//!   bit-equal to [`FrameSequencer::next_frame`] across a seed × workers
+//!   sweep (the invariant `tests/pipeline.rs` checks exhaustively).
 
-use gpusim::{DeviceSpec, KernelBackend, VirtualGpu};
+use gpusim::{DeviceSpec, VirtualGpu};
 use starfield::dynamics::AttitudeDynamics;
 use starfield::{Attitude, Camera, SkyCatalog, SkyStar};
 use starsim_core::{CancelToken, FrameSequencer, SessionSetup, SimConfig, ThroughputReport};
@@ -143,32 +142,25 @@ fn burst_digest(seq: &mut FrameSequencer, frames: usize) -> u64 {
     h
 }
 
-/// Sweeps seed × workers × backend at a small shape and reports whether
-/// every configuration's burst digest matches the sequential one.
+/// Sweeps seed × workers at a small shape and reports whether every
+/// configuration's burst digest matches the sequential one.
 fn identity_sweep(ctx: &Context, seeds: &[u64]) -> (bool, usize) {
     let mut all_equal = true;
     let mut configs = 0;
     for &seed in seeds {
         for &workers in &[2usize, 15] {
-            for backend in [KernelBackend::Scalar, KernelBackend::Simd] {
-                let mut config = ctx.sim_config(256, 256, 10);
-                config.workers = Some(workers);
-                config.backend = backend;
-                let mut reference = sequencer(VirtualGpu::gtx480(), config.clone(), 1024, seed)
-                    .expect("reference sequencer");
-                let mut burst =
-                    sequencer(VirtualGpu::gtx480(), config, 1024, seed).expect("sequencer");
-                let expected = sequential_digest(&mut reference, 3);
-                let got = burst_digest(&mut burst, 3);
-                if expected != got {
-                    eprintln!(
-                        "pipeline: WARNING: identity broken at seed {seed}, \
-                         {workers} workers, {backend:?}"
-                    );
-                    all_equal = false;
-                }
-                configs += 1;
+            let mut config = ctx.sim_config(256, 256, 10);
+            config.workers = Some(workers);
+            let mut reference = sequencer(VirtualGpu::gtx480(), config.clone(), 1024, seed)
+                .expect("reference sequencer");
+            let mut burst = sequencer(VirtualGpu::gtx480(), config, 1024, seed).expect("sequencer");
+            let expected = sequential_digest(&mut reference, 3);
+            let got = burst_digest(&mut burst, 3);
+            if expected != got {
+                eprintln!("pipeline: WARNING: identity broken at seed {seed}, {workers} workers");
+                all_equal = false;
             }
+            configs += 1;
         }
     }
     (all_equal, configs)

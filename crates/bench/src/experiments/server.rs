@@ -50,7 +50,7 @@ fn spec(ctx: &Context, quick: bool, tenant: &str) -> SessionSpec {
         roi_side: 8,
         stars: if quick { 4_000 } else { 8_000 },
         seed: ctx.seed,
-        backend: ctx.backend as u8,
+        backend: 0,
         tenant: tenant.into(),
     }
 }

@@ -3,21 +3,16 @@
 //!
 //! ```text
 //! starsim-bench [--experiment NAME] [--quick] [--seed N] [--out DIR]
-//!               [--exec reference|batched|sanitized] [--backend scalar|simd]
-//!               [--workers N] [--chaos] [--trace PATH] [--metrics] [--sanitize]
-//!               [--pipeline] [--server] [--obsplane] [--analyze]
+//!               [--exec reference|batched|sanitized] [--workers N] [--chaos]
+//!               [--trace PATH] [--metrics] [--sanitize] [--pipeline] [--server]
+//!               [--obsplane] [--analyze]
 //!
 //! NAME ∈ { fig2, fig9, fig10, fig11, fig12, table1, table2,
 //!          fig13, fig14, fig15, fig16, table3, ablation, contention,
 //!          devices, multigpu, streams, session, lutbuild, executor,
-//!          chaos, trace, sanitize, simd, pipeline, server, obsplane,
-//!          analyze, all }
+//!          chaos, trace, sanitize, pipeline, server, obsplane, analyze,
+//!          all }
 //! ```
-//!
-//! `--backend simd` runs every experiment with the lane-oriented batched
-//! fast paths (identical counters and modeled times; bounded pixel error).
-//! The `simd` experiment compares the two backends directly and writes
-//! `BENCH_PR6.json`.
 //!
 //! `--pipeline` is shorthand for `--experiment pipeline`: sustained
 //! bursts of the frame loop, with the overlap accounting, the p99 latency
@@ -41,7 +36,7 @@
 //! `--analyze` is shorthand for `--experiment analyze`: the static
 //! kernel analyzer's consistency gate — static coalescing/bank-conflict/
 //! texture-working-set/occupancy predictions vs dynamic measurements on
-//! all three production kernels x both backends, report determinism,
+//! all three production kernels, report determinism,
 //! the perf-defect corpus, and the advisor-runs-once check (writes
 //! `BENCH_PR10.json`).
 //!
@@ -67,9 +62,9 @@ mod experiments;
 
 use experiments::{
     ablation, analyze, chaos, contention, devices, executor, fig2, lutbuild, multigpu, obsplane,
-    pipeline, sanitize, server, session, simd, streams, table3, test1, test2, trace, Context,
+    pipeline, sanitize, server, session, streams, table3, test1, test2, trace, Context,
 };
-use starsim_core::{ExecMode, KernelBackend};
+use starsim_core::ExecMode;
 
 fn main() {
     let mut ctx = Context::default();
@@ -118,13 +113,6 @@ fn main() {
                 let mode = args.next().unwrap_or_else(|| usage("missing --exec mode"));
                 ctx.exec_mode = ExecMode::parse(&mode)
                     .unwrap_or_else(|| usage(&format!("bad --exec `{mode}`")));
-            }
-            "--backend" => {
-                let b = args
-                    .next()
-                    .unwrap_or_else(|| usage("missing --backend name"));
-                ctx.backend = KernelBackend::parse(&b)
-                    .unwrap_or_else(|| usage(&format!("bad --backend `{b}`")));
             }
             "--workers" => {
                 let n: usize = args
@@ -237,10 +225,6 @@ fn main() {
             "Sanitizer (disabled-overhead gate + clean pass + corpus)",
             sanitize::run(&ctx),
         ),
-        "simd" => section(
-            "SIMD backend (batched wall-clock + pixel-error gate)",
-            simd::run(&ctx),
-        ),
         "pipeline" => section("Frame loop (p99 + bit-identity gates)", pipeline::run(&ctx)),
         "server" => section(
             "Server loadgen (admission + deadline + shedding gates)",
@@ -300,10 +284,6 @@ fn main() {
                 "Sanitizer (disabled-overhead gate + clean pass + corpus)",
                 sanitize::run(&ctx),
             );
-            section(
-                "SIMD backend (batched wall-clock + pixel-error gate)",
-                simd::run(&ctx),
-            );
             section("Frame loop (p99 + bit-identity gates)", pipeline::run(&ctx));
             section(
                 "Server loadgen (admission + deadline + shedding gates)",
@@ -334,12 +314,12 @@ fn usage(error: &str) -> ! {
     }
     eprintln!(
         "usage: starsim-bench [--experiment NAME] [--quick] [--seed N] [--out DIR]\n\
-                      [--exec reference|batched|sanitized] [--backend scalar|simd]\n\
-                      [--workers N] [--trace PATH] [--metrics] [--sanitize] [--pipeline]\n\
-                      [--server] [--obsplane] [--analyze]\n\
+                      [--exec reference|batched|sanitized] [--workers N]\n\
+                      [--trace PATH] [--metrics] [--sanitize] [--pipeline] [--server]\n\
+                      [--obsplane] [--analyze]\n\
          NAME: fig2 fig9 fig10 fig11 fig12 table1 table2 fig13 fig14 fig15 fig16\n\
                table3 ablation contention devices multigpu streams session lutbuild\n\
-               executor chaos trace sanitize simd pipeline server obsplane analyze\n\
+               executor chaos trace sanitize pipeline server obsplane analyze\n\
                all (default)"
     );
     std::process::exit(if error.is_empty() { 0 } else { 2 });

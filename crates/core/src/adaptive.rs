@@ -20,8 +20,8 @@ use std::time::Instant;
 
 use gpusim::memory::global::{GlobalAtomicF32, GlobalBuffer};
 use gpusim::{
-    AppProfile, BlockCtx, DeviceSpec, Dim3, FlopClass, Kernel, KernelBackend, LaunchConfig,
-    Texture, ThreadCtx, VirtualGpu,
+    AppProfile, BlockCtx, DeviceSpec, Dim3, FlopClass, Kernel, LaunchConfig, Texture, ThreadCtx,
+    VirtualGpu,
 };
 use psf::lut::{LookupTable, LutParams};
 use psf::roi::Roi;
@@ -97,8 +97,7 @@ impl<'a> AdaptiveKernel<'a> {
             roi: Roi::new(config.roi_side),
         };
         let cfg = LaunchConfig::star_centric(star_count.max(1), config.roi_side, device)
-            .with_shared_mem(SMEM_WORDS * 4)
-            .with_backend(config.backend);
+            .with_shared_mem(SMEM_WORDS * 4);
         (kernel, cfg)
     }
 }
@@ -260,9 +259,8 @@ impl Kernel for AdaptiveKernel<'_> {
 
     /// Deposit pass: the texels of the star's layer that land in image
     /// rows `rows`, added row by row — LUT row views when the table has
-    /// the ROI's shape, clamped fetches otherwise. Both backends add the
-    /// same table values.
-    fn deposit(&self, block: usize, rows: Range<usize>, _backend: KernelBackend) {
+    /// the ROI's shape, clamped fetches otherwise.
+    fn deposit(&self, block: usize, rows: Range<usize>) {
         if block >= self.star_count {
             return;
         }
@@ -560,28 +558,6 @@ mod tests {
             c.tex_hit_rate() > 0.5,
             "expected cache reuse, hit rate {}",
             c.tex_hit_rate()
-        );
-    }
-
-    #[test]
-    fn simd_backend_is_bit_identical() {
-        // Both backends take the same walk-replay path; values, counters,
-        // and cache hit sequences must be bit-equal.
-        let cfg = small_config();
-        let cat = FieldGenerator::new(64, 64).generate(150, 17);
-        let scalar = AdaptiveSimulator::new().simulate(&cat, &cfg).unwrap();
-        let mut cfg_simd = cfg.clone();
-        cfg_simd.backend = gpusim::KernelBackend::Simd;
-        let simd = AdaptiveSimulator::new().simulate(&cat, &cfg_simd).unwrap();
-        assert_eq!(
-            scalar.profile.kernels[0].counters,
-            simd.profile.kernels[0].counters
-        );
-        let a = scalar.image.data();
-        let b = simd.image.data();
-        assert!(
-            a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits()),
-            "adaptive simd path must be bit-identical"
         );
     }
 

@@ -1,6 +1,6 @@
 //! Simulation configuration shared by all simulators.
 
-use gpusim::{ExecMode, KernelBackend};
+use gpusim::ExecMode;
 use psf::integrated::PsfModel;
 use psf::roi::Roi;
 use psf::IntensityModel;
@@ -56,12 +56,6 @@ pub struct SimConfig {
     /// Both modes yield identical counters and modeled times; `Batched` is
     /// the fast default, `Reference` the per-thread ground truth.
     pub exec_mode: ExecMode,
-    /// Arithmetic backend for the batched executors' interior fast paths.
-    /// `Scalar` (default) is the accuracy baseline; `Simd` evaluates the
-    /// PSF with lane-oriented polynomial kernels. Counters and modeled
-    /// times are bit-equal across backends; only pixel values may differ,
-    /// within the documented tolerance (see `psf::lanes`).
-    pub backend: KernelBackend,
     /// Host worker threads for the executor (`None` = one per host core).
     /// Functional parallelism only — no effect on counters or modeled
     /// times. The device clamps values beyond its SM count with a warning.
@@ -93,7 +87,6 @@ impl Default for SimConfig {
             lut_phases: 1,
             psf: PsfKind::Point,
             exec_mode: ExecMode::default(),
-            backend: KernelBackend::default(),
             workers: None,
             analyze: false,
         }
@@ -261,14 +254,6 @@ mod tests {
         assert_eq!(SimConfig::default().exec_mode, ExecMode::Batched);
         let mut c = SimConfig::default();
         c.exec_mode = ExecMode::Reference;
-        assert!(c.validate().is_ok());
-    }
-
-    #[test]
-    fn backend_defaults_to_scalar() {
-        assert_eq!(SimConfig::default().backend, KernelBackend::Scalar);
-        let mut c = SimConfig::default();
-        c.backend = KernelBackend::Simd;
         assert!(c.validate().is_ok());
     }
 

@@ -14,8 +14,7 @@
 //! [`FrameSequencer::next_frame`] renders one frame with a full report;
 //! [`FrameSequencer::run_frames`] and [`FrameSequencer::run_frames_observed`]
 //! render bursts into one reused pixel buffer. All of them produce the same
-//! images, counters and modeled times for every seed, worker count and
-//! kernel backend.
+//! images, counters and modeled times for every seed and worker count.
 
 use std::sync::Arc;
 use std::time::Instant;

@@ -56,7 +56,7 @@ pub use analysis::{
 pub use config::{PsfKind, SimConfig};
 pub use error::SimError;
 pub use frames::{Frame, FrameSequencer, OverlapReport, PipelinedFrame, ThroughputReport};
-pub use gpusim::{ExecMode, KernelBackend};
+pub use gpusim::ExecMode;
 pub use multi_gpu::MultiGpuSimulator;
 pub use obsplane::{
     FlightEntry, FlightRecorder, MetricsSnapshot, ObsPlane, SeriesRing, SloKind, SloReport, SloSpec,

@@ -225,8 +225,8 @@ fn render_labels(base: &[(String, String)], extra: Option<(&str, &str)>) -> Stri
 
 /// Renders the ring's latest snapshot as Prometheus-style text, plus
 /// per-second rate gauges derived from counter deltas over the whole
-/// retained window. `labels` (tenant, exec mode, backend, shed level,
-/// rung, …) are attached to every sample line.
+/// retained window. `labels` (the server attaches device, shed level,
+/// rung floor and open sessions) are attached to every sample line.
 pub fn expose(snaps: &[MetricsSnapshot], labels: &[(String, String)]) -> String {
     use std::fmt::Write as _;
     let mut out = String::with_capacity(4096);
@@ -907,7 +907,7 @@ mod tests {
         }
         let snaps = vec![MetricsSnapshot::capture(&m)];
         let labels = vec![
-            ("backend".to_string(), "simd".to_string()),
+            ("device".to_string(), "gtx480".to_string()),
             ("shed".to_string(), "full".to_string()),
         ];
         let text = expose(&snaps, &labels);
@@ -938,7 +938,7 @@ mod tests {
         // Every sample line carries the base labels.
         for s in &samples {
             assert!(
-                s.labels.iter().any(|(k, v)| k == "backend" && v == "simd"),
+                s.labels.iter().any(|(k, v)| k == "device" && v == "gtx480"),
                 "{} lost its labels",
                 s.name
             );

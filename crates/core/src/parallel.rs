@@ -19,8 +19,7 @@ use std::time::Instant;
 
 use gpusim::memory::global::{GlobalAtomicF32, GlobalBuffer};
 use gpusim::{
-    AppProfile, BlockCtx, DeviceSpec, Dim3, FlopClass, Kernel, KernelBackend, LaunchConfig,
-    ThreadCtx, VirtualGpu,
+    AppProfile, BlockCtx, DeviceSpec, Dim3, FlopClass, Kernel, LaunchConfig, ThreadCtx, VirtualGpu,
 };
 use psf::integrated::PsfModel;
 use psf::roi::Roi;
@@ -81,8 +80,7 @@ impl<'a> StarCentricKernel<'a> {
             a_factor: config.a_factor,
         };
         let cfg = LaunchConfig::star_centric(star_count.max(1), config.roi_side, device)
-            .with_shared_mem(SMEM_WORDS * 4)
-            .with_backend(config.backend);
+            .with_shared_mem(SMEM_WORDS * 4);
         (kernel, cfg)
     }
 }
@@ -248,66 +246,27 @@ impl Kernel for StarCentricKernel<'_> {
     }
 
     /// Deposit pass: `g·μ` for every pixel of the star's ROI in image
-    /// rows `rows`, added row by row. Scalar evaluates the PSF per pixel,
-    /// exactly as [`Self::run`] does. `Simd` evaluates an interior ROI
-    /// through `psf::lanes` — separable PSFs as an outer product of two
-    /// axis-factor vectors (2·side transcendentals for the whole block
-    /// instead of side²), the others with the lane row evaluator — within
-    /// the bounds documented there; edge ROIs stay scalar.
-    fn deposit(&self, block: usize, rows: Range<usize>, backend: KernelBackend) {
+    /// rows `rows`, evaluated per pixel exactly as [`Self::run`] does and
+    /// added row by row.
+    fn deposit(&self, block: usize, rows: Range<usize>) {
         if block >= self.star_count {
             return;
         }
         let star = self.stars.read(block);
-        let side = self.roi.side();
+        let side = self.roi.side() as i64;
         let (x0, y0) = self.roi.origin(star.x, star.y);
-        let (w, h) = (self.width as i64, self.height as i64);
-        let (xlo, xhi) = (x0.max(0), (x0 + side as i64).min(w));
-        let (ylo, yhi) = (
-            y0.max(rows.start as i64),
-            (y0 + side as i64).min(rows.end as i64),
-        );
+        let (xlo, xhi) = (x0.max(0), (x0 + side).min(self.width as i64));
+        let (ylo, yhi) = (y0.max(rows.start as i64), (y0 + side).min(rows.end as i64));
         if xlo >= xhi || ylo >= yhi {
             return;
         }
         let g = starfield::magnitude::brightness(star.mag, self.a_factor);
-        let interior = x0 >= 0 && y0 >= 0 && x0 + side as i64 <= w && y0 + side as i64 <= h;
-        // Stack buffers cover the 1024-thread launch cap (side ≤ 32).
-        let mut xs = [0.0f32; 32];
-        let mut ys = [0.0f32; 32];
-        let simd = backend == KernelBackend::Simd && interior;
-        let scale = if simd {
-            self.psf.axis_factors(
-                &mut xs[..side],
-                &mut ys[..side],
-                x0 as f32,
-                y0 as f32,
-                star.x,
-                star.y,
-            )
-        } else {
-            None
-        };
+        // A stack row covers the 1024-thread launch cap (side ≤ 32).
         let mut vals = [0.0f32; 32];
         let vals = &mut vals[..(xhi - xlo) as usize];
         for py in ylo..yhi {
-            match scale {
-                Some(scale) => {
-                    let aj = g * scale * ys[(py - y0) as usize];
-                    for (v, &ex) in vals.iter_mut().zip(&xs[..side]) {
-                        *v = aj * ex;
-                    }
-                }
-                None if simd => {
-                    vals.fill(0.0);
-                    self.psf
-                        .accumulate_row(vals, g, x0 as f32, py as f32, star.x, star.y);
-                }
-                None => {
-                    for (v, px) in vals.iter_mut().zip(xlo..) {
-                        *v = g * self.psf.eval(px as f32, py as f32, star.x, star.y);
-                    }
-                }
+            for (v, px) in vals.iter_mut().zip(xlo..) {
+                *v = g * self.psf.eval(px as f32, py as f32, star.x, star.y);
             }
             self.image
                 .merge_add_range(py as usize * self.width + xlo as usize, vals);
@@ -388,7 +347,7 @@ mod tests {
     use super::*;
     use crate::sequential::SequentialSimulator;
     use starfield::{FieldGenerator, Star};
-    use starimage::diff::{differing_pixels, images_close};
+    use starimage::diff::differing_pixels;
 
     fn small_config() -> SimConfig {
         SimConfig::new(64, 64, 10)
@@ -438,50 +397,6 @@ mod tests {
         // Two phases with a barrier between: 4 warps per 100-thread block.
         assert_eq!(k.counters.barriers, (n * 4) as u64);
         assert_eq!(k.counters.shared_hazards, 0, "staging is barrier-safe");
-    }
-
-    #[test]
-    fn simd_backend_matches_scalar_within_tolerance() {
-        let cat = FieldGenerator::new(64, 64).generate(200, 7);
-        let cfg = small_config();
-        let scalar = ParallelSimulator::new().simulate(&cat, &cfg).unwrap();
-        let mut cfg_simd = cfg.clone();
-        cfg_simd.backend = KernelBackend::Simd;
-        let simd = ParallelSimulator::new().simulate(&cat, &cfg_simd).unwrap();
-        // Counters and modeled times are bit-equal by construction; only
-        // the interior-ROI arithmetic differs.
-        assert_eq!(
-            scalar.profile.kernels[0].counters,
-            simd.profile.kernels[0].counters
-        );
-        assert_eq!(
-            scalar.profile.kernels[0].time_s.to_bits(),
-            simd.profile.kernels[0].time_s.to_bits()
-        );
-        assert!(
-            images_close(&scalar.image, &simd.image, 1e-5, 1e-4),
-            "simd image must stay inside the parallel-vs-sequential gate"
-        );
-    }
-
-    #[test]
-    fn simd_backend_matches_scalar_for_integrated_psf() {
-        let cat = FieldGenerator::new(64, 64).generate(120, 13);
-        let mut cfg = small_config();
-        cfg.psf = crate::config::PsfKind::Integrated;
-        let scalar = ParallelSimulator::new().simulate(&cat, &cfg).unwrap();
-        cfg.backend = KernelBackend::Simd;
-        let simd = ParallelSimulator::new().simulate(&cat, &cfg).unwrap();
-        assert_eq!(
-            scalar.profile.kernels[0].counters,
-            simd.profile.kernels[0].counters
-        );
-        // f32 erf rounding scales with a_factor; 1e-4 abs at A=1000 is the
-        // documented bound (see psf::lanes).
-        assert!(
-            images_close(&scalar.image, &simd.image, 1e-4, 1e-4),
-            "integrated-psf simd image out of tolerance"
-        );
     }
 
     #[test]

@@ -20,8 +20,6 @@
 
 use std::io::{Read, Write};
 
-use gpusim::KernelBackend;
-
 use crate::config::SimConfig;
 
 /// Protocol magic: the first four bytes of every frame.
@@ -160,7 +158,8 @@ pub struct SessionSpec {
     pub stars: u32,
     /// Scene seed — same spec + seed ⇒ bit-identical frames.
     pub seed: u64,
-    /// Kernel backend: 0 = scalar, 1 = SIMD.
+    /// Reserved; must be 0 ([`Self::validate`] rejects any other value).
+    /// The byte stays so the wire layout does not change.
     pub backend: u8,
     /// Tenant identifier for cache-quota attribution (≤
     /// [`MAX_TENANT_LEN`] bytes; must be non-empty).
@@ -190,17 +189,17 @@ impl SessionSpec {
                 self.tenant.len()
             ));
         }
-        let backend = match self.backend {
-            0 => KernelBackend::Scalar,
-            1 => KernelBackend::Simd,
-            other => return bad(format!("unknown backend {other}")),
-        };
-        let mut config = SimConfig::new(
+        if self.backend != 0 {
+            return bad(format!(
+                "backend byte is reserved and must be 0, got {}",
+                self.backend
+            ));
+        }
+        let config = SimConfig::new(
             self.width as usize,
             self.height as usize,
             self.roi_side as usize,
         );
-        config.backend = backend;
         // The sky the server generates for this spec spans magnitudes
         // [0, 6]; the default rated range covers it.
         config
@@ -934,7 +933,8 @@ mod tests {
 
     #[test]
     fn session_spec_caps_are_enforced() {
-        assert!(spec().validate().is_ok());
+        let config = spec().validate().unwrap();
+        assert_eq!((config.width, config.height), (256, 256));
 
         let mut s = spec();
         s.width = MAX_DIM as u32 + 1;
@@ -952,9 +952,15 @@ mod tests {
         s.tenant = "x".repeat(MAX_TENANT_LEN + 1);
         assert!(s.validate().is_err());
 
-        let mut s = spec();
-        s.backend = 9;
-        assert!(s.validate().is_err());
+        // The reserved byte accepts only 0.
+        for backend in [1, 9] {
+            let mut s = spec();
+            s.backend = backend;
+            match s.validate() {
+                Err(ProtoError::Malformed(m)) => assert!(m.contains("reserved"), "{m}"),
+                other => panic!("backend {backend}: expected Malformed, got {other:?}"),
+            }
+        }
 
         let mut s = spec();
         s.roi_side = 0; // SimConfig::validate catches this
@@ -967,15 +973,6 @@ mod tests {
         let mut s = spec();
         s.width = 0;
         assert!(s.validate().is_err());
-    }
-
-    #[test]
-    fn spec_config_carries_the_backend() {
-        let mut s = spec();
-        s.backend = 1;
-        let config = s.validate().unwrap();
-        assert_eq!(config.backend, KernelBackend::Simd);
-        assert_eq!((config.width, config.height), (256, 256));
     }
 
     #[test]

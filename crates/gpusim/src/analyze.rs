@@ -56,10 +56,8 @@
 //! round-trips to device memory).
 //!
 //! Determinism: the analysis is single-threaded over a fixed block set and
-//! always interprets the scalar [`Kernel::run`] path, so a report is
-//! bit-identical across host worker counts and kernel backends (the
-//! backend is a host-arithmetic choice and is deliberately absent from the
-//! report).
+//! always interprets the [`Kernel::run`] path, so a report is
+//! bit-identical across host worker counts.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
@@ -1147,26 +1145,6 @@ mod tests {
         // The advisor surfaces the denial as InvalidLaunch.
         let err = gpu.advise_launch("strided", &k, &cfg).unwrap_err();
         assert!(matches!(err, GpuError::InvalidLaunch(_)), "{err}");
-    }
-
-    #[test]
-    fn reports_are_deterministic_and_backend_free() {
-        let (gpu, dst) = gpu_parts(64);
-        let (src, _) = gpu.upload(vec![1.0f32; 64]);
-        let k = CoalescedRead {
-            src: &src,
-            dst: &dst,
-        };
-        let cfg = LaunchConfig::new(2u32, 32u32);
-        let a = analyze_kernel("k", &k, &cfg, gpu.spec()).unwrap();
-        let b = analyze_kernel(
-            "k",
-            &k,
-            &cfg.with_backend(crate::kernel::KernelBackend::Simd),
-            gpu.spec(),
-        )
-        .unwrap();
-        assert_eq!(a, b, "backend must not enter the report");
     }
 
     #[test]

@@ -80,10 +80,7 @@ const TRANSFER_CHUNK: usize = 4096;
 /// renders one image per launch, except that a batched launch on the
 /// per-thread route whose blocks add into shared cells (cross-block
 /// atomics) gets an add order host scheduling sets at two or more workers
-/// (see [`Kernel`]). (On the `Simd`
-/// [`crate::KernelBackend`] the batched deposit computes its own
-/// arithmetic, so there only counters and times match the per-thread
-/// executors.)
+/// (see [`Kernel`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum ExecMode {
     /// Per-thread interpretation with event traces fed through the warp
@@ -1079,7 +1076,7 @@ impl VirtualGpu {
             self.dispatch_static(rows.div_ceil(band_rows), lanes, None, |band, _| {
                 let band = band * band_rows..((band + 1) * band_rows).min(rows);
                 for block in 0..total_blocks {
-                    kernel.deposit(block, band.clone(), cfg.backend);
+                    kernel.deposit(block, band.clone());
                 }
             })?;
             if let Some(s) = stamps {
@@ -1508,7 +1505,7 @@ mod tests {
             ctx.counters.atomic_requests += warps;
         }
 
-        fn deposit(&self, block: usize, rows: std::ops::Range<usize>, _: crate::KernelBackend) {
+        fn deposit(&self, block: usize, rows: std::ops::Range<usize>) {
             for t in 0..self.threads {
                 let i = self.pixel(block, t);
                 if rows.contains(&(i / ROW)) {

@@ -76,43 +76,6 @@ pub enum Event {
     },
 }
 
-/// Host-side arithmetic backend for the [`Kernel::deposit`] pass.
-///
-/// A pure execution strategy, orthogonal to [`crate::ExecMode`]: the
-/// counter model and every modeled GPU time are **bit-equal across
-/// backends** (the counter pass never sees the backend), and only the
-/// functional image may differ — by the bounded approximation error of
-/// the vector math. The reference (per-thread) executor always computes
-/// scalar, so `Simd` only affects launches on the two-pass route.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum KernelBackend {
-    /// Scalar inner loops — the accuracy baseline and the default.
-    #[default]
-    Scalar,
-    /// Vectorized interior-ROI loops (portable lane math; see
-    /// `psf::lanes` for the approximation contract).
-    Simd,
-}
-
-impl KernelBackend {
-    /// Parses a CLI name (`"scalar"` / `"simd"`).
-    pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "scalar" => Some(KernelBackend::Scalar),
-            "simd" => Some(KernelBackend::Simd),
-            _ => None,
-        }
-    }
-
-    /// The CLI / JSON name.
-    pub fn as_str(&self) -> &'static str {
-        match self {
-            KernelBackend::Scalar => "scalar",
-            KernelBackend::Simd => "simd",
-        }
-    }
-}
-
 /// A barrier-phased kernel.
 ///
 /// Implementations must be `Sync`: the same kernel object is shared by all
@@ -160,7 +123,7 @@ pub trait Kernel: Sync {
     /// adds. The executor calls it for every block in index order within a
     /// band of rows, and for disjoint bands concurrently, so a pixel sees
     /// its adds in block order (see [`GlobalAtomicF32::merge_add_range`]).
-    fn deposit(&self, _block: usize, _rows: Range<usize>, _backend: KernelBackend) {}
+    fn deposit(&self, _block: usize, _rows: Range<usize>) {}
 }
 
 /// Block-level execution context handed to [`Kernel::run_block`].

@@ -3,11 +3,9 @@
 use crate::device::DeviceSpec;
 use crate::dim::Dim3;
 use crate::error::GpuError;
-use crate::kernel::KernelBackend;
 
 /// A kernel launch shape: `<<<grid, block>>>` plus the block's shared
-/// memory requirement and the host arithmetic backend of the batched
-/// executor's deposit pass.
+/// memory requirement.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LaunchConfig {
     /// Blocks per grid.
@@ -16,32 +14,21 @@ pub struct LaunchConfig {
     pub block: Dim3,
     /// Shared memory per block, bytes.
     pub shared_mem_bytes: usize,
-    /// Host-side backend handed to [`crate::Kernel::deposit`] (batched
-    /// executor only; counters are bit-equal either way).
-    pub backend: KernelBackend,
 }
 
 impl LaunchConfig {
-    /// A launch with the given grid and block shapes, no shared memory,
-    /// and the scalar backend.
+    /// A launch with the given grid and block shapes and no shared memory.
     pub fn new(grid: impl Into<Dim3>, block: impl Into<Dim3>) -> Self {
         LaunchConfig {
             grid: grid.into(),
             block: block.into(),
             shared_mem_bytes: 0,
-            backend: KernelBackend::default(),
         }
     }
 
     /// Sets the per-block shared memory requirement.
     pub fn with_shared_mem(mut self, bytes: usize) -> Self {
         self.shared_mem_bytes = bytes;
-        self
-    }
-
-    /// Selects the host arithmetic backend of the deposit pass.
-    pub fn with_backend(mut self, backend: KernelBackend) -> Self {
-        self.backend = backend;
         self
     }
 

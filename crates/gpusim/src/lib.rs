@@ -86,7 +86,7 @@ pub use dim::Dim3;
 pub use error::GpuError;
 pub use exec::{ExecMode, GpuDiagnostics, VirtualGpu};
 pub use fault::{ArmedFaults, FaultKind, FaultPlan, FaultSpec};
-pub use kernel::{BlockCtx, Event, Kernel, KernelBackend, ThreadCtx};
+pub use kernel::{BlockCtx, Event, Kernel, ThreadCtx};
 pub use launch::LaunchConfig;
 pub use memory::global::{GlobalAtomicF32, GlobalBuffer};
 pub use memory::texture::Texture;

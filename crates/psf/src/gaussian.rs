@@ -79,64 +79,6 @@ impl GaussianPsf {
         1.0 - (-(r * r) * self.inv_two_sigma_sq).exp()
     }
 
-    /// Adds `gain · μ(x0 + i, y)` into `acc[i]` for a contiguous pixel row,
-    /// evaluated through the [`crate::lanes`] vector layer: one per-pixel
-    /// loop whose body is the branch-free polynomial
-    /// [`crate::lanes::exp_f32`] instead of a libm call, shaped so the
-    /// loop vectorizer turns it into packed SIMD (see the `lanes` module
-    /// notes on why a single if-converted loop vectorizes where manually
-    /// unrolled lane chunks do not).
-    ///
-    /// Per-pixel relative error versus [`Self::eval`] is bounded by the
-    /// `exp` approximation (≤ 1e-6; see the `lanes` module contract).
-    pub fn accumulate_row_lanes(
-        &self,
-        acc: &mut [f32],
-        gain: f32,
-        x0: f32,
-        y: f32,
-        cx: f32,
-        cy: f32,
-    ) {
-        use crate::lanes::exp_f32;
-        let dy = y - cy;
-        let dy2 = dy * dy;
-        let k = self.inv_two_sigma_sq;
-        let a = gain * self.norm;
-        let base = x0 - cx;
-        for (i, slot) in acc.iter_mut().enumerate() {
-            // i32 cast: packed int→float exists at 32 bits (`cvtdq2ps`)
-            // but not 64, and a 64-bit index would block vectorization.
-            // Rows are image-width bounded, far below i32::MAX.
-            let dx = base + i as i32 as f32;
-            *slot += a * exp_f32(-(dx * dx + dy2) * k);
-        }
-    }
-
-    /// Fills `out[i] = exp(−(start + i − c)²/(2δ²))` — one axis factor of
-    /// the separable 2-D Gaussian, via [`crate::lanes::exp_f32`].
-    ///
-    /// μ separates as `norm · fx(dx) · fy(dy)`, so a `side × side` ROI
-    /// needs only `2·side` exponentials (one factor vector per axis)
-    /// instead of `side²`; the deposition becomes a pure multiply-add
-    /// outer product (see [`crate::integrated::PsfModel::axis_factors`]).
-    /// Relative error of the reassembled product versus [`Self::eval`] is
-    /// ≤ 4e-6 over the imaging-relevant range (two `exp` approximations,
-    /// each with its own range reduction, plus multiply rounding),
-    /// growing to ≤ 2e-5 in the deep tail (μ below ~1e-10 of the peak,
-    /// where the reduction's `n·ln2_lo` truncation dominates); both
-    /// bounds are asserted by the `proptests` sweep, and values below
-    /// the subnormal flush threshold come out exactly zero.
-    pub fn axis_factors(&self, out: &mut [f32], start: f32, c: f32) {
-        use crate::lanes::exp_f32;
-        let k = self.inv_two_sigma_sq;
-        let base = start - c;
-        for (i, slot) in out.iter_mut().enumerate() {
-            let d = base + i as i32 as f32;
-            *slot = exp_f32(-(d * d) * k);
-        }
-    }
-
     /// The smallest ROI *margin* (half-side, in whole pixels) whose
     /// inscribed circle captures at least `fraction` of the PSF energy.
     ///

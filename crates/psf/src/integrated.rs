@@ -57,57 +57,6 @@ impl IntegratedGaussianPsf {
     fn axis_integral(&self, d: f64) -> f64 {
         0.5 * (erf((d + 0.5) * self.inv_sigma_sqrt2) - erf((d - 0.5) * self.inv_sigma_sqrt2))
     }
-
-    /// Adds `gain · μ(x0 + i, y)` into `acc[i]` for a contiguous pixel
-    /// row through the [`crate::lanes`] vector layer: the row-constant y
-    /// axis integral is computed once, and the x integrals evaluate the
-    /// `f32` polynomial [`crate::lanes::erf_f32`] in one per-pixel loop
-    /// the loop vectorizer turns into packed SIMD (see the `lanes` module
-    /// notes on loop shape).
-    ///
-    /// The scalar [`Self::eval`] evaluates the same A&S 7.1.26 polynomial
-    /// in `f64`; the per-pixel difference is `f32` rounding, ≤ 1e-6
-    /// absolute on μ (see the `lanes` module contract).
-    pub fn accumulate_row_lanes(
-        &self,
-        acc: &mut [f32],
-        gain: f32,
-        x0: f32,
-        y: f32,
-        cx: f32,
-        cy: f32,
-    ) {
-        use crate::lanes::erf_f32;
-        let inv = self.inv_sigma_sqrt2 as f32;
-        let dy = y - cy;
-        let ay = 0.5 * (erf_f32((dy + 0.5) * inv) - erf_f32((dy - 0.5) * inv));
-        let a = gain * ay;
-        let base = x0 - cx;
-        for (i, slot) in acc.iter_mut().enumerate() {
-            // i32 cast: see `GaussianPsf::accumulate_row_lanes`.
-            let dx = base + i as i32 as f32;
-            let ax = 0.5 * (erf_f32((dx + 0.5) * inv) - erf_f32((dx - 0.5) * inv));
-            *slot += a * ax;
-        }
-    }
-
-    /// Fills `out[i]` with the 1-D unit-pixel integral centred at
-    /// `start + i` for a star axis coordinate `c` — one factor of the
-    /// separable pixel integral, via [`crate::lanes::erf_f32`].
-    ///
-    /// μ is an exact product of the two axis integrals (the 2-D Gaussian
-    /// separates), so a `side × side` ROI needs `4·side` erf evaluations
-    /// instead of `4·side²`. Absolute factor error versus the `f64`
-    /// [`Self::eval`] axis term is ≤ 1e-6 (two `erf_f32` approximations).
-    pub fn axis_factors(&self, out: &mut [f32], start: f32, c: f32) {
-        use crate::lanes::erf_f32;
-        let inv = self.inv_sigma_sqrt2 as f32;
-        let base = start - c;
-        for (i, slot) in out.iter_mut().enumerate() {
-            let d = base + i as i32 as f32;
-            *slot = 0.5 * (erf_f32((d + 0.5) * inv) - erf_f32((d - 0.5) * inv));
-        }
-    }
 }
 
 /// Either PSF evaluation model, chosen by simulator configuration.
@@ -167,65 +116,6 @@ impl PsfModel {
             PsfModel::Integrated(p) => p.eval(x, y, cx, cy),
             PsfModel::Smeared(p) => p.eval(x, y, cx, cy),
             PsfModel::Moffat(p) => p.eval(x, y, cx, cy),
-        }
-    }
-
-    /// Adds `gain · μ(x0 + i, y)` into `acc[i]` for a contiguous pixel
-    /// row — the SIMD-backend entry point of the batched kernels.
-    ///
-    /// Point and Integrated Gaussians ride the [`crate::lanes`] vector
-    /// layer (bounded approximation error, documented per method); the
-    /// Smeared and Moffat extensions have no vector path yet and fall
-    /// back to the exact scalar [`Self::eval`] per pixel, so selecting the
-    /// SIMD backend never changes *their* results at all.
-    #[inline]
-    pub fn accumulate_row(&self, acc: &mut [f32], gain: f32, x0: f32, y: f32, cx: f32, cy: f32) {
-        match self {
-            PsfModel::Point(p) => p.accumulate_row_lanes(acc, gain, x0, y, cx, cy),
-            PsfModel::Integrated(p) => p.accumulate_row_lanes(acc, gain, x0, y, cx, cy),
-            PsfModel::Smeared(_) | PsfModel::Moffat(_) => {
-                for (i, slot) in acc.iter_mut().enumerate() {
-                    *slot += gain * self.eval(x0 + i as f32, y, cx, cy);
-                }
-            }
-        }
-    }
-
-    /// Fills the two axis-factor vectors of a separable PSF and returns
-    /// the overall scale `s` such that `μ(x0+i, y0+j) ≈ s · xs[i] · ys[j]`
-    /// within the [`crate::lanes`] error contract — or `None` when the
-    /// model does not separate (Smeared's rotated anisotropic Gaussian,
-    /// Moffat's radial power law), in which case callers fall back to
-    /// [`Self::accumulate_row`].
-    ///
-    /// This is the SIMD backend's per-block fast path: a `side × side` ROI
-    /// costs `2·side` transcendental evaluations plus a pure multiply-add
-    /// outer product, instead of `side²` transcendentals.
-    ///
-    /// # Panics
-    /// Panics when `xs` and `ys` lengths differ.
-    pub fn axis_factors(
-        &self,
-        xs: &mut [f32],
-        ys: &mut [f32],
-        x0: f32,
-        y0: f32,
-        cx: f32,
-        cy: f32,
-    ) -> Option<f32> {
-        assert_eq!(xs.len(), ys.len(), "axis factor vectors must match");
-        match self {
-            PsfModel::Point(p) => {
-                p.axis_factors(xs, x0, cx);
-                p.axis_factors(ys, y0, cy);
-                Some(p.peak())
-            }
-            PsfModel::Integrated(p) => {
-                p.axis_factors(xs, x0, cx);
-                p.axis_factors(ys, y0, cy);
-                Some(1.0)
-            }
-            PsfModel::Smeared(_) | PsfModel::Moffat(_) => None,
         }
     }
 }

@@ -6,9 +6,8 @@
 //! simulator precomputes into texture memory (§III-C).
 //!
 //! Extensions beyond the paper, clearly marked in the module docs:
-//! a pixel-integrated (erf-based) PSF variant, sub-pixel phase bins for
-//! the lookup table, and a portable SIMD lane layer ([`lanes`]) backing
-//! the simulators' vectorized kernel backend.
+//! a pixel-integrated (erf-based) PSF variant and sub-pixel phase bins for
+//! the lookup table.
 
 #![warn(missing_docs)]
 
@@ -17,7 +16,6 @@ pub mod error;
 pub mod gaussian;
 pub mod integrated;
 pub mod intensity;
-pub mod lanes;
 pub mod lut;
 pub mod moffat;
 pub mod roi;

@@ -10,7 +10,6 @@ use simrng::Rng64;
 
 use crate::gaussian::GaussianPsf;
 use crate::integrated::{IntegratedGaussianPsf, PsfModel};
-use crate::lanes;
 use crate::lut::{LookupTable, LutParams};
 use crate::roi::Roi;
 use crate::smear::SmearedGaussianPsf;
@@ -142,125 +141,6 @@ fn lut_matches_direct_at_bin_centres() {
     }
 }
 
-/// The vectorized `exp` tracks `f64` `exp` over the full LUT input
-/// domain. The lookup table (and the star-centric kernel) feed the
-/// Gaussian exponent `−r²/(2σ²)`: with ROI margins up to 20 px and σ down
-/// to 0.2 the argument spans `[−20000, 0]`, far past the flush threshold
-/// — sweep the whole reachable range and pin the documented 1e-6 bound.
-#[test]
-fn lanes_exp_bounded_over_lut_domain() {
-    let mut rng = Rng64::new(0x51D);
-    let mut max_rel = 0.0f64;
-    for _ in 0..20_000 {
-        let sigma = rng.range_f32(0.2, 10.0) as f64;
-        let r = rng.range_f32(0.0, 30.0) as f64;
-        let x = (-(r * r) / (2.0 * sigma * sigma)) as f32;
-        let want = (x as f64).exp();
-        let got = lanes::exp_f32(x) as f64;
-        if want >= f32::MIN_POSITIVE as f64 {
-            max_rel = max_rel.max(((got - want) / want).abs());
-        } else {
-            // Subnormal-or-zero territory: the lane version flushes.
-            assert!(got.abs() <= f32::MIN_POSITIVE as f64, "x={x}: got {got}");
-        }
-    }
-    assert!(
-        max_rel <= 1e-6,
-        "exp relative error {max_rel} exceeds bound"
-    );
-}
-
-/// The vectorized `erf` tracks the scalar `f64` [`crate::erf::erf`] over
-/// the integrated PSF's input domain (`(d ± ½)/(σ√2)` for in-ROI `d`).
-#[test]
-fn lanes_erf_bounded_over_lut_domain() {
-    let mut rng = Rng64::new(0xE2F);
-    let mut max_abs = 0.0f64;
-    for _ in 0..20_000 {
-        let sigma = rng.range_f32(0.2, 10.0) as f64;
-        let d = rng.range_f32(-21.0, 21.0) as f64;
-        let x = ((d + 0.5) / (sigma * std::f64::consts::SQRT_2)) as f32;
-        let want = crate::erf::erf(x as f64);
-        let got = lanes::erf_f32(x) as f64;
-        max_abs = max_abs.max((got - want).abs());
-    }
-    assert!(
-        max_abs <= 1e-6,
-        "erf absolute error {max_abs} exceeds bound"
-    );
-}
-
-/// A Gaussian row accumulated through the lane backend agrees with the
-/// scalar per-pixel baseline to the documented relative bound, for any
-/// geometry the kernels can reach (this bound is the SIMD backend's
-/// image tolerance).
-#[test]
-fn lanes_gaussian_row_matches_scalar_eval() {
-    let mut rng = Rng64::new(0x90D);
-    for _ in 0..200 {
-        let sigma = rng.range_f32(0.3, 8.0);
-        let side = rng.range_usize(1, 33);
-        let cx = rng.range_f32(-0.6, 0.6) + side as f32 / 2.0;
-        let cy = rng.range_f32(-0.6, 0.6) + side as f32 / 2.0;
-        let y = rng.range_f32(0.0, side as f32);
-        let gain = rng.range_f32(0.1, 1000.0);
-        let psf = GaussianPsf::new(sigma);
-        let mut acc = vec![0.0f32; side];
-        psf.accumulate_row_lanes(&mut acc, gain, 0.0, y, cx, cy);
-        for (i, &got) in acc.iter().enumerate() {
-            let want = gain * psf.eval(i as f32, y, cx, cy);
-            // Relative bound plus an absolute floor for the deep-tail
-            // region where `exp_f32` flushes subnormals to zero.
-            let tol = 1e-6 * want.abs() + 1e-36 * gain;
-            assert!(
-                (got - want).abs() <= tol,
-                "σ={sigma} side={side} i={i}: {got} vs {want}"
-            );
-        }
-    }
-}
-
-/// Same property for the pixel-integrated PSF, against the documented
-/// absolute-on-μ bound (the scalar baseline runs the same polynomial in
-/// `f64`, so the difference is pure `f32` rounding).
-#[test]
-fn lanes_integrated_row_matches_scalar_eval() {
-    let mut rng = Rng64::new(0x1A7E);
-    for _ in 0..200 {
-        let sigma = rng.range_f32(0.3, 8.0);
-        let side = rng.range_usize(1, 33);
-        let cx = rng.range_f32(-0.6, 0.6) + side as f32 / 2.0;
-        let cy = rng.range_f32(-0.6, 0.6) + side as f32 / 2.0;
-        let y = rng.range_f32(0.0, side as f32);
-        let psf = IntegratedGaussianPsf::new(sigma);
-        let mut acc = vec![0.0f32; side];
-        psf.accumulate_row_lanes(&mut acc, 1.0, 0.0, y, cx, cy);
-        for (i, &got) in acc.iter().enumerate() {
-            let want = psf.eval(i as f32, y, cx, cy);
-            assert!(
-                (got - want).abs() <= 1e-6,
-                "σ={sigma} side={side} i={i}: {got} vs {want}"
-            );
-        }
-    }
-}
-
-/// PSF kinds without a vector path (Smeared, Moffat) fall back to the
-/// exact scalar evaluation: accumulate_row must be bit-identical to a
-/// hand-rolled eval loop for them.
-#[test]
-fn accumulate_row_fallback_is_bit_identical() {
-    let models = [PsfModel::smeared(1.5, 4.0, 0.7), PsfModel::moffat(2.0, 2.5)];
-    for model in models {
-        let mut acc = vec![0.0f32; 17];
-        model.accumulate_row(&mut acc, 3.25, 2.0, 5.5, 8.1, 8.9);
-        for (i, &got) in acc.iter().enumerate() {
-            let want = 3.25 * model.eval(2.0 + i as f32, 5.5, 8.1, 8.9);
-            assert_eq!(got.to_bits(), want.to_bits(), "pixel {i}");
-        }
-    }
-}
-
 /// The smeared PSF conserves energy for any track. (σ ≥ 0.8: narrower
 /// point-sampled Gaussians alias on the integer grid by ~1%, a property
 /// of sampling, not of the smear.)
@@ -280,72 +160,5 @@ fn smear_conserves_energy() {
             }
         }
         assert!((sum - 1.0).abs() < 5e-3, "integral {sum}");
-    }
-}
-
-/// The separable factorization (the SIMD backend's per-block fast path:
-/// `μ ≈ s · xs[i] · ys[j]`) agrees with the scalar 2-D evaluation within
-/// the lane contract — the product of two approximated axis factors adds
-/// one multiply rounding to the per-factor bounds.
-#[test]
-fn axis_factor_product_matches_scalar_eval() {
-    let mut rng = Rng64::new(0x5E9A);
-    for _ in 0..200 {
-        let sigma = rng.range_f32(0.3, 8.0);
-        let side = rng.range_usize(1, 33);
-        let cx = rng.range_f32(-0.6, 0.6) + side as f32 / 2.0;
-        let cy = rng.range_f32(-0.6, 0.6) + side as f32 / 2.0;
-        let gain = rng.range_f32(0.1, 1000.0);
-        for (is_point, model) in [
-            (true, PsfModel::point(sigma)),
-            (false, PsfModel::integrated(sigma)),
-        ] {
-            let mut xs = vec![0.0f32; side];
-            let mut ys = vec![0.0f32; side];
-            let scale = model
-                .axis_factors(&mut xs, &mut ys, 0.0, 0.0, cx, cy)
-                .expect("point/integrated models separate");
-            for (j, &fy) in ys.iter().enumerate() {
-                for (i, &fx) in xs.iter().enumerate() {
-                    let got = gain * scale * fx * fy;
-                    let want = gain * model.eval(i as f32, j as f32, cx, cy);
-                    // Point: `exp_f32` error is relative and grows with
-                    // |ln μ| (the `n·LN2_LO` truncation in the range
-                    // reduction) — ≤ 4e-6 for the product over the
-                    // imaging-relevant range (μ within 1e-10 of the
-                    // gain), ≤ 2e-5 in the deeper tail — plus the
-                    // subnormal-flush floor. Integrated: `erf_f32` error
-                    // is absolute on each ≤1 axis factor, so the product
-                    // bound is absolute on μ (times gain).
-                    let tol = if is_point {
-                        let rel = if want.abs() >= 1e-10 * gain {
-                            4e-6
-                        } else {
-                            2e-5
-                        };
-                        rel * want.abs() + 1e-36 * gain
-                    } else {
-                        2.5e-6 * gain
-                    };
-                    assert!(
-                        (got - want).abs() <= tol,
-                        "σ={sigma} side={side} ({i},{j}): {got} vs {want}"
-                    );
-                }
-            }
-        }
-    }
-}
-
-/// Non-separable models refuse to factor instead of silently
-/// approximating: the kernels' fallback contract.
-#[test]
-fn axis_factors_rejects_non_separable_models() {
-    let mut xs = [0.0f32; 8];
-    let mut ys = [0.0f32; 8];
-    for model in [PsfModel::smeared(1.5, 4.0, 0.7), PsfModel::moffat(2.0, 2.5)] {
-        assert!(model
-            .axis_factors(&mut xs, &mut ys, 0.0, 0.0, 4.0, 4.0)
-            .is_none());
     }
 }

@@ -164,6 +164,7 @@ impl AtomicImage {
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicUsize;
+    use std::sync::Barrier;
 
     #[test]
     fn basic_add_and_get() {
@@ -223,23 +224,33 @@ mod tests {
 
     #[test]
     fn contention_counter_fires_under_pressure() {
+        // With true parallelism, 8 threads hammering one address retry. One
+        // round's threads can still run one after another (each finishes
+        // inside a time slice, or other tests hold the other cores), so
+        // barrier-released rounds repeat until one contends. On a
+        // single-core host the OS serializes the threads and CAS may never
+        // observe interference, so only assert when the machine can
+        // actually run threads concurrently.
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
         let img = AtomicImage::new(1, 1);
         let spins = AtomicUsize::new(0);
-        std::thread::scope(|s| {
-            for _ in 0..8 {
-                s.spawn(|| {
-                    for _ in 0..20_000 {
-                        img.fetch_add(0, 0.001);
-                        spins.fetch_add(1, Ordering::Relaxed);
-                    }
-                });
+        let start = Barrier::new(8);
+        for _ in 0..50 {
+            std::thread::scope(|s| {
+                for _ in 0..8 {
+                    s.spawn(|| {
+                        start.wait();
+                        for _ in 0..20_000 {
+                            img.fetch_add(0, 0.001);
+                            spins.fetch_add(1, Ordering::Relaxed);
+                        }
+                    });
+                }
+            });
+            if cores < 2 || img.contended_adds() > 0 {
+                break;
             }
-        });
-        // With true parallelism, 8 threads hammering one address are certain
-        // to retry. On a single-core host the OS serializes the threads and
-        // CAS may never observe interference, so only assert when the
-        // machine can actually run threads concurrently.
-        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        }
         if cores >= 2 {
             assert!(
                 img.contended_adds() > 0,

@@ -7,7 +7,8 @@
 # perfbench's dense-field measures sustained throughput — PR3 chaos
 # overhead + recovery, PR4 telemetry overhead + trace validation, PR5
 # sanitizer gate + clean pass + corpus, PR6 SIMD backend speedup +
-# pixel-error gate, PR7 frame-loop p99 + bit-identity (first written for
+# pixel-error gate — historical, the backend and its experiment are
+# retired — PR7 frame-loop p99 + bit-identity (first written for
 # a pipelined scheduler, since retired; the one frame loop writes it now),
 # PR8 server loadgen overload gates, PR9 observability-plane overhead +
 # flight-recorder + utilization gates, PR10 static-analyzer consistency
@@ -28,17 +29,19 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "== cargo doc --workspace --no-deps (rustdoc warnings are errors)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
-# --workspace: the bench smokes below run target/release/starsim-bench,
-# which lives in crates/bench, outside the root package.
+# The root manifest's default-members already cover every crate;
+# --workspace says so explicitly.
 echo "== cargo build --release --workspace"
 cargo build --release --workspace
 
 echo "== cargo test -q --workspace"
 cargo test -q --workspace
 
-# Tier-1 pinned to one core: with available_parallelism() == 1 every
-# device built without an explicit worker count runs one worker, and
-# devices that ask for more share one core between their pool lanes. The
+# Tier-1 (the root package's integration tests and, through the root
+# manifest's default-members, every crate's unit tests) pinned to one
+# core: with available_parallelism() == 1 every device built without an
+# explicit worker count runs one worker, and devices that ask for more
+# share one core between their pool lanes. The
 # executors have no single-worker path of their own any more, but the
 # one-image-per-launch claims must hold here too. Skipped where taskset is
 # unavailable.
@@ -56,7 +59,7 @@ fi
 # the telemetry suite pins the setup span tree and the device utilization
 # signature; the chaos, telemetry and analyze suites run at 1, 2, the
 # host's cores and 15 workers (tests/common), the analyze suite comparing
-# its reports across those counts and both backends; cross_simulator
+# its reports across those counts; cross_simulator
 # compares the parallel and sequential images bit for bit.
 echo "== determinism soak: sanitizer + exec_modes + pipeline + chaos + server + telemetry + analyze + cross_simulator suites, 10 unpinned reruns"
 for i in $(seq 1 10); do
@@ -71,13 +74,6 @@ done
 # starsimd's) and a deliberately corrupted run that must be caught.
 echo "== perfbench --self-test"
 cargo run --release --offline -q --manifest-path perfbench/Cargo.toml -- --self-test
-
-# The backend contract: the exec-modes and sanitizer suites must hold
-# verbatim with the SIMD fast paths selected (counters and modeled times
-# bit-equal; image assertions switch to the documented tolerance where
-# the suite says so).
-echo "== exec-modes + sanitizer + pipeline suites under STARSIM_BACKEND=simd"
-STARSIM_BACKEND=simd cargo test -q --test exec_modes --test sanitizer --test pipeline
 
 # The analyzer contract: the sanitizer suite must hold verbatim with the
 # pre-launch advisor enabled (setup-only analysis; frames untouched).
@@ -102,25 +98,6 @@ if cargo miri --version >/dev/null 2>&1; then
   fi
 else
   echo "miri: component not installed — skipped"
-fi
-
-# Dedicated miri leg over the SIMD lane kernels (psf::lanes): the analyzer
-# and the batched fast paths both lean on them, so UB-check them by name
-# even when the broad smoke above soft-skips on time.
-echo "== cargo miri test smoke (psf::lanes)"
-if cargo miri --version >/dev/null 2>&1; then
-  MIRI_RC=0
-  MIRIFLAGS="-Zmiri-disable-isolation" \
-    timeout 300 cargo miri test -q -p starsim-psf lanes \
-    || MIRI_RC=$?
-  if [ "$MIRI_RC" -eq 124 ]; then
-    echo "miri (psf::lanes): timed out after 300s — soft skip"
-  elif [ "$MIRI_RC" -ne 0 ]; then
-    echo "miri (psf::lanes): FAILED (exit $MIRI_RC)"
-    exit "$MIRI_RC"
-  fi
-else
-  echo "miri (psf::lanes): component not installed — skipped"
 fi
 
 # Every bench smoke is time-boxed: a wedged run (e.g. a rare scheduler
@@ -163,15 +140,9 @@ grep -q '"findings": 0' results/BENCH_PR5.json
 grep -q '"corpus_flagged": true' results/BENCH_PR5.json
 grep -q '"gate_ok": true' results/BENCH_PR5.json
 
-echo "== simd backend bench (scalar vs simd wall-clock + error gate)"
-$BENCH --experiment simd --quick --out results
-
+# Historical artefact: the SIMD backend and its experiment are retired.
 echo "== BENCH_PR6.json"
 cat results/BENCH_PR6.json
-grep -q '"counters_equal": true' results/BENCH_PR6.json
-grep -q '"error_ok": true' results/BENCH_PR6.json
-grep -q '"speedup_ok": true' results/BENCH_PR6.json
-grep -q '"gate_ok": true' results/BENCH_PR6.json
 
 echo "== frame-loop bench (p99 gate + bit-identity sweep)"
 $BENCH --pipeline --quick --out results

@@ -8,15 +8,14 @@
 //! 2. all three production kernels are clean at `deny` level and their
 //!    static predictions agree with the dynamic measurements within the
 //!    documented tolerances;
-//! 3. reports are bit-identical across host worker counts and across
-//!    Scalar/Simd backends;
+//! 3. reports are bit-identical across host worker counts;
 //! 4. a session with `analyze = true` runs the advisor exactly once at
 //!    setup — frames never re-analyze — and still renders frames
 //!    bit-identical to a non-analyzing session.
 
 use gpusim::analyze::{analyze_kernel, BANK_TOL, COALESCE_TOL, TEX_HIT_TOL};
 use gpusim::sanitize::corpus;
-use gpusim::{GpuError, KernelBackend, LaunchConfig, LintLevel, VirtualGpu};
+use gpusim::{GpuError, LaunchConfig, LintLevel, VirtualGpu};
 use starfield::FieldGenerator;
 use starsim_core::{analysis, AdaptiveSession, SimConfig};
 
@@ -142,26 +141,20 @@ fn production_kernels_are_clean_and_within_tolerance() {
 }
 
 #[test]
-fn reports_bit_identical_across_workers_and_backends() {
+fn reports_bit_identical_across_workers() {
     let cat = catalog(128, 48);
     let mut baseline: Option<Vec<String>> = None;
     for workers in worker_counts() {
-        for backend in [KernelBackend::Scalar, KernelBackend::Simd] {
-            let mut cfg = config(128, 128, 10);
-            cfg.workers = Some(workers);
-            cfg.backend = backend;
-            let reports: Vec<String> = analysis::audit_production(&cfg, &cat)
-                .expect("audit")
-                .iter()
-                .map(|a| format!("{:?}", a.report))
-                .collect();
-            match &baseline {
-                None => baseline = Some(reports),
-                Some(b) => assert_eq!(
-                    b, &reports,
-                    "report differs at workers={workers} backend={backend:?}"
-                ),
-            }
+        let mut cfg = config(128, 128, 10);
+        cfg.workers = Some(workers);
+        let reports: Vec<String> = analysis::audit_production(&cfg, &cat)
+            .expect("audit")
+            .iter()
+            .map(|a| format!("{:?}", a.report))
+            .collect();
+        match &baseline {
+            None => baseline = Some(reports),
+            Some(b) => assert_eq!(b, &reports, "report differs at workers={workers}"),
         }
     }
 }

@@ -180,41 +180,6 @@ fn a_frame_recovered_on_rung_two_is_bit_identical() {
 }
 
 #[test]
-fn chaos_matrix_simd_backend_recovers_bit_identically() {
-    // The resilience ladder is backend-independent: a session configured
-    // with the SIMD fast paths absorbs every fault kind and still produces
-    // frames bit-identical to a fault-free *scalar* run — the adaptive
-    // SIMD path is bit-identical by construction, and any degradation to
-    // the reference executor lands on scalar per-thread code anyway.
-    for workers in worker_counts() {
-        let mut simd_cfg = cfg(workers);
-        simd_cfg.backend = starsim::sim::KernelBackend::Simd;
-
-        let clean = AdaptiveSession::new(cfg(workers)).expect("clean scalar session");
-        let expected = session_frames(&clean);
-
-        for kind in FaultKind::ALL {
-            let label = format!("{kind:?}, workers {workers}");
-            let (plan, gpu) = chaos_gpu(kind);
-            let session = resilient(gpu, simd_cfg.clone());
-            let got = session_frames(&session);
-            assert_eq!(
-                expected, got,
-                "{label}: simd recovery must be bit-identical to the scalar fault-free run"
-            );
-            // Fired, except a `StuckLane` spec at one worker: with no lane
-            // to stall it stays pending.
-            let no_lane = kind == FaultKind::StuckLane && workers == 1;
-            assert_eq!(plan.remaining(), usize::from(no_lane), "{label}");
-            assert_eq!(plan.injected(), u64::from(!no_lane), "{label}");
-            let r = session.resilience_report();
-            assert_eq!(r.frames, FRAMES as u64, "{label}");
-            assert_eq!(r.exhausted, 0, "{label}");
-        }
-    }
-}
-
-#[test]
 fn chaos_matrix_parallel_simulator_recovers_bit_identically() {
     for workers in worker_counts() {
         let expected: Vec<Vec<u32>> = {

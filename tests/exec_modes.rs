@@ -18,7 +18,7 @@
 //! (ROI 32), and edge-clipped ROIs (stars near the borders are generated
 //! by the field covering the whole image).
 
-use gpusim::{Counters, ExecMode, KernelBackend, VirtualGpu};
+use gpusim::{Counters, ExecMode, VirtualGpu};
 use starfield::{FieldGenerator, StarCatalog};
 use starsim_core::{
     AdaptiveSimulator, ParallelSimulator, SequentialSimulator, SimConfig, SimulationReport,
@@ -31,21 +31,6 @@ const WORKER_COUNTS: [usize; 6] = [1, 2, 3, 4, 7, 15];
 
 /// The executors under test.
 const MODES: [ExecMode; 3] = [ExecMode::Reference, ExecMode::Batched, ExecMode::Sanitized];
-
-/// Backend under test: `STARSIM_BACKEND=simd` reruns the whole suite with
-/// the SIMD fast paths (scripts/ci.sh does exactly that). Counters and
-/// modeled times are backend-independent, so every timing assertion below
-/// holds unchanged; only the *parallel* simulator's batched-vs-reference
-/// image comparison relaxes from bit-equality to a tolerance (the
-/// reference executor always runs the scalar per-thread path). Its
-/// batched image stays bit-identical across worker counts.
-fn backend_under_test() -> KernelBackend {
-    match std::env::var("STARSIM_BACKEND") {
-        Ok(s) => KernelBackend::parse(&s)
-            .unwrap_or_else(|| panic!("STARSIM_BACKEND must be scalar|simd, got {s:?}")),
-        Err(_) => KernelBackend::Scalar,
-    }
-}
 
 /// The shapes under test: (stars, roi_side, width, height, lut_phases).
 fn shape_grid() -> Vec<(usize, usize, usize, usize, usize)> {
@@ -82,7 +67,6 @@ fn run(
     let gpu = VirtualGpu::gtx480().with_workers(workers);
     let mut cfg = cfg.clone();
     cfg.exec_mode = mode;
-    cfg.backend = backend_under_test();
     match sim_kind {
         "parallel" => ParallelSimulator::on(gpu).simulate(cat, &cfg).unwrap(),
         "adaptive" => AdaptiveSimulator::on(gpu).simulate(cat, &cfg).unwrap(),
@@ -98,16 +82,6 @@ fn image_bits(r: &SimulationReport) -> Vec<u32> {
     r.image.data().iter().map(|v| v.to_bits()).collect()
 }
 
-/// Whether `r`'s image is computed by other arithmetic than the scalar
-/// per-thread path's: the parallel simulator's batched deposit on the
-/// SIMD backend. Such an image is compared with a tolerance against the
-/// per-thread executors, and bit for bit among its own runs.
-fn simd_arithmetic(sim_kind: &str, mode: ExecMode) -> bool {
-    sim_kind == "parallel"
-        && mode == ExecMode::Batched
-        && backend_under_test() == KernelBackend::Simd
-}
-
 #[test]
 fn batched_equals_reference_bit_for_bit() {
     for sim_kind in ["parallel", "adaptive"] {
@@ -121,42 +95,22 @@ fn batched_equals_reference_bit_for_bit() {
             let reference = run(sim_kind, &cat, &cfg, ExecMode::Reference, 1);
             // One thread per worker count: the serial executors take most
             // of the time, and their runs are independent.
-            let simd_images: Vec<Option<Vec<u32>>> = std::thread::scope(|scope| {
-                let runs = WORKER_COUNTS.map(|workers| {
+            std::thread::scope(|scope| {
+                for workers in WORKER_COUNTS {
                     let (cat, cfg, reference, shape) = (&cat, &cfg, &reference, &shape);
                     scope.spawn(move || {
-                        let mut simd_image = None;
                         for mode in MODES {
                             let label = format!("{shape} {mode:?} workers={workers}");
                             let other = run(sim_kind, cat, cfg, mode, workers);
                             assert_same_launch(reference, &other, &label);
-                            if simd_arithmetic(sim_kind, mode) {
-                                assert!(
-                                    starimage::diff::images_close(
-                                        &reference.image,
-                                        &other.image,
-                                        1e-4,
-                                        1e-4
-                                    ),
-                                    "simd image out of tolerance: {label}"
-                                );
-                                simd_image = Some(image_bits(&other));
-                            } else {
-                                assert!(
-                                    image_bits(reference) == image_bits(&other),
-                                    "image bits diverge: {label}"
-                                );
-                            }
+                            assert!(
+                                image_bits(reference) == image_bits(&other),
+                                "image bits diverge: {label}"
+                            );
                         }
-                        simd_image
-                    })
-                });
-                runs.into_iter().map(|r| r.join().unwrap()).collect()
+                    });
+                }
             });
-            assert!(
-                simd_images.windows(2).all(|p| p[0] == p[1]),
-                "{shape}: the simd image depends on the worker count"
-            );
         }
     }
 }
@@ -180,7 +134,7 @@ fn assert_same_launch(reference: &SimulationReport, other: &SimulationReport, la
     );
 }
 
-/// The Scalar parallel simulator adds the sequential simulator's `g·μ`
+/// The parallel simulator adds the sequential simulator's `g·μ`
 /// values in the sequential simulator's star order: one image, bit for
 /// bit, on every shape of the grid.
 #[test]
@@ -196,81 +150,6 @@ fn scalar_parallel_equals_sequential_bit_for_bit() {
             image_bits(&seq) == image_bits(&par),
             "stars={stars} roi={roi} {w}x{h}: parallel differs from sequential"
         );
-    }
-}
-
-/// The tentpole contract: switching `KernelBackend` must not move a single
-/// counter bit or modeled nanosecond — only pixel values may change, and
-/// those only for the parallel simulator's interior fast path.
-#[test]
-fn backends_agree_on_counters_and_times_bit_for_bit() {
-    for sim_kind in ["parallel", "adaptive"] {
-        for &(stars, roi, w, h, phases) in &shape_grid() {
-            let cat = catalog(stars, w, h);
-            let cfg = SimConfig {
-                lut_phases: phases,
-                ..SimConfig::new(w, h, roi)
-            };
-            let label = format!("{sim_kind} stars={stars} roi={roi} {w}x{h} phases={phases}");
-
-            let mut cfg_scalar = cfg.clone();
-            cfg_scalar.backend = KernelBackend::Scalar;
-            let mut cfg_simd = cfg.clone();
-            cfg_simd.backend = KernelBackend::Simd;
-            let gpu = || VirtualGpu::gtx480().with_workers(1);
-            let (scalar, simd) = match sim_kind {
-                "parallel" => (
-                    ParallelSimulator::on(gpu())
-                        .simulate(&cat, &cfg_scalar)
-                        .unwrap(),
-                    ParallelSimulator::on(gpu())
-                        .simulate(&cat, &cfg_simd)
-                        .unwrap(),
-                ),
-                _ => (
-                    AdaptiveSimulator::on(gpu())
-                        .simulate(&cat, &cfg_scalar)
-                        .unwrap(),
-                    AdaptiveSimulator::on(gpu())
-                        .simulate(&cat, &cfg_simd)
-                        .unwrap(),
-                ),
-            };
-
-            assert_eq!(
-                kernel_counters(&scalar),
-                kernel_counters(&simd),
-                "counters depend on backend: {label}"
-            );
-            assert_eq!(
-                scalar.profile.kernels[0].time_s.to_bits(),
-                simd.profile.kernels[0].time_s.to_bits(),
-                "kernel time depends on backend: {label}"
-            );
-            assert_eq!(
-                scalar.app_time_s.to_bits(),
-                simd.app_time_s.to_bits(),
-                "app time depends on backend: {label}"
-            );
-
-            if sim_kind == "adaptive" {
-                // LUT fetches are staged, not recomputed: bit-identical.
-                assert_eq!(
-                    image_bits(&scalar),
-                    image_bits(&simd),
-                    "adaptive simd image must be bit-identical: {label}"
-                );
-            } else {
-                // Parallel: the lane PSF is an approximation; reuse the
-                // parallel-vs-sequential tolerance (documented in
-                // psf::lanes — measured error is ~1e-7 relative for the
-                // point PSF).
-                assert!(
-                    starimage::diff::images_close(&scalar.image, &simd.image, 1e-5, 1e-4),
-                    "parallel simd image out of tolerance: {label}"
-                );
-            }
-        }
     }
 }
 
@@ -326,17 +205,10 @@ fn batched_image_bit_identical_across_worker_counts() {
         let cfg = SimConfig::new(w, h, 10);
         let reference = run(sim_kind, &cat, &cfg, ExecMode::Reference, 2);
         let first = run(sim_kind, &cat, &cfg, ExecMode::Batched, 2);
-        if simd_arithmetic(sim_kind, ExecMode::Batched) {
-            assert!(
-                starimage::diff::images_close(&reference.image, &first.image, 1e-5, 1e-4),
-                "{sim_kind}: simd image out of tolerance"
-            );
-        } else {
-            assert!(
-                image_bits(&reference) == image_bits(&first),
-                "{sim_kind}: the banded deposit differs from the reference image"
-            );
-        }
+        assert!(
+            image_bits(&reference) == image_bits(&first),
+            "{sim_kind}: the banded deposit differs from the reference image"
+        );
         for workers in [2, 3, 4, 7, 15] {
             let other = run(sim_kind, &cat, &cfg, ExecMode::Batched, workers);
             assert!(
@@ -355,16 +227,9 @@ fn multi_worker_batched_image_equals_reference() {
         let cfg = SimConfig::new(96, 64, 10);
         let reference = run(sim_kind, &cat, &cfg, ExecMode::Reference, 1);
         let batched = run(sim_kind, &cat, &cfg, ExecMode::Batched, 4);
-        if simd_arithmetic(sim_kind, ExecMode::Batched) {
-            assert!(
-                starimage::diff::images_close(&reference.image, &batched.image, 1e-6, 1e-5),
-                "{sim_kind}: simd image out of tolerance"
-            );
-        } else {
-            assert!(
-                image_bits(&reference) == image_bits(&batched),
-                "{sim_kind}: multi-worker batched image differs from the reference"
-            );
-        }
+        assert!(
+            image_bits(&reference) == image_bits(&batched),
+            "{sim_kind}: multi-worker batched image differs from the reference"
+        );
     }
 }

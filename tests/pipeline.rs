@@ -4,15 +4,11 @@
 //! thread into one reused pixel buffer. Its defining invariant: a burst is
 //! **bit-identical** to the same frames through
 //! [`FrameSequencer::next_frame`] — same images, same device counters,
-//! same modeled times — for every seed, worker count and kernel backend;
+//! same modeled times — for every seed and worker count;
 //! and faults injected mid-burst retry/degrade through the same resilience
 //! ladder, in frame order, recovering bit-identically. Cancellation stops
 //! a burst between frames and a resumed sequencer continues exactly where
 //! an uninterrupted run would have been.
-//!
-//! `STARSIM_BACKEND=simd` reruns the suite with the SIMD fast paths
-//! (scripts/ci.sh does exactly that); the identity tests additionally
-//! sweep both backends explicitly.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -20,7 +16,7 @@ use std::time::Duration;
 use starsim::field::dynamics::AttitudeDynamics;
 use starsim::field::generator::synthetic_sky;
 use starsim::field::{Attitude, Camera};
-use starsim::gpu::{FaultKind, FaultPlan, KernelBackend, VirtualGpu};
+use starsim::gpu::{FaultKind, FaultPlan, VirtualGpu};
 use starsim::sim::telemetry::Telemetry;
 use starsim::sim::{
     CancelToken, FrameSequencer, RetryPolicy, SessionSetup, SimConfig, SimError, ThroughputReport,
@@ -28,31 +24,16 @@ use starsim::sim::{
 
 const FRAMES: usize = 4;
 
-fn backend_under_test() -> KernelBackend {
-    match std::env::var("STARSIM_BACKEND") {
-        Ok(s) => KernelBackend::parse(&s)
-            .unwrap_or_else(|| panic!("STARSIM_BACKEND must be scalar|simd, got {s:?}")),
-        Err(_) => KernelBackend::Scalar,
-    }
-}
-
-fn config(workers: usize, backend: KernelBackend) -> SimConfig {
+fn config(workers: usize) -> SimConfig {
     let mut c = SimConfig::new(128, 128, 10);
     c.workers = Some(workers);
-    c.backend = backend;
     c
 }
 
 /// A drifting-field sequencer (gentle slew: the frames differ, no smear)
 /// opened under a fast retry policy when `retry` is set; the policy covers
 /// the open's texture bind as well as every frame.
-fn sequencer(
-    gpu: VirtualGpu,
-    seed: u64,
-    workers: usize,
-    backend: KernelBackend,
-    retry: bool,
-) -> FrameSequencer {
+fn sequencer(gpu: VirtualGpu, seed: u64, workers: usize, retry: bool) -> FrameSequencer {
     let setup = SessionSetup {
         retry: retry.then_some(RetryPolicy {
             backoff: Duration::ZERO,
@@ -66,7 +47,7 @@ fn sequencer(
         synthetic_sky(30_000, 0.0, 6.0, seed),
         Camera::from_fov(10.0f64.to_radians(), 128, 128).unwrap(),
         AttitudeDynamics::new(Attitude::pointing(1.0, 0.2, 0.0), [0.002, 0.0, 0.0]),
-        config(workers, backend),
+        config(workers),
         0.1,
         0.5,
     )
@@ -124,23 +105,20 @@ fn pipelined_matches_sequential_bit_identically() {
     worker_counts.dedup();
     for &seed in &[3u64, 11] {
         for &workers in &worker_counts {
-            for backend in [KernelBackend::Scalar, KernelBackend::Simd] {
-                let mut reference = sequencer(VirtualGpu::gtx480(), seed, workers, backend, false);
-                let expected = sequential_digests(&mut reference, FRAMES);
-                let mut bursts = sequencer(VirtualGpu::gtx480(), seed, workers, backend, false);
-                let (got, report) = burst_digests(&mut bursts, FRAMES);
-                assert_eq!(
-                    expected, got,
-                    "seed {seed}, {workers} workers, {backend:?}: burst frames \
-                     must be bit-identical to next_frame"
-                );
-                assert_eq!(report.frames, FRAMES);
-                assert!(report.overlap.is_some());
-                assert!(
-                    (bursts.time_s() - reference.time_s()).abs() < 1e-12,
-                    "both clocks advanced {FRAMES} frames"
-                );
-            }
+            let mut reference = sequencer(VirtualGpu::gtx480(), seed, workers, false);
+            let expected = sequential_digests(&mut reference, FRAMES);
+            let mut bursts = sequencer(VirtualGpu::gtx480(), seed, workers, false);
+            let (got, report) = burst_digests(&mut bursts, FRAMES);
+            assert_eq!(
+                expected, got,
+                "seed {seed}, {workers} workers: burst frames must be bit-identical to next_frame"
+            );
+            assert_eq!(report.frames, FRAMES);
+            assert!(report.overlap.is_some());
+            assert!(
+                (bursts.time_s() - reference.time_s()).abs() < 1e-12,
+                "both clocks advanced {FRAMES} frames"
+            );
         }
     }
 }
@@ -149,9 +127,9 @@ fn pipelined_matches_sequential_bit_identically() {
 fn pipelined_bursts_compose_with_next_frame() {
     // Burst, single frame, burst again: the interleaved calls see the
     // same sky as one long sequential run.
-    let mut reference = sequencer(VirtualGpu::gtx480(), 5, 4, backend_under_test(), false);
+    let mut reference = sequencer(VirtualGpu::gtx480(), 5, 4, false);
     let expected = sequential_digests(&mut reference, 5);
-    let mut seq = sequencer(VirtualGpu::gtx480(), 5, 4, backend_under_test(), false);
+    let mut seq = sequencer(VirtualGpu::gtx480(), 5, 4, false);
     let (first, _) = burst_digests(&mut seq, 2);
     let middle = sequential_digests(&mut seq, 1);
     let (rest, _) = burst_digests(&mut seq, 2);
@@ -163,7 +141,7 @@ fn pipelined_bursts_compose_with_next_frame() {
 fn pipelined_span_tree_is_deterministic_and_two_staged() {
     let run = || {
         let telemetry = Telemetry::new();
-        let mut seq = sequencer(VirtualGpu::gtx480(), 7, 2, backend_under_test(), false);
+        let mut seq = sequencer(VirtualGpu::gtx480(), 7, 2, false);
         seq.set_telemetry(Some(Arc::clone(&telemetry)));
         seq.run_frames(FRAMES).unwrap();
         telemetry
@@ -190,8 +168,7 @@ fn pipelined_span_tree_is_deterministic_and_two_staged() {
 
 #[test]
 fn chaos_matrix_pipelined_recovers_bit_identically() {
-    let backend = backend_under_test();
-    let mut clean = sequencer(VirtualGpu::gtx480(), 13, 4, backend, false);
+    let mut clean = sequencer(VirtualGpu::gtx480(), 13, 4, false);
     let expected = sequential_digests(&mut clean, FRAMES)
         .into_iter()
         .map(|d| d.image)
@@ -203,7 +180,7 @@ fn chaos_matrix_pipelined_recovers_bit_identically() {
         let gpu = VirtualGpu::gtx480()
             .with_fault_plan(Arc::clone(&plan))
             .with_watchdog(Duration::from_millis(40));
-        let mut seq = sequencer(gpu, 13, 4, backend, true);
+        let mut seq = sequencer(gpu, 13, 4, true);
         let (got, _report) = burst_digests(&mut seq, FRAMES);
         let got = got.into_iter().map(|d| d.image).collect::<Vec<_>>();
         assert_eq!(
@@ -223,7 +200,7 @@ fn pipelined_fault_accounting_matches_the_sequential_ladder() {
         1,
         2,
     )));
-    let mut seq = sequencer(gpu, 17, 4, backend_under_test(), true);
+    let mut seq = sequencer(gpu, 17, 4, true);
     let report = seq.run_frames(FRAMES).unwrap();
     assert_eq!(report.frames, FRAMES);
     assert_eq!(report.resilience.panics, 1);
@@ -237,11 +214,10 @@ fn pipelined_fault_accounting_matches_the_sequential_ladder() {
 
 #[test]
 fn cancellation_drains_in_flight_frames_and_resumes_bit_identically() {
-    let backend = backend_under_test();
-    let mut reference = sequencer(VirtualGpu::gtx480(), 23, 2, backend, false);
+    let mut reference = sequencer(VirtualGpu::gtx480(), 23, 2, false);
     let expected = sequential_digests(&mut reference, 6);
 
-    let mut seq = sequencer(VirtualGpu::gtx480(), 23, 2, backend, false);
+    let mut seq = sequencer(VirtualGpu::gtx480(), 23, 2, false);
     let token = CancelToken::new();
     let mut digests = Vec::new();
     let err = seq
@@ -280,7 +256,7 @@ fn cancellation_drains_in_flight_frames_and_resumes_bit_identically() {
 
 #[test]
 fn immediate_cancellation_completes_no_frames() {
-    let mut seq = sequencer(VirtualGpu::gtx480(), 29, 2, backend_under_test(), false);
+    let mut seq = sequencer(VirtualGpu::gtx480(), 29, 2, false);
     let token = CancelToken::new();
     token.cancel();
     let err = seq
@@ -292,7 +268,7 @@ fn immediate_cancellation_completes_no_frames() {
 
 #[test]
 fn overlap_and_lut_stats_surface_on_the_report() {
-    let mut seq = sequencer(VirtualGpu::gtx480(), 31, 2, backend_under_test(), false);
+    let mut seq = sequencer(VirtualGpu::gtx480(), 31, 2, false);
     let report = seq.run_frames(FRAMES).unwrap();
     let overlap = report.overlap.expect("bursts report overlap");
     assert!(overlap.modeled.app_time_s > 0.0);

@@ -26,19 +26,13 @@ fn device() -> VirtualGpu {
         .with_exec_mode(ExecMode::Sanitized)
 }
 
-/// A [`SimConfig`] honoring `STARSIM_BACKEND` (scripts/ci.sh reruns this
-/// suite with `STARSIM_BACKEND=simd`): every sanitizer claim — corpus
-/// flagging, clean passes, sanitized-vs-reference bit identity — must be
-/// backend-independent.
+/// A [`SimConfig`] honoring `STARSIM_ANALYZE`.
 fn sim_config(w: usize, h: usize, roi: usize) -> SimConfig {
     let mut c = SimConfig::new(w, h, roi);
-    if let Ok(s) = std::env::var("STARSIM_BACKEND") {
-        c.backend = gpusim::KernelBackend::parse(&s)
-            .unwrap_or_else(|| panic!("STARSIM_BACKEND must be scalar|simd, got {s:?}"));
-    }
-    // scripts/ci.sh also reruns this suite with STARSIM_ANALYZE=1: every
-    // sanitizer claim must hold with the pre-launch advisor enabled (the
-    // analyzer is setup-only, so nothing here may change).
+    // scripts/ci.sh reruns this suite with STARSIM_ANALYZE=1: every
+    // sanitizer claim — corpus flagging, clean passes, sanitized-vs-
+    // reference bit identity — must hold with the pre-launch advisor
+    // enabled (the analyzer is setup-only, so nothing here may change).
     if std::env::var("STARSIM_ANALYZE").is_ok_and(|v| v == "1") {
         c.analyze = true;
     }

@@ -133,14 +133,17 @@ fn malformed_oversized_and_wrong_version_frames_are_rejected() {
     expect_framing_reject(addr, &oversized, RejectCode::BadRequest);
 
     // Structurally valid frames with nonsense content (an image over the
-    // cap, an ROI larger than the image): rejected without killing the
-    // connection, and before the server looks up or builds a table.
+    // cap, an ROI larger than the image, a non-zero reserved backend
+    // byte): rejected without killing the connection, and before the
+    // server looks up or builds a table.
     let mut client = Client::connect(addr).expect("connect");
     let mut huge = spec("ok");
     huge.width = 1 << 20;
     let mut small = spec("ok");
     (small.width, small.height, small.roi_side) = (16, 16, 20);
-    for bad_spec in [huge, small] {
+    let mut reserved = spec("ok");
+    reserved.backend = 1;
+    for bad_spec in [huge, small, reserved] {
         match client
             .request(&Message::OpenSession(bad_spec))
             .expect("reply")
