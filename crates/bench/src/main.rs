@@ -312,15 +312,17 @@ fn usage(error: &str) -> ! {
     if !error.is_empty() {
         eprintln!("error: {error}\n");
     }
-    eprintln!(
-        "usage: starsim-bench [--experiment NAME] [--quick] [--seed N] [--out DIR]\n\
-                      [--exec reference|batched|sanitized] [--workers N]\n\
-                      [--trace PATH] [--metrics] [--sanitize] [--pipeline] [--server]\n\
-                      [--obsplane] [--analyze]\n\
-         NAME: fig2 fig9 fig10 fig11 fig12 table1 table2 fig13 fig14 fig15 fig16\n\
-               table3 ablation contention devices multigpu streams session lutbuild\n\
-               executor chaos trace sanitize pipeline server obsplane analyze\n\
-               all (default)"
-    );
+    // One literal per line: a `\` line continuation would drop the
+    // leading spaces that align the continuation lines.
+    eprintln!(concat!(
+        "usage: starsim-bench [--experiment NAME] [--quick] [--seed N] [--out DIR]\n",
+        "                     [--exec reference|batched|sanitized] [--workers N]\n",
+        "                     [--trace PATH] [--metrics] [--sanitize] [--pipeline] [--server]\n",
+        "                     [--obsplane] [--analyze]\n",
+        "NAME: fig2 fig9 fig10 fig11 fig12 table1 table2 fig13 fig14 fig15 fig16\n",
+        "      table3 ablation contention devices multigpu streams session lutbuild\n",
+        "      executor chaos trace sanitize pipeline server obsplane analyze\n",
+        "      all (default)",
+    ));
     std::process::exit(if error.is_empty() { 0 } else { 2 });
 }

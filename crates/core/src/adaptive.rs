@@ -175,6 +175,7 @@ impl Kernel for AdaptiveKernel<'_> {
         ctx.counters.warps += n_warps;
         ctx.counters.branches += n_warps;
         if block_id >= self.star_count {
+            ctx.rows = 0..0;
             return;
         }
 
@@ -205,7 +206,14 @@ impl Kernel for AdaptiveKernel<'_> {
         ctx.counters.arith_issues += n_warps;
         ctx.counters.branches += n_warps;
 
-        let (x0, y0) = self.roi.origin(star.x, star.y);
+        // An ROI wholly off the image fetches nothing; the deposit pass
+        // adds inside the same clipped ROI.
+        let Some(roi) = self.roi.clip(star.x, star.y, self.width, self.height) else {
+            ctx.rows = 0..0;
+            return;
+        };
+        ctx.rows = roi.y0..roi.y1;
+        let (x0, y0) = (roi.full_x0, roi.full_y0);
         let (w, h) = (self.width as i64, self.height as i64);
         // An interior ROI over a table of exactly the ROI's shape (as every
         // simulator binds it) fetches each texel of one layer once, in the
@@ -258,27 +266,24 @@ impl Kernel for AdaptiveKernel<'_> {
     }
 
     /// Deposit pass: the texels of the star's layer that land in image
-    /// rows `rows`, added row by row — LUT row views when the table has
-    /// the ROI's shape, clamped fetches otherwise.
+    /// rows `rows` of its clipped ROI, added row by row — LUT row views
+    /// when the table has the ROI's shape, clamped fetches otherwise.
     fn deposit(&self, block: usize, rows: Range<usize>) {
         if block >= self.star_count {
             return;
         }
         let star = self.stars.read(block);
-        let side = self.roi.side() as i64;
-        let (x0, y0) = self.roi.origin(star.x, star.y);
-        let (xlo, xhi) = (x0.max(0), (x0 + side).min(self.width as i64));
-        let (ylo, yhi) = (y0.max(rows.start as i64), (y0 + side).min(rows.end as i64));
-        if xlo >= xhi || ylo >= yhi {
+        let Some(roi) = self.roi.clip(star.x, star.y, self.width, self.height) else {
             return;
-        }
+        };
         let layer = self.layer(&star);
-        let (tx0, tx1) = ((xlo - x0) as usize, (xhi - x0) as usize);
-        let row_views = self.lut_tex.width() == side as usize;
+        let tx0 = (roi.x0 as i64 - roi.full_x0) as usize;
+        let tx1 = tx0 + (roi.x1 - roi.x0);
+        let row_views = self.lut_tex.width() == self.roi.side();
         let mut texels = [0.0f32; 32];
-        for py in ylo..yhi {
-            let ty = py - y0;
-            let start = py as usize * self.width + xlo as usize;
+        for py in roi.y0.max(rows.start)..roi.y1.min(rows.end) {
+            let ty = py as i64 - roi.full_y0;
+            let start = py * self.width + roi.x0;
             if row_views {
                 self.image
                     .merge_add_range(start, &self.lut_tex.row(layer, ty)[tx0..tx1]);

@@ -173,6 +173,7 @@ impl Kernel for StarCentricKernel<'_> {
         ctx.counters.branches += n_warps;
         if block_id >= self.star_count {
             // Grid-padding block: all threads exit before the barrier.
+            ctx.rows = 0..0;
             return;
         }
 
@@ -209,8 +210,14 @@ impl Kernel for StarCentricKernel<'_> {
         // Step 8, per warp with in-image lanes: the PSF arithmetic, one
         // atomic request (distinct addresses), and a divergent guard when
         // only some lanes are in the image. An interior ROI aggregates to
-        // closed form.
-        let (x0, y0) = self.roi.origin(star.x, star.y);
+        // closed form; one wholly off the image has no such warp. The
+        // deposit pass adds inside the same clipped ROI.
+        let Some(roi) = self.roi.clip(star.x, star.y, self.width, self.height) else {
+            ctx.rows = 0..0;
+            return;
+        };
+        ctx.rows = roi.y0..roi.y1;
+        let (x0, y0) = (roi.full_x0, roi.full_y0);
         let (w, h) = (self.width as i64, self.height as i64);
         let charge = |c: &mut gpusim::Counters, n_in: u64, warps: u64| {
             c.flops_add += 2 * n_in;
@@ -245,31 +252,26 @@ impl Kernel for StarCentricKernel<'_> {
         }
     }
 
-    /// Deposit pass: `g·μ` for every pixel of the star's ROI in image
-    /// rows `rows`, evaluated per pixel exactly as [`Self::run`] does and
-    /// added row by row.
+    /// Deposit pass: `g·μ` for every pixel of the star's clipped ROI in
+    /// image rows `rows`, evaluated per pixel exactly as [`Self::run`]
+    /// does and added row by row.
     fn deposit(&self, block: usize, rows: Range<usize>) {
         if block >= self.star_count {
             return;
         }
         let star = self.stars.read(block);
-        let side = self.roi.side() as i64;
-        let (x0, y0) = self.roi.origin(star.x, star.y);
-        let (xlo, xhi) = (x0.max(0), (x0 + side).min(self.width as i64));
-        let (ylo, yhi) = (y0.max(rows.start as i64), (y0 + side).min(rows.end as i64));
-        if xlo >= xhi || ylo >= yhi {
+        let Some(roi) = self.roi.clip(star.x, star.y, self.width, self.height) else {
             return;
-        }
+        };
         let g = starfield::magnitude::brightness(star.mag, self.a_factor);
         // A stack row covers the 1024-thread launch cap (side ≤ 32).
         let mut vals = [0.0f32; 32];
-        let vals = &mut vals[..(xhi - xlo) as usize];
-        for py in ylo..yhi {
-            for (v, px) in vals.iter_mut().zip(xlo..) {
+        let vals = &mut vals[..roi.x1 - roi.x0];
+        for py in roi.y0.max(rows.start)..roi.y1.min(rows.end) {
+            for (v, px) in vals.iter_mut().zip(roi.x0..) {
                 *v = g * self.psf.eval(px as f32, py as f32, star.x, star.y);
             }
-            self.image
-                .merge_add_range(py as usize * self.width + xlo as usize, vals);
+            self.image.merge_add_range(py * self.width + roi.x0, vals);
         }
     }
 }

@@ -115,14 +115,18 @@ pub trait Kernel: Sync {
     /// *exactly* the counters the per-thread path would, and feed the SM's
     /// texture cache the same addresses in the same order — the
     /// performance model is analytic either way, only the host-side
-    /// execution strategy changes.
+    /// execution strategy changes. It may also narrow
+    /// [`BlockCtx::rows`] to the output rows the block deposits into.
     fn run_block(&self, _ctx: &mut BlockCtx<'_>) {}
 
     /// Deposit pass of the two-pass route: adds every pixel block `block`
     /// writes in output rows `rows`, with the values the per-thread path
-    /// adds. The executor calls it for every block in index order within a
-    /// band of rows, and for disjoint bands concurrently, so a pixel sees
-    /// its adds in block order (see [`GlobalAtomicF32::merge_add_range`]).
+    /// adds. The executor calls it in index order for every block whose
+    /// [`BlockCtx::rows`] meets a band of rows, and for disjoint bands
+    /// concurrently, so a pixel sees its adds in block order (see
+    /// [`GlobalAtomicF32::merge_add_range`]). A block is never called for
+    /// a band outside the rows its counter pass reported, so those rows
+    /// must hold every pixel it writes.
     fn deposit(&self, _block: usize, _rows: Range<usize>) {}
 }
 
@@ -151,6 +155,13 @@ pub struct BlockCtx<'a> {
     /// one by one, or as a texture layer walk
     /// ([`CacheSim::access_walk`]).
     pub cache: &'a mut CacheSim,
+    /// Output rows this block deposits into. The executor sets it to
+    /// every row of the launch ([`Kernel::deposit_rows`]) before
+    /// [`Kernel::run_block`]; a kernel that narrows it spares the deposit
+    /// pass the bands outside it, and one that leaves it is deposited in
+    /// every band. An empty range (a guarded-off block, an ROI wholly off
+    /// the image) deposits in none. Rows past the launch's are ignored.
+    pub rows: Range<usize>,
 }
 
 impl BlockCtx<'_> {

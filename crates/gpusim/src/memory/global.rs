@@ -170,21 +170,21 @@ impl GlobalAtomicF32 {
     }
 
     /// Single-writer bulk add of a sub-range: `self[start + i] += vals[i]`
-    /// for every non-zero entry of `vals`, each one add of the same `f32`
-    /// value [`Self::atomic_add`] would add. The plain load/store replaces
-    /// the CAS loop, so it needs one writer per element, not per buffer:
-    /// the batched executor's deposit pass calls it concurrently on
-    /// disjoint row bands of one target. Skipping zeros is bit-exact: a
-    /// buffer that starts at `+0.0` never holds `-0.0`, and `x + ±0.0 == x`
-    /// bitwise for every other `x`.
+    /// for every entry of `vals`, zeros included and with no branch, each
+    /// the same `f32` add [`Self::atomic_add`] makes — so given the same
+    /// values in the same order a cell ends bit-equal to the atomic path.
+    /// (In an image that starts at `+0.0` a `±0.0` add changes no bit:
+    /// such a buffer never holds `-0.0`, and `x + ±0.0 == x` bitwise for
+    /// every other `x`.) The plain load/store replaces the CAS loop, so it
+    /// needs one writer per element, not per buffer: the batched
+    /// executor's deposit pass calls it concurrently on disjoint row bands
+    /// of one target.
     #[inline]
     pub fn merge_add_range(&self, start: usize, vals: &[f32]) {
         debug_assert!(start + vals.len() <= self.data.len());
         for (cell, &v) in self.data[start..start + vals.len()].iter().zip(vals) {
-            if v != 0.0 {
-                let cur = f32::from_bits(cell.load(Ordering::Relaxed));
-                cell.store((cur + v).to_bits(), Ordering::Relaxed);
-            }
+            let cur = f32::from_bits(cell.load(Ordering::Relaxed));
+            cell.store((cur + v).to_bits(), Ordering::Relaxed);
         }
     }
 

@@ -143,7 +143,14 @@ fn slot(s: &SkyStar) -> Slot {
     } else if s.dec.abs() > FRAC_PI_2 || s.ra.abs() > MAX_GRID_RA {
         Slot::Stray
     } else {
-        let ra_cell = ((s.ra.rem_euclid(TAU) / CELL_WIDTH) as usize).min(BAND_CELLS - 1);
+        // `rem_euclid` is the identity on [0, 2π), bit for bit and for
+        // `-0.0` too, and catalogues keep RA there: skip the fmod.
+        let ra = if (0.0..TAU).contains(&s.ra) {
+            s.ra
+        } else {
+            s.ra.rem_euclid(TAU)
+        };
+        let ra_cell = ((ra / CELL_WIDTH) as usize).min(BAND_CELLS - 1);
         Slot::Cell(band_of(s.dec) * BAND_CELLS + ra_cell)
     }
 }
@@ -305,6 +312,18 @@ mod tests {
             (seen as i64 - expect as i64).unsigned_abs() as usize <= expect / 5 + 2,
             "saw {seen}, expected about {expect}"
         );
+    }
+
+    #[test]
+    fn ra_cell_matches_the_rem_euclid_formula() {
+        let below_tau = f64::from_bits(TAU.to_bits() - 1);
+        for ra in [0.0, -0.0, below_tau, TAU, -1e-300, 1e8 * TAU] {
+            let cell = ((ra.rem_euclid(TAU) / CELL_WIDTH) as usize).min(BAND_CELLS - 1);
+            match slot(&SkyStar::new(ra, 0.25, 3.0)) {
+                Slot::Cell(c) => assert_eq!(c, band_of(0.25) * BAND_CELLS + cell, "ra {ra:e}"),
+                _ => panic!("ra {ra:e} must land in a cell"),
+            }
+        }
     }
 
     #[test]
