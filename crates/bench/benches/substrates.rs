@@ -1,6 +1,5 @@
-//! Microbenches of the hot substrate paths: atomic image accumulation,
-//! PSF evaluation, coalescing analysis, the texture cache, and image
-//! encoding.
+//! Microbenches of the hot substrate paths: PSF evaluation, coalescing
+//! analysis, the texture cache, and image encoding.
 
 include!("common/harness.rs");
 
@@ -9,16 +8,7 @@ use gpusim::warp::{bank_conflict_extra, coalesce_transactions};
 use psf::{GaussianPsf, IntegratedGaussianPsf, MoffatPsf, SmearedGaussianPsf};
 use starfield::{triad, Attitude, Observation, SkyStar};
 use starimage::io::bmp::write_bmp_gray8;
-use starimage::{apply_noise, label_blobs, AtomicImage, ImageF32, NoiseModel};
-
-fn bench_atomic_image() {
-    let img = AtomicImage::new(1024, 1024);
-    bench("atomic_image_fetch_add_1k", || {
-        for i in 0..1000usize {
-            img.fetch_add(black_box(i * 1049 % (1024 * 1024)), 0.5);
-        }
-    });
-}
+use starimage::{apply_noise, label_blobs, ImageF32, NoiseModel};
 
 fn bench_psf_eval() {
     let point = GaussianPsf::new(2.0);
@@ -145,7 +135,6 @@ fn bench_noise_and_triad() {
 }
 
 fn main() {
-    bench_atomic_image();
     bench_psf_eval();
     bench_extension_psfs();
     bench_extraction();

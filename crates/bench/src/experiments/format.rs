@@ -85,91 +85,6 @@ impl Table {
     }
 }
 
-/// A JSON value for [`write_json_object`] — the few shapes the BENCH
-/// artefacts need, no external crates.
-#[derive(Debug, Clone)]
-pub enum Json {
-    /// A string (escaped on write).
-    Str(String),
-    /// An integer.
-    Int(u64),
-    /// A float printed with a fixed number of decimals (stable artefact
-    /// diffs; CI greps for exact keys and well-formed numbers).
-    F64(f64, usize),
-    /// A boolean.
-    Bool(bool),
-    /// An array of values.
-    Array(Vec<Json>),
-}
-
-impl Json {
-    /// Float with 3 decimals (rates, speedups, percentages).
-    pub fn f3(v: f64) -> Json {
-        Json::F64(v, 3)
-    }
-
-    /// Float with 6 decimals (seconds).
-    #[cfg_attr(not(test), allow(dead_code))] // not every experiment emits seconds
-    pub fn f6(v: f64) -> Json {
-        Json::F64(v, 6)
-    }
-
-    fn render(&self, out: &mut String) {
-        match self {
-            Json::Str(s) => {
-                out.push('"');
-                for c in s.chars() {
-                    match c {
-                        '"' => out.push_str("\\\""),
-                        '\\' => out.push_str("\\\\"),
-                        c if (c as u32) < 0x20 => {
-                            let _ = write!(out, "\\u{:04x}", c as u32);
-                        }
-                        c => out.push(c),
-                    }
-                }
-                out.push('"');
-            }
-            Json::Int(v) => {
-                let _ = write!(out, "{v}");
-            }
-            Json::F64(v, decimals) => {
-                let _ = write!(out, "{v:.decimals$}");
-            }
-            Json::Bool(v) => {
-                let _ = write!(out, "{v}");
-            }
-            Json::Array(items) => {
-                out.push('[');
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push_str(", ");
-                    }
-                    item.render(out);
-                }
-                out.push(']');
-            }
-        }
-    }
-}
-
-/// Writes `fields` as a single-object JSON file (`{"k": v, ...}` plus a
-/// trailing newline). Every BENCH_PR*.json artefact goes through this —
-/// the experiments stay free of hand-rolled brace escaping.
-pub fn write_json_object(path: &Path, fields: &[(&str, Json)]) -> std::io::Result<()> {
-    let mut out = String::from("{");
-    for (i, (key, value)) in fields.iter().enumerate() {
-        if i > 0 {
-            out.push_str(", ");
-        }
-        Json::Str((*key).to_string()).render(&mut out);
-        out.push_str(": ");
-        value.render(&mut out);
-    }
-    out.push_str("}\n");
-    std::fs::write(path, out)
-}
-
 /// Formats seconds as milliseconds with three decimals.
 pub fn ms(t: f64) -> String {
     format!("{:.3}", t * 1e3)
@@ -221,40 +136,5 @@ mod tests {
     fn mismatched_row_rejected() {
         let mut t = Table::new(vec!["a"]);
         t.row(vec!["1", "2"]);
-    }
-
-    #[test]
-    fn json_object_roundtrip() {
-        let dir = std::env::temp_dir().join("starsim_json_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let p = dir.join("o.json");
-        write_json_object(
-            &p,
-            &[
-                ("name", Json::Str("test1/2^13".into())),
-                ("frames", Json::Int(40)),
-                ("fps", Json::f3(123.4567)),
-                ("time_s", Json::f6(0.001234)),
-                ("ok", Json::Bool(true)),
-                (
-                    "rungs",
-                    Json::Array(vec![Json::Int(2), Json::Int(1), Json::Int(0)]),
-                ),
-            ],
-        )
-        .unwrap();
-        let text = std::fs::read_to_string(&p).unwrap();
-        assert_eq!(
-            text,
-            "{\"name\": \"test1/2^13\", \"frames\": 40, \"fps\": 123.457, \
-             \"time_s\": 0.001234, \"ok\": true, \"rungs\": [2, 1, 0]}\n"
-        );
-    }
-
-    #[test]
-    fn json_strings_escaped() {
-        let mut out = String::new();
-        Json::Str("a\"b\\c\nd".into()).render(&mut out);
-        assert_eq!(out, "\"a\\\"b\\\\c\\u000ad\"");
     }
 }

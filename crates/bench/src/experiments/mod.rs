@@ -1,19 +1,12 @@
 //! The experiment suite: one module per paper table/figure group.
 
 pub mod ablation;
-pub mod analyze;
-pub mod chaos;
 pub mod contention;
 pub mod devices;
-pub mod executor;
 pub mod fig2;
 pub mod format;
 pub mod lutbuild;
 pub mod multigpu;
-pub mod obsplane;
-pub mod pipeline;
-pub mod sanitize;
-pub mod server;
 pub mod session;
 pub mod streams;
 pub mod table3;
@@ -36,19 +29,13 @@ pub struct Context {
     pub out_dir: PathBuf,
     /// Virtual-GPU executor every experiment launches with (`--exec`).
     /// Counters and modeled times are identical across modes; only host
-    /// wall-clock changes. The `executor` experiment measures both.
+    /// wall-clock changes.
     pub exec_mode: ExecMode,
     /// Host worker threads per launch (`--workers`). `None` = auto (one
     /// per available core, capped at the device SM count). Counters and
     /// modeled times are identical for any count; only host wall-clock
     /// changes.
     pub workers: Option<usize>,
-    /// Where the `trace` experiment writes its Chrome trace-event JSON
-    /// (`--trace PATH`). `None` = `<out_dir>/trace.json`.
-    pub trace_path: Option<PathBuf>,
-    /// Print the human-readable telemetry table after the `trace`
-    /// experiment (`--metrics`).
-    pub metrics: bool,
 }
 
 impl Default for Context {
@@ -59,8 +46,6 @@ impl Default for Context {
             out_dir: PathBuf::from("results"),
             exec_mode: ExecMode::default(),
             workers: None,
-            trace_path: None,
-            metrics: false,
         }
     }
 }
@@ -97,4 +82,32 @@ pub const REFERENCE_SEQ_NS_PER_PIXEL: f64 = 145.0;
 pub fn reference_sequential_s(stars: usize, roi_side: usize) -> f64 {
     let per_star = (roi_side * roi_side) as f64 * REFERENCE_SEQ_NS_PER_PIXEL + 50.0;
     stars as f64 * per_star * 1e-9
+}
+
+/// Median, over five back-to-back pairs, of the sequential simulator's
+/// application-time ratio of workload `b` to workload `a`. One wall-clock
+/// sample is at the mercy of the worker threads of tests running beside
+/// it on a small host; a pair run back to back sees the same load, and
+/// the median drops the pairs that load split.
+#[cfg(test)]
+pub fn sequential_time_ratio(
+    a: &starfield::workload::Workload,
+    b: &starfield::workload::Workload,
+) -> f64 {
+    use starsim_core::{SequentialSimulator, Simulator};
+    let time = |w: &starfield::workload::Workload| {
+        let config = Context::default().sim_config(w.image_size, w.image_size, w.roi_side);
+        SequentialSimulator::new()
+            .simulate(&w.catalog, &config)
+            .expect("sequential")
+            .app_time_s
+    };
+    let mut ratios: Vec<f64> = (0..5)
+        .map(|_| {
+            let t_a = time(a);
+            time(b) / t_a
+        })
+        .collect();
+    ratios.sort_by(f64::total_cmp);
+    ratios[2]
 }

@@ -196,6 +196,7 @@ pub fn inflection_stars(rows: &[Test1Row]) -> Option<u32> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::sequential_time_ratio;
 
     fn quick_rows() -> Vec<Test1Row> {
         let ctx = Context {
@@ -230,12 +231,10 @@ mod tests {
 
     #[test]
     fn sequential_time_grows_linearly_with_stars() {
-        let rows = quick_rows();
         // Doubling the star count should roughly double sequential time
         // across the upper half of the sweep (timer noise dominates below).
-        let a = &rows[rows.len() - 2];
-        let b = &rows[rows.len() - 1];
-        let ratio = b.seq_app / a.seq_app;
+        let seed = Context::default().seed;
+        let ratio = sequential_time_ratio(&workload::test1(11, seed), &workload::test1(12, seed));
         assert!(
             (1.3..3.5).contains(&ratio),
             "sequential 2x-star ratio was {ratio}"

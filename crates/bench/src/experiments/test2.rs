@@ -152,6 +152,7 @@ pub fn inflection_roi(rows: &[Test2Row]) -> Option<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::sequential_time_ratio;
 
     fn quick_rows() -> Vec<Test2Row> {
         let ctx = Context {
@@ -179,11 +180,9 @@ mod tests {
 
     #[test]
     fn sequential_grows_with_roi_area() {
-        let rows = quick_rows();
         // ROI 12 does 36× the pixel work of ROI 2.
-        let small = rows.first().unwrap();
-        let large = rows.last().unwrap();
-        assert!(large.seq_app > small.seq_app * 5.0);
+        let seed = Context::default().seed;
+        assert!(sequential_time_ratio(&workload::test2(2, seed), &workload::test2(12, seed)) > 5.0);
     }
 
     #[test]

@@ -1,15 +1,13 @@
 //! # starimage — star image substrate
 //!
 //! Gray-value image buffers and everything the simulators' *Output* stage
-//! needs: a plain [`ImageF32`] buffer, a lock-free [`AtomicImage`] matching
-//! CUDA's `atomicAdd(float*)` semantics for the parallel kernel, tone
-//! mapping to 8/16-bit gray, self-contained BMP and PGM IO, image
-//! statistics/diffing for cross-simulator validation, and star centroiding
-//! to close the star-tracker loop.
+//! needs: a plain [`ImageF32`] buffer, tone mapping to 8/16-bit gray,
+//! self-contained BMP and PGM IO, image statistics/diffing for
+//! cross-simulator validation, and star centroiding to close the
+//! star-tracker loop.
 
 #![warn(missing_docs)]
 
-pub mod atomic;
 pub mod buffer;
 pub mod calibrate;
 pub mod centroid;
@@ -22,7 +20,6 @@ pub mod noise;
 pub mod photometry;
 pub mod stats;
 
-pub use atomic::AtomicImage;
 pub use buffer::ImageF32;
 pub use calibrate::InstrumentSignature;
 pub use centroid::{detect_stars, CentroidParams, Detection};

@@ -6,29 +6,7 @@
 use simrng::Rng64;
 use starimage::io::bmp::{read_bmp_gray8, write_bmp_gray8};
 use starimage::io::pgm::{read_pgm, write_pgm8};
-use starimage::{apply_noise, AtomicImage, GrayMap, ImageF32, NoiseModel};
-
-/// Atomic accumulation equals sequential accumulation for any deposit
-/// pattern (the core `atomicAdd` guarantee, single-threaded case is
-/// order-exact).
-#[test]
-fn atomic_matches_sequential() {
-    let mut rng = Rng64::new(0xA70);
-    for _ in 0..64 {
-        let n = rng.range_usize(0, 500);
-        let deposits: Vec<(usize, f32)> = (0..n)
-            .map(|_| (rng.range_usize(0, 256), rng.range_f32(0.0, 10.0)))
-            .collect();
-        let atomic = AtomicImage::new(16, 16);
-        let mut plain = ImageF32::new(16, 16);
-        for &(idx, v) in &deposits {
-            atomic.fetch_add(idx, v);
-            let (x, y) = (idx % 16, idx / 16);
-            plain.add(x, y, v);
-        }
-        assert_eq!(atomic.snapshot(), plain);
-    }
-}
+use starimage::{apply_noise, GrayMap, ImageF32, NoiseModel};
 
 /// Gray mapping is monotone and saturating for any positive white level
 /// and gamma.
